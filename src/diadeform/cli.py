@@ -21,8 +21,6 @@ from .morphism_complex import MorphismComplex
 from .selftest import run_selftest
 from .trees import enumerate_trees, face, prod_label
 
-import itertools
-
 
 class Emitter:
     def __init__(self, records=False):
@@ -180,9 +178,8 @@ def cmd_trivialize(args, emit):
         emit.line("NOT A COBOUNDARY: %s" % exc, status="FAIL")
         emit.line(exc.certificate, certificate=exc.certificate)
         return 1
-    zero_through = next((k - 1 for k in range(1, result.order + 1)
-                         if not result.theta(k, cx).is_zero()),
-                        result.order)
+    lead = result.leading_order(cx)
+    zero_through = result.order if lead is None else lead - 1
     emit.line("trivialized; transported deformation vanishes through"
               " order %d" % zero_through, zero_through=zero_through)
     return 0
@@ -218,20 +215,15 @@ def cmd_selftest(args, emit):
 
 def _print_mor_cochain(emit, cx, mc, names=("xi", "pi", "phi")):
     fmt = cx.field.format
-    z = cx.field.zero
     shown = False
     for tag, c in zip(names, (mc.xi, mc.pi, mc.phi)):
-        d = c.dialgebra
-        for tree in enumerate_trees(c.degree):
-            for multi in itertools.product(range(d.dim), repeat=c.degree):
-                v = c.value(tree.index, multi)
-                if any(x != z for x in v):
-                    shown = True
-                    emit.line("  %s %s %r = (%s)"
-                              % (tag, tree.name, multi,
-                                 ", ".join(fmt(x) for x in v)),
-                              block=tag, tree=tree.name,
-                              value=",".join(fmt(x) for x in v))
+        for tree, multi, v in c.nonzero_values():
+            shown = True
+            emit.line("  %s %s %r = (%s)"
+                      % (tag, tree.name, multi,
+                         ", ".join(fmt(x) for x in v)),
+                      block=tag, tree=tree.name,
+                      value=",".join(fmt(x) for x in v))
     if not shown:
         emit.line("  (zero)", value="0")
 

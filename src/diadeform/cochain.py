@@ -81,6 +81,17 @@ class Cochain:
         off = self._offset(tree_index, multi)
         return self.coeffs[off:off + self.rep.module_dim]
 
+    def nonzero_values(self):
+        """Yield (tree, multi, value) for every nonzero value, in the flat
+        coordinate order."""
+        z = self.field.zero
+        # the cochain exists, so the tree cap that allowed it is not needed
+        for tree in enumerate_trees(self.degree, cap=self.degree):
+            for multi in multi_indices(self.dialgebra.dim, self.degree):
+                v = self.value(tree.index, multi)
+                if any(x != z for x in v):
+                    yield tree, multi, v
+
     def evaluate(self, tree_index, vectors):
         """Multilinear evaluation on arbitrary coordinate vectors."""
         if len(vectors) != self.degree:
@@ -149,7 +160,7 @@ def coboundary(f, cap=DEFAULT_TREE_CAP):
     mdim = rep.module_dim
     z = d.field.zero
     coeffs = []
-    for y in enumerate_trees(n + 1):
+    for y in enumerate_trees(n + 1, cap):
         faces = [face(y, i) for i in range(n + 2)]
         labels = [prod_label(y, i) for i in range(n + 2)]
         for multi in multi_indices(d.dim, n + 1):
@@ -207,7 +218,7 @@ def coboundary_matrix(d, rep, n, cap=DEFAULT_TREE_CAP):
         return (tree_index * ddim ** n + rank) * mdim
 
     row = 0
-    for y in enumerate_trees(n + 1):
+    for y in enumerate_trees(n + 1, cap):
         faces = [face(y, i) for i in range(n + 2)]
         labels = [prod_label(y, i) for i in range(n + 2)]
         for multi in multi_indices(ddim, n + 1):

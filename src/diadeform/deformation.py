@@ -7,21 +7,26 @@ this module implements validity checking, infinitesimals, obstruction
 classes, one-step and iterated extension, transport along formal
 isomorphisms, trivialization, and rigidity probing.
 
-All series are dense per-order coefficient lists truncated at a cap.
+The coefficients are stored order by order, but the calculus runs on the
+lift: the dialgebras D_t, E_t and the morphism psi_t over the truncated
+series ring K[t]/(t^{N+1}).  Validity is the ordinary axiom and morphism
+checks over that ring, the obstruction is the t^{N+1} coefficient of the
+same residuals on the lift padded by one zero order, and a formal
+isomorphism acts by conjugating the lifted products and morphism.
 """
 
-import itertools
 import random
 from dataclasses import dataclass
 
-from .cochain import Cochain, coboundary, product_cochain
-from .dialgebra import AXIOMS, LEFT, RIGHT, check_morphism
+from .cochain import Cochain, product_cochain
+from .dialgebra import (AXIOMS, LEFT, RIGHT, Dialgebra, DialgebraMorphism,
+                        adjoint_rep, check_dialgebra, check_morphism)
 from .errors import (BaseMismatch, InvalidDeformation, CapExceeded,
                      NonIdentityConstantTerm, NotACoboundary, OrderMismatch,
                      OrderTooLow, ShapeMismatch)
+from .fields import Series, SeriesRing
 from .linalg import Matrix
 from .morphism_complex import MorphismCochain, MorphismComplex
-from .trees import enumerate_trees, face
 
 DEFAULT_ORDER_CAP = 6
 
@@ -32,29 +37,42 @@ TREE_R = 1  # [12], carrying the right product
 
 def cochain1_to_matrix(c):
     """A degree-1 cochain D -> M as a module_dim x dim matrix."""
-    rows = c.rep.module_dim
-    cols = c.dialgebra.dim
-    grid = [[None] * cols for _ in range(rows)]
-    for a in range(cols):
-        v = c.value(0, (a,))
-        for w in range(rows):
-            grid[w][a] = v[w]
-    return Matrix(c.field, rows, cols, grid)
+    m = c.rep.module_dim
+    return Matrix(c.field, c.dialgebra.dim, m, _rows(c.coeffs, m)).transpose()
 
 
 def matrix_to_cochain1(mat, d, rep):
     """Inverse of cochain1_to_matrix."""
-    coeffs = []
-    for a in range(d.dim):
-        for w in range(rep.module_dim):
-            coeffs.append(mat[w, a])
-    return Cochain(1, d, rep, coeffs)
+    return Cochain(1, d, rep, sum(mat.transpose().entries, ()))
 
 
-def _bilinear_of(cochain2, label):
-    """The bilinear map carried by a 2-cochain on the [21] or [12] slot."""
-    tree = TREE_L if label is LEFT else TREE_R
-    return lambda va, vb: cochain2.evaluate(tree, [va, vb])
+def _lift(ring, flats):
+    """Series whose t^n coefficients are flats[n], zero above the last."""
+    pad = (ring.field.zero,) * ring.order
+    return [Series(ring, (col + pad)[:ring.order + 1]) for col in zip(*flats)]
+
+
+def _coefficients(series, n):
+    """The t^n coefficients of a sequence of series."""
+    return [x.c[n] for x in series]
+
+
+def _rows(flat, width):
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+def _lift_matrix(ring, ms):
+    """The matrix sum_n ms[n] t^n over the series ring."""
+    flat = _lift(ring, [sum(m.entries, ()) for m in ms])
+    return Matrix(ring, ms[0].rows, ms[0].cols, _rows(flat, ms[0].cols))
+
+
+def _lift_products(ring, d, fs):
+    """The dialgebra on D's space with products sum_n fs[n] t^n; the flat
+    coordinates of a product 2-cochain are its left, then right tensor."""
+    blocks = _rows(_rows(_lift(ring, [f.coeffs for f in fs]), d.dim), d.dim)
+    return Dialgebra(d.dim, ring, blocks[:d.dim], blocks[d.dim:],
+                     basis_names=d.basis_names, name=d.name)
 
 
 class TruncatedDeformation:
@@ -106,18 +124,33 @@ class TruncatedDeformation:
 
     @classmethod
     def trivial(cls, psi, order=0):
+        base = cls(psi, [product_cochain(psi.source)],
+                   [product_cochain(psi.target)], [psi.matrix])
+        return cls.from_lift(psi, *base.lift(order))
+
+    def lift(self, pad=0):
+        """(D_t, E_t, psi_t) over K[t]/(t^{N+1+pad}), zero above order N."""
+        ring = SeriesRing(self.field, self.order + pad)
+        d_t = _lift_products(ring, self.psi.source, self.fd)
+        e_t = _lift_products(ring, self.psi.target, self.fe)
+        return d_t, e_t, DialgebraMorphism(
+            d_t, e_t, _lift_matrix(ring, self.psis), name=self.psi.name)
+
+    @classmethod
+    def from_lift(cls, psi, d_t, e_t, psi_t):
+        """The deformation of psi whose lift is (D_t, E_t, psi_t)."""
         d, e = psi.source, psi.target
-        fd = [product_cochain(d)]
-        fe = [product_cochain(e)]
-        psis = [psi.matrix]
-        z2d = Cochain.zero(2, d, fd[0].rep)
-        z2e = Cochain.zero(2, e, fe[0].rep)
-        zpsi = Matrix.zero(psi.field, e.dim, d.dim)
-        for _ in range(order):
-            fd.append(z2d)
-            fe.append(z2e)
-            psis.append(zpsi)
-        return cls(psi, fd, fe, psis)
+        fd, fe = product_cochain(d_t).coeffs, product_cochain(e_t).coeffs
+        m = sum(psi_t.matrix.entries, ())
+        orders = range(d_t.field.order + 1)
+        return cls(psi,
+                   [Cochain(2, d, adjoint_rep(d), _coefficients(fd, n))
+                    for n in orders],
+                   [Cochain(2, e, adjoint_rep(e), _coefficients(fe, n))
+                    for n in orders],
+                   [Matrix(psi.field, e.dim, d.dim,
+                           _rows(_coefficients(m, n), d.dim))
+                    for n in orders])
 
     def extended_with(self, theta):
         """Append a degree-2 morphism cochain as the next coefficient."""
@@ -126,6 +159,11 @@ class TruncatedDeformation:
             self.fd + (theta.xi,),
             self.fe + (theta.pi,),
             self.psis + (cochain1_to_matrix(theta.phi),))
+
+    def leading_order(self, complex_):
+        """The order of the first nonzero coefficient, or None."""
+        return next((k for k in range(1, self.order + 1)
+                     if not self.theta(k, complex_).is_zero()), None)
 
     def theta(self, k, complex_):
         """The order-k coefficient as a degree-2 morphism cochain."""
@@ -141,9 +179,9 @@ class FormalIso:
     """A pair of truncated formal isomorphism series with identity constant
     terms, acting on deformations of psi by conjugation."""
 
-    __slots__ = ("phi_d", "phi_e")
+    __slots__ = ("psi", "phi_d", "phi_e")
 
-    def __init__(self, phi_d, phi_e):
+    def __init__(self, psi, phi_d, phi_e):
         phi_d, phi_e = tuple(phi_d), tuple(phi_e)
         if len(phi_d) != len(phi_e) or not phi_d:
             raise OrderMismatch("the two series must share an order")
@@ -152,6 +190,7 @@ class FormalIso:
             if series[0] != Matrix.identity(series[0].field, n):
                 raise NonIdentityConstantTerm(
                     "constant term of a formal isomorphism must be 1")
+        object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi_d", phi_d)
         object.__setattr__(self, "phi_e", phi_e)
 
@@ -172,19 +211,18 @@ class FormalIso:
         for _ in range(order):
             idd.append(zd)
             ide.append(ze)
-        return cls(idd, ide)
+        return cls(psi, idd, ide)
 
 
-def series_inverse(series):
-    """Coefficients of the truncated inverse of a series with phi_0 = id."""
-    f = series[0].field
-    n = series[0].rows
-    inv = [Matrix.identity(f, n)]
-    for k in range(1, len(series)):
-        acc = Matrix.zero(f, n, n)
-        for i in range(1, k + 1):
-            acc = acc + series[i] * inv[k - i]
-        inv.append(-acc)
+def unipotent_inverse(phi):
+    """The inverse of a square matrix over K[t]/(t^{N+1}) with identity
+    constant term: sum_{k <= N} (I - phi)^k, as (I - phi)^{N+1} = 0."""
+    ident = Matrix.identity(phi.field, phi.rows)
+    nilpotent = ident - phi
+    inv = power = ident
+    for _ in range(phi.field.order):
+        power = power * nilpotent
+        inv = inv + power
     return inv
 
 
@@ -246,90 +284,45 @@ class RigidityReport:
 # -- validity ----------------------------------------------------------
 
 
-def _axiom_side_at_order(fs, side, nu, vx, vy, vz):
-    """Order-nu coefficient of one bracketed side of an axiom.
-
-    ``fs`` is the coefficient list of 2-cochains; ``side`` is ("R"|"L",
-    outer label, inner label).
-    """
-    which, outer, inner = side
-    f = fs[0].field
-    mdim = fs[0].rep.module_dim
-    out = (f.zero,) * mdim
-    for p in range(nu + 1):
-        q = nu - p
-        fo = _bilinear_of(fs[p], outer)
-        fi = _bilinear_of(fs[q], inner)
-        if which == "R":
-            term = fo(vx, fi(vy, vz))
-        else:
-            term = fo(fi(vx, vy), vz)
-        out = tuple(a + b for a, b in zip(out, term))
-    return out
+def _residuals(th, pad):
+    """The violations of D_t, E_t and psi_t on the lift padded by ``pad``
+    zero orders: one pass of the axiom and morphism checkers."""
+    d_t, e_t, psi_t = th.lift(pad)
+    return (check_dialgebra(d_t).violations, check_dialgebra(e_t).violations,
+            check_morphism(psi_t).violations)
 
 
-def _axiom_residuals(d, fs, nu):
-    """Yield (axiom number, triple, lhs, rhs) for order-nu failures."""
-    for num, (lhs, rhs) in enumerate(AXIOMS, start=1):
-        for i in range(d.dim):
-            vx = d.basis_vector(i)
-            for j in range(d.dim):
-                vy = d.basis_vector(j)
-                for k in range(d.dim):
-                    vz = d.basis_vector(k)
-                    lv = _axiom_side_at_order(fs, lhs, nu, vx, vy, vz)
-                    rv = _axiom_side_at_order(fs, rhs, nu, vx, vy, vz)
-                    if lv != rv:
-                        yield num, (i, j, k), lv, rv
-
-
-def _morphism_eq_residual(th, nu, label):
-    """lhs - rhs of the order-nu morphism equation on all basis pairs."""
-    d = th.psi.source
-    for a in range(d.dim):
-        va = d.basis_vector(a)
-        for b in range(d.dim):
-            vb = d.basis_vector(b)
-            lhs = None
-            for i in range(nu + 1):
-                v = _bilinear_of(th.fd[nu - i], label)(va, vb)
-                term = th.psis[i].apply(v)
-                lhs = term if lhs is None else tuple(
-                    x + y for x, y in zip(lhs, term))
-            rhs = None
-            for i in range(nu + 1):
-                fe_i = _bilinear_of(th.fe[i], label)
-                for j in range(nu + 1 - i):
-                    k = nu - i - j
-                    term = fe_i(th.psis[j].apply(va), th.psis[k].apply(vb))
-                    rhs = term if rhs is None else tuple(
-                        x + y for x, y in zip(rhs, term))
-            if lhs != rhs:
-                yield (a, b), lhs, rhs
+def _first_failure(th, d_violations, e_violations, m_violations):
+    """The failure of lowest t-degree up to N, ties going to the checkers'
+    order: f_D, f_E, then the morphism equation (l before r), each by
+    axiom, then by triple or pair."""
+    failures = [("axiom %d for %s" % (num, tag), "triple", (i, j, k), lv, rv)
+                for tag, vs in (("f_D", d_violations), ("f_E", e_violations))
+                for num, i, j, k, lv, rv in vs]
+    failures += [("morphism equation (%s)" % ("l" if label is LEFT else "r"),
+                  "pair", (a, b), lv, rv)
+                 for label, a, b, lv, rv in m_violations]
+    orders = [min(n for a, b in zip(lv, rv)
+                  for n, (x, y) in enumerate(zip(a.c, b.c)) if x != y)
+              for _, _, _, lv, rv in failures]
+    nu = min(orders, default=th.order + 1)
+    if nu > th.order:
+        return DeformationReport(True)
+    what, kind, where, lv, rv = failures[orders.index(nu)]
+    return DeformationReport(
+        False, nu, "%s at order %d, %s %r: %r != %r"
+        % (what, nu, kind, where, tuple(_coefficients(lv, nu)),
+           tuple(_coefficients(rv, nu))))
 
 
 def verify_deformation(th):
     """Check the deformation equations order by order; report first failure.
 
-    Per order nu: the five product axioms for the deformed products of D
-    and of E, coefficientwise on all basis triples, then the deformed
-    morphism equation on all basis pairs for both products.
+    These are the five product axioms of D_t and of E_t and the morphism
+    equations of psi_t over K[t]/(t^{N+1}); a failure's order is the lowest
+    t-degree at which its two sides differ.
     """
-    for nu in range(th.order + 1):
-        for tag, d, fs in (("f_D", th.psi.source, th.fd),
-                           ("f_E", th.psi.target, th.fe)):
-            for num, triple, lv, rv in _axiom_residuals(d, fs, nu):
-                return DeformationReport(
-                    False, nu,
-                    "axiom %d for %s at order %d, triple %r: %r != %r"
-                    % (num, tag, nu, triple, lv, rv))
-        for label, tag in ((LEFT, "l"), (RIGHT, "r")):
-            for pair, lv, rv in _morphism_eq_residual(th, nu, label):
-                return DeformationReport(
-                    False, nu,
-                    "morphism equation (%s) at order %d, pair %r: %r != %r"
-                    % (tag, nu, pair, lv, rv))
-    return DeformationReport(True)
+    return _first_failure(th, *_residuals(th, 0))
 
 
 # -- infinitesimal and leading cocycle ---------------------------------
@@ -348,123 +341,67 @@ def leading_cocycle_check(th, complex_=None):
     """Assert that the first nonzero coefficient is an exact 2-cocycle."""
     if complex_ is None:
         complex_ = MorphismComplex(th.psi)
-    for k in range(1, th.order + 1):
-        theta = th.theta(k, complex_)
-        if theta.is_zero():
-            continue
-        residual = complex_.coboundary(theta)
-        if residual.is_zero():
-            return CocycleReport(True, leading_order=k)
-        return CocycleReport(False, leading_order=k,
-                             residual_location=_locate(complex_, residual))
-    return CocycleReport(True, leading_order=None)  # vacuous: all zero
+    k = th.leading_order(complex_)
+    if k is None:
+        return CocycleReport(True, leading_order=None)  # vacuous: all zero
+    residual = complex_.coboundary(th.theta(k, complex_))
+    if residual.is_zero():
+        return CocycleReport(True, leading_order=k)
+    return CocycleReport(False, leading_order=k,
+                         residual_location=_locate(residual))
 
 
-def _locate(complex_, mc):
+def _locate(mc):
     """Human-readable position of the first nonzero coordinate."""
-    z = complex_.field.zero
     for tag, c in (("xi", mc.xi), ("pi", mc.pi), ("phi", mc.phi)):
-        d = c.dialgebra
-        for tree in enumerate_trees(c.degree):
-            for multi in itertools.product(range(d.dim), repeat=c.degree):
-                v = c.value(tree.index, multi)
-                if any(x != z for x in v):
-                    return "%s block, tree %s, indices %r" % (
-                        tag, tree.name, multi)
+        for tree, multi, _ in c.nonzero_values():
+            return "%s block, tree %s, indices %r" % (tag, tree.name, multi)
     return "zero"
 
 
 # -- obstruction -------------------------------------------------------
 
 
-def _sum_prime_triples(n_plus_1):
-    """The four index families of the primed sum at total N + 1."""
-    t = n_plus_1
-    for i in range(1, t):
-        yield (i, t - i, 0)
-    for i in range(1, t):
-        yield (i, 0, t - i)
-    for j in range(1, t):
-        yield (0, j, t - j)
-    for i in range(1, t - 1):
-        for j in range(1, t - i):
-            k = t - i - j
-            if k > 0:
-                yield (i, j, k)
-
-
-def _pre_lie_square(d, fs, n_plus_1):
-    """The per-tree composition sum of two deformation coefficients.
-
-    For each 3-tree y:  sum over i + j = N + 1, i, j > 0, of
-
-        F_i(d_1 y (x) (F_j(d_3 y (x) (a, b)), c))
-      - F_i(d_2 y (x) (a, F_j(d_0 y (x) (b, c))))
-
-    which realizes the composition product driving the first two blocks
-    of the obstruction.
-    """
-    rep = fs[0].rep
-    z = d.field.zero
-    mdim = rep.module_dim
-    coeffs = []
-    for y in enumerate_trees(3):
-        d0, d1, d2, d3 = (face(y, i).index for i in range(4))
-        for a, b, c in itertools.product(range(d.dim), repeat=3):
-            va = d.basis_vector(a)
-            vb = d.basis_vector(b)
-            vc = d.basis_vector(c)
-            out = [z] * mdim
-            for i in range(1, n_plus_1):
-                j = n_plus_1 - i
-                fi, fj = fs[i], fs[j]
-                inner1 = fj.evaluate(d3, [va, vb])
-                t1 = fi.evaluate(d1, [inner1, vc])
-                inner2 = fj.evaluate(d0, [vb, vc])
-                t2 = fi.evaluate(d2, [va, inner2])
-                for w in range(mdim):
-                    out[w] = out[w] + t1[w] - t2[w]
-            coeffs.extend(out)
-    return Cochain(3, d, rep, coeffs)
-
-
 def obstruction(th, complex_=None, check_valid=True):
-    """The obstruction class blocking extension from order N to N + 1."""
+    """The obstruction class blocking extension from order N to N + 1.
+
+    On the lift padded by a zero order, Ob_D and Ob_E on the k-th 3-tree
+    are the t^{N+1} coefficients of the L- minus the R-bracketing of axiom
+    k + 1, which are the two composites along the faces of that tree, and
+    Ob_psi is that of f_E(psi_t, psi_t) - psi_t f_D, on [21] for -| and
+    [12] for |-.  The same residuals decide validity through order N.
+    """
     n = th.order
     if n < 1:
         raise OrderTooLow("obstruction needs order >= 1")
+    violations = _residuals(th, 1)
     if check_valid:
-        report = verify_deformation(th)
+        report = _first_failure(th, *violations)
         if not report:
             raise InvalidDeformation(report.failing_identity)
     if complex_ is None:
         complex_ = MorphismComplex(th.psi)
-    d, e = th.psi.source, th.psi.target
-    ob_d = _pre_lie_square(d, th.fd, n + 1)
-    ob_e = _pre_lie_square(e, th.fe, n + 1)
+    d_violations, e_violations, m_violations = violations
 
-    z = th.field.zero
-    edim = e.dim
-    coeffs = []
-    for label in (LEFT, RIGHT):
-        for a in range(d.dim):
-            va = d.basis_vector(a)
-            for b in range(d.dim):
-                vb = d.basis_vector(b)
-                out = [z] * edim
-                for i, j, k in _sum_prime_triples(n + 1):
-                    term = _bilinear_of(th.fe[i], label)(
-                        th.psis[j].apply(va), th.psis[k].apply(vb))
-                    for w in range(edim):
-                        out[w] = out[w] + term[w]
-                for i in range(1, n + 1):
-                    v = _bilinear_of(th.fd[n + 1 - i], label)(va, vb)
-                    term = th.psis[i].apply(v)
-                    for w in range(edim):
-                        out[w] = out[w] - term[w]
-                coeffs.extend(out)
-    ob_psi = Cochain(2, d, complex_.rep_de, coeffs)
-    return ObstructionClass(MorphismCochain(ob_d, ob_e, ob_psi), n)
+    def cochain(degree, d, rep, diffs):
+        values = {key: tuple(x.c[n + 1] - y.c[n + 1] for x, y in zip(*sides))
+                  for key, sides in diffs}
+        zero = (d.field.zero,) * rep.module_dim
+        return Cochain.from_function(degree, d, rep, lambda tree, multi:
+                                     values.get((tree.index, multi), zero))
+
+    def axiom_block(d, vs):
+        return cochain(3, d, adjoint_rep(d), [
+            ((num - 1, (i, j, k)),
+             (lv, rv) if AXIOMS[num - 1][0][0] == "L" else (rv, lv))
+            for num, i, j, k, lv, rv in vs])
+
+    return ObstructionClass(MorphismCochain(
+        axiom_block(th.psi.source, d_violations),
+        axiom_block(th.psi.target, e_violations),
+        cochain(2, th.psi.source, complex_.rep_de, [
+            ((TREE_L if label is LEFT else TREE_R, (a, b)), (rv, lv))
+            for label, a, b, lv, rv in m_violations])), n)
 
 
 def obstruction_cocycle_check(ob, complex_):
@@ -473,7 +410,7 @@ def obstruction_cocycle_check(ob, complex_):
     if residual.is_zero():
         return CocycleReport(True, leading_order=ob.order)
     return CocycleReport(False, leading_order=ob.order,
-                         residual_location=_locate(complex_, residual))
+                         residual_location=_locate(residual))
 
 
 # -- extension ---------------------------------------------------------
@@ -515,14 +452,9 @@ def obstruction_certificate(th, ob, complex_):
     fmt = complex_.field.format
     for tag, c in (("Ob_D", ob.cochain.xi), ("Ob_E", ob.cochain.pi),
                    ("Ob_psi", ob.cochain.phi)):
-        d = c.dialgebra
-        for tree in enumerate_trees(c.degree):
-            for multi in itertools.product(range(d.dim), repeat=c.degree):
-                v = c.value(tree.index, multi)
-                if any(x != complex_.field.zero for x in v):
-                    lines.append("  %s %s %r = (%s)" % (
-                        tag, tree.name, multi,
-                        ", ".join(fmt(x) for x in v)))
+        for tree, multi, v in c.nonzero_values():
+            lines.append("  %s %s %r = (%s)" % (
+                tag, tree.name, multi, ", ".join(fmt(x) for x in v)))
     return "\n".join(lines)
 
 
@@ -557,51 +489,39 @@ def extend_to_order(th, target, complex_=None, order_cap=DEFAULT_ORDER_CAP):
 # -- equivalence -------------------------------------------------------
 
 
+def _conjugate(d_t, phi, inv):
+    """The lifted dialgebra with products phi f(inv x, inv y)."""
+    images = inv.transpose().entries  # inv applied to the basis vectors
+    dim = d_t.dim
+    left, right = ([[phi.apply(d_t.product(label, images[i], images[j]))
+                     for j in range(dim)] for i in range(dim)]
+                   for label in (LEFT, RIGHT))
+    return Dialgebra(dim, d_t.field, left, right,
+                     basis_names=d_t.basis_names, name=d_t.name)
+
+
 def apply_formal_iso(th, iso):
-    """Transport a deformation along a pair of formal isomorphism series."""
+    """Transport a deformation along a pair of formal isomorphism series.
+
+    Over K[t]/(t^{N+1}): f'(x, y) = Phi f(Phi^-1 x, Phi^-1 y) on D and on
+    E, and psi' = Phi_E psi Phi_D^-1.
+    """
     if iso.order != th.order:
         raise OrderMismatch("deformation order %d vs iso order %d"
                             % (th.order, iso.order))
-    d, e = th.psi.source, th.psi.target
-    inv_d = series_inverse(iso.phi_d)
-    inv_e = series_inverse(iso.phi_e)
-    n_max = th.order
-
-    def conjugate_products(dialg, fs, phis, invs):
-        rep = fs[0].rep
-        out = []
-        for n in range(n_max + 1):
-            coeffs = []
-            for tree in enumerate_trees(2):
-                label = LEFT if tree.index == TREE_L else RIGHT
-                for i, j in itertools.product(range(dialg.dim), repeat=2):
-                    ei = dialg.basis_vector(i)
-                    ej = dialg.basis_vector(j)
-                    acc = (dialg.field.zero,) * dialg.dim
-                    for p in range(n + 1):
-                        for q in range(n + 1 - p):
-                            for r in range(n + 1 - p - q):
-                                s = n - p - q - r
-                                v = _bilinear_of(fs[q], label)(
-                                    invs[r].apply(ei), invs[s].apply(ej))
-                                term = phis[p].apply(v)
-                                acc = tuple(x + y
-                                            for x, y in zip(acc, term))
-                    coeffs.extend(acc)
-            out.append(Cochain(2, dialg, rep, coeffs))
-        return out
-
-    new_fd = conjugate_products(d, th.fd, iso.phi_d, inv_d)
-    new_fe = conjugate_products(e, th.fe, iso.phi_e, inv_e)
-    new_psis = []
-    for n in range(n_max + 1):
-        acc = Matrix.zero(th.field, e.dim, d.dim)
-        for p in range(n + 1):
-            for q in range(n + 1 - p):
-                r = n - p - q
-                acc = acc + iso.phi_e[p] * th.psis[q] * inv_d[r]
-        new_psis.append(acc)
-    return TruncatedDeformation(th.psi, new_fd, new_fe, new_psis)
+    if iso.psi is not th.psi:
+        raise BaseMismatch("formal isomorphism of %s applied to a"
+                           " deformation of %s"
+                           % (iso.psi.name, th.psi.name))
+    d_t, e_t, psi_t = th.lift()
+    phi_d = _lift_matrix(d_t.field, iso.phi_d)
+    phi_e = _lift_matrix(d_t.field, iso.phi_e)
+    inv_d = unipotent_inverse(phi_d)
+    new_d = _conjugate(d_t, phi_d, inv_d)
+    new_e = _conjugate(e_t, phi_e, unipotent_inverse(phi_e))
+    return TruncatedDeformation.from_lift(
+        th.psi, new_d, new_e,
+        DialgebraMorphism(new_d, new_e, phi_e * psi_t.matrix * inv_d))
 
 
 def trivialize_step(th, complex_=None):
@@ -612,11 +532,7 @@ def trivialize_step(th, complex_=None):
     """
     if complex_ is None:
         complex_ = MorphismComplex(th.psi)
-    lead = None
-    for k in range(1, th.order + 1):
-        if not th.theta(k, complex_).is_zero():
-            lead = k
-            break
+    lead = th.leading_order(complex_)
     if lead is None:
         return FormalIso.identity(th.psi, th.order), th
     theta = th.theta(lead, complex_)
@@ -629,17 +545,10 @@ def trivialize_step(th, complex_=None):
             certificate="rank delta^1 = %d, rank [delta^1 | theta] = %d"
             % (mat.rank(), aug.rank()))
     beta = complex_.normalize_1cochain(complex_.unvec(1, x))
-    xi_mat = cochain1_to_matrix(beta.xi)
-    pi_mat = cochain1_to_matrix(beta.pi)
-    f = complex_.field
-    phi_d = [Matrix.identity(f, th.psi.source.dim)]
-    phi_e = [Matrix.identity(f, th.psi.target.dim)]
-    zd = Matrix.zero(f, th.psi.source.dim, th.psi.source.dim)
-    ze = Matrix.zero(f, th.psi.target.dim, th.psi.target.dim)
-    for n in range(1, th.order + 1):
-        phi_d.append(xi_mat if n == lead else zd)
-        phi_e.append(pi_mat if n == lead else ze)
-    iso = FormalIso(phi_d, phi_e)
+    ident = FormalIso.identity(th.psi, th.order)
+    iso = FormalIso(th.psi, *(
+        series[:lead] + (cochain1_to_matrix(c),) + series[lead + 1:]
+        for series, c in ((ident.phi_d, beta.xi), (ident.phi_e, beta.pi))))
     return iso, apply_formal_iso(th, iso)
 
 
@@ -658,13 +567,8 @@ def rigidity_probe(psi, complex_=None, order_cap=4, samples=5, seed=0):
     trivialized = 0
     for _ in range(samples):
         th = random_deformation(psi, order_cap, rng, complex_=complex_)
-        current = th
-        while True:
-            iso, current = trivialize_step(current, complex_)
-            lead = next((k for k in range(1, current.order + 1)
-                         if not current.theta(k, complex_).is_zero()), None)
-            if lead is None:
-                break
+        while th.leading_order(complex_) is not None:
+            _, th = trivialize_step(th, complex_)
         trivialized += 1
     return RigidityReport(0, "rigid (HY^2 = 0)", trivialized)
 

@@ -131,9 +131,6 @@ class Dialgebra:
         z, o = self.field.zero, self.field.one
         return tuple(o if j == i else z for j in range(self.dim))
 
-    def zero_vector(self):
-        return (self.field.zero,) * self.dim
-
 
 @dataclass(frozen=True)
 class Representation:
@@ -181,9 +178,6 @@ class Representation:
         z, o = self.field.zero, self.field.one
         return tuple(o if v == u else z for v in range(self.module_dim))
 
-    def zero_vector(self):
-        return (self.field.zero,) * self.module_dim
-
 
 class DialgebraMorphism:
     """A linear map psi: D -> E, stored as a target_dim x source_dim matrix."""
@@ -230,97 +224,62 @@ class DialgebraMorphism:
                                  name="%s.%s" % (self.name, other.name))
 
 
-def _triple(products, side, outer, inner, vx, vy, vz):
-    """Evaluate one side of an axiom with the three given vectors.
-
-    ``products`` maps a slot pair to a bilinear evaluator; see the callers
-    for the dialgebra and representation variants.
-    """
+def _side(d, side, outer, inner, vx, vy, vz):
+    """Evaluate one bracketed side of an axiom on three vectors of D."""
     if side == "R":
-        w = products["yz"](inner, vy, vz)
-        return products["x_"](outer, vx, w)
-    w = products["xy"](inner, vx, vy)
-    return products["_z"](outer, w, vz)
+        return d.product(outer, vx, d.product(inner, vy, vz))
+    return d.product(outer, d.product(inner, vx, vy), vz)
 
 
 def check_dialgebra(d):
     """All five axioms on all basis triples; violations carry both sides."""
     violations = []
     for num, (lhs, rhs) in enumerate(AXIOMS, start=1):
-        products = {
-            "yz": d.product, "xy": d.product,
-            "x_": d.product, "_z": d.product,
-        }
         for i in range(d.dim):
             vx = d.basis_vector(i)
             for j in range(d.dim):
                 vy = d.basis_vector(j)
                 for k in range(d.dim):
                     vz = d.basis_vector(k)
-                    lv = _triple(products, *lhs, vx, vy, vz)
-                    rv = _triple(products, *rhs, vx, vy, vz)
+                    lv = _side(d, *lhs, vx, vy, vz)
+                    rv = _side(d, *rhs, vx, vy, vz)
                     if lv != rv:
                         violations.append((num, i, j, k, lv, rv))
     return Report(not violations, tuple(violations))
 
 
 def check_representation(d, rep):
-    """The fifteen module axioms: each of the five with M in one slot."""
+    """The fifteen module axioms: each of the five with M in one slot.
+
+    They are the axioms of the square-zero extension D + M (products of D,
+    the four actions, M M = 0) on the triples with M in exactly one slot.
+    """
     if rep.dialgebra != d:
         raise ShapeMismatch("representation is not over the given dialgebra")
+    n, m = d.dim, rep.module_dim
+    z = d.field.zero
+
+    def extended(product, act_dm, act_md):
+        t = [[[z] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
+        for i in range(n):
+            for j in range(n):
+                t[i][j][:n] = product[i][j]
+            for u in range(m):
+                t[i][n + u][n:] = act_dm[i][u]
+                t[n + u][i][n:] = act_md[u][i]
+        return t
+
+    ext = Dialgebra(n + m, d.field, extended(d.left, rep.act_dl, rep.act_ld),
+                    extended(d.right, rep.act_dr, rep.act_rd))
     violations = []
-    for slot in ("x", "y", "z"):
-        products = _slot_products(d, rep, slot)
-        dims = {
-            "x": (rep.module_dim if slot == "x" else d.dim),
-            "y": (rep.module_dim if slot == "y" else d.dim),
-            "z": (rep.module_dim if slot == "z" else d.dim),
-        }
-        vec = {
-            "x": rep.basis_vector if slot == "x" else d.basis_vector,
-            "y": rep.basis_vector if slot == "y" else d.basis_vector,
-            "z": rep.basis_vector if slot == "z" else d.basis_vector,
-        }
-        for num, (lhs, rhs) in enumerate(AXIOMS, start=1):
-            for i in range(dims["x"]):
-                vx = vec["x"](i)
-                for j in range(dims["y"]):
-                    vy = vec["y"](j)
-                    for k in range(dims["z"]):
-                        vz = vec["z"](k)
-                        lv = _triple(products, *lhs, vx, vy, vz)
-                        rv = _triple(products, *rhs, vx, vy, vz)
-                        if lv != rv:
-                            violations.append((num, slot, i, j, k, lv, rv))
+    for num, i, j, k, lv, rv in check_dialgebra(ext).violations:
+        in_m = [x >= n for x in (i, j, k)]
+        if in_m.count(True) == 1:
+            local = tuple(x - n if x >= n else x for x in (i, j, k))
+            violations.append((num, "xyz"[in_m.index(True)]) + local
+                              + (lv[n:], rv[n:]))
+    violations.sort(key=lambda v: v[1])  # by slot, then axiom and triple
     return Report(not violations, tuple(violations))
-
-
-def _slot_products(d, rep, slot):
-    """Bilinear evaluators for axiom checking with M in the given slot.
-
-    Keys: "yz" (y with z), "xy" (x with y), "x_" (x with the inner
-    result), "_z" (the inner result with z).
-    """
-    if slot == "x":
-        return {
-            "yz": d.product,
-            "xy": lambda lab, vm, va: rep.act_right(lab, vm, va),
-            "x_": lambda lab, vm, va: rep.act_right(lab, vm, va),
-            "_z": lambda lab, vm, va: rep.act_right(lab, vm, va),
-        }
-    if slot == "y":
-        return {
-            "yz": lambda lab, vm, va: rep.act_right(lab, vm, va),
-            "xy": lambda lab, va, vm: rep.act_left(lab, va, vm),
-            "x_": lambda lab, va, vm: rep.act_left(lab, va, vm),
-            "_z": lambda lab, vm, va: rep.act_right(lab, vm, va),
-        }
-    return {
-        "yz": lambda lab, va, vm: rep.act_left(lab, va, vm),
-        "xy": d.product,
-        "x_": lambda lab, va, vm: rep.act_left(lab, va, vm),
-        "_z": lambda lab, va, vm: rep.act_left(lab, va, vm),
-    }
 
 
 def check_morphism(psi):

@@ -5,7 +5,9 @@ and plain ``fractions.Fraction`` otherwise; the two types interoperate and
 compare equal, so either works everywhere.  GF(p) scalars are
 ``GFElement``.  All scalar types support ``+ - * /``, compare equal to
 ``0``/``1`` where appropriate, and are hashable, so all linear algebra
-code is written field-agnostically.
+code is written field-agnostically.  ``Series`` scalars of the truncated
+power-series ring K[t]/(t^{N+1}) support the same except division, so
+products, axiom checks and matrix arithmetic also run over that ring.
 """
 
 from dataclasses import dataclass
@@ -189,6 +191,66 @@ class PrimeField:
         return "PrimeField(%d)" % self.p
 
 
+class Series:
+    """A truncated power series c_0 + c_1 t + ... + c_N t^N over a field.
+
+    The coefficients are exact and products are truncated at t^N.  There
+    is no division: eliminating a matrix over the ring fails loudly.
+    """
+
+    __slots__ = ("ring", "c")
+
+    def __init__(self, ring, coeffs):
+        self.ring = ring
+        self.c = tuple(coeffs)
+
+    def __add__(self, other):
+        return Series(self.ring, [a + b for a, b in zip(self.c, other.c)])
+
+    def __sub__(self, other):
+        return Series(self.ring, [a - b for a, b in zip(self.c, other.c)])
+
+    def __mul__(self, other):
+        n = len(self.c)
+        out = [self.ring.field.zero] * n
+        theirs = [(j, b) for j, b in enumerate(other.c) if b]
+        for i, a in enumerate(self.c):
+            if a:
+                for j, b in theirs:
+                    if i + j < n:
+                        out[i + j] = out[i + j] + a * b
+        return Series(self.ring, out)
+
+    def __eq__(self, other):
+        return isinstance(other, Series) and self.c == other.c
+
+    def __hash__(self):
+        return hash(self.c)
+
+
+@dataclass(frozen=True)
+class SeriesRing:
+    """Ring descriptor for K[t]/(t^{N+1}) over a base field K."""
+
+    field: object
+    order: int
+
+    @property
+    def zero(self):
+        return self.from_int(0)
+
+    @property
+    def one(self):
+        return self.from_int(1)
+
+    def from_int(self, n):
+        return Series(self, [self.field.from_int(n)]
+                      + [self.field.zero] * self.order)
+
+    def owns(self, x):
+        return isinstance(x, Series) and x.ring == self
+
+
 QQ = Rationals()
 
 
@@ -202,5 +264,8 @@ def parse_field(text):
             p = int(words[1])
         except ValueError:
             raise BadScalar("bad prime %r" % words[1])
-        return PrimeField(p)
+        try:
+            return PrimeField(p)
+        except ValueError as exc:
+            raise BadScalar(str(exc)) from None
     raise BadScalar("unknown field %r" % text)

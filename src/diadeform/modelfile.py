@@ -47,7 +47,6 @@ from .deformation import FormalIso, TruncatedDeformation
 from .errors import BadScalar, ParseError, UnknownReference
 from .fields import parse_field
 from .linalg import Matrix
-from .morphism_complex import MorphismComplex
 
 
 @dataclass
@@ -323,7 +322,7 @@ class _Parser:
         for n in range(order):
             phi_d.append(Matrix(field, d.dim, d.dim, phid[n]))
             phi_e.append(Matrix(field, e.dim, e.dim, phie[n]))
-        model.isos[name] = FormalIso(phi_d, phi_e)
+        model.isos[name] = FormalIso(psi, phi_d, phi_e)
 
     @staticmethod
     def _resolve(table, name, lineno):
@@ -377,7 +376,6 @@ def serialize_model(model):
                                           fmt(tensor[i][j][k])))
         out.append("end")
         out.append("")
-    names_of = {id(d): n for n, d in model.dialgebras.items()}
     for name, psi in model.morphisms.items():
         out.append("morphism %s" % name)
         out.append("  source %s" % psi.source.name)
@@ -416,8 +414,7 @@ def serialize_model(model):
         out.append("")
     for name, iso in model.isos.items():
         out.append("formal-iso %s" % name)
-        psi_name = _iso_morphism_name(model, iso)
-        out.append("  morphism %s" % psi_name)
+        out.append("  morphism %s" % iso.psi.name)
         out.append("  order %d" % iso.order)
         for tag, series in (("phiD", iso.phi_d), ("phiE", iso.phi_e)):
             for n in range(1, iso.order + 1):
@@ -430,12 +427,3 @@ def serialize_model(model):
         out.append("end")
         out.append("")
     return "\n".join(out)
-
-
-def _iso_morphism_name(model, iso):
-    dd = iso.phi_d[0].rows
-    de = iso.phi_e[0].rows
-    for name, psi in model.morphisms.items():
-        if psi.source.dim == dd and psi.target.dim == de:
-            return name
-    raise UnknownReference("no morphism matches the iso dimensions")

@@ -99,9 +99,6 @@ class MorphismComplex:
                                Cochain.zero(n, self.E, self.rep_e),
                                Cochain.zero(n - 1, self.D, self.rep_de))
 
-    def cochain(self, xi, pi, phi):
-        return MorphismCochain(xi, pi, phi)
-
     def vec(self, mc):
         return vec(mc.xi) + vec(mc.pi) + vec(mc.phi)
 

@@ -128,7 +128,7 @@ def run_selftest(emit, samples=5):
                            [[f.from_int(rng.randint(-2, 2))
                              for _ in range(ne)] for _ in range(ne)])
                     for _ in range(th.order)]
-                iso = FormalIso(phd, phe)
+                iso = FormalIso(psi, phd, phe)
                 tht = apply_formal_iso(th, iso)
                 if not verify_deformation(tht):
                     ok = False
@@ -146,8 +146,7 @@ def run_selftest(emit, samples=5):
             ok = True
             for _ in range(samples):
                 th = random_deformation(psi, 3, rng, cx)
-                lead = next((k for k in range(1, th.order + 1)
-                             if not th.theta(k, cx).is_zero()), None)
+                lead = th.leading_order(cx)
                 if lead is None:
                     continue
                 try:

@@ -175,7 +175,7 @@ def test_criterion_6_equivalent_infinitesimals(complexes):
             phe1 = Matrix(f, ne, ne, [[f.from_int(rng.randint(-2, 2))
                                        for _ in range(ne)]
                                       for _ in range(ne)])
-            iso = FormalIso([Matrix.identity(f, nd), phd1],
+            iso = FormalIso(psi, [Matrix.identity(f, nd), phd1],
                             [Matrix.identity(f, ne), phe1])
             transported = apply_formal_iso(th, iso)
             beta = MorphismCochain(

@@ -130,6 +130,14 @@ def test_field_override_flag(capsys, model_path):
     assert code == 0
 
 
+def test_composite_field_is_input_error(capsys, model_path):
+    code, out, err = run(capsys, "check", model_path("zero1"),
+                         "--field", "gf:4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(bundled_model_text("zero1")))
     code, out, _ = run(capsys, "check", "-")

@@ -150,3 +150,14 @@ def test_coboundary_respects_cap(rng):
     c = random_cochain(d, rep, 5, rng)
     with pytest.raises(CapExceeded):
         coboundary(c)
+
+
+def test_raised_cap_is_honoured(rng):
+    k = mult_dialgebra()
+    rep = adjoint_rep(k)
+    c = random_cochain(k, rep, 5, rng)
+    mat = coboundary_matrix(k, rep, 5, cap=6)
+    dc = coboundary(c, cap=6)
+    assert mat.apply(vec(c)) == vec(dc)
+    assert len(list(dc.nonzero_values())) == sum(
+        1 for x in dc.coeffs if x != QQ.zero)

@@ -9,11 +9,10 @@ from diadeform.deformation import (FormalIso, TruncatedDeformation,
                                    leading_cocycle_check, obstruction,
                                    obstruction_cocycle_check, random_cocycle,
                                    random_deformation, rigidity_probe,
-                                   series_inverse, trivialize_step,
-                                   _sum_prime_triples)
+                                   trivialize_step, unipotent_inverse)
 from diadeform.errors import (BaseMismatch, NonIdentityConstantTerm,
                               NotACoboundary, OrderMismatch, OrderTooLow)
-from diadeform.fields import QQ
+from diadeform.fields import QQ, Series, SeriesRing
 from diadeform.linalg import Matrix
 from diadeform.morphism_complex import MorphismComplex
 
@@ -170,21 +169,142 @@ def test_extension_guaranteed_flag(ksetup):
     assert report.reached == 3
 
 
+def build(psi, fds, fes, ss):
+    """A deformation of psi from flat integer coefficient lists, one list
+    per order >= 1: fds/fes hold 2-cochain coordinates, ss matrix rows."""
+    f = psi.field
+    d, e = psi.source, psi.target
+    cx = MorphismComplex(psi)
+    ints = lambda xs: [f.from_int(x) for x in xs]
+    return TruncatedDeformation(
+        psi,
+        [product_cochain(d)] + [Cochain(2, d, cx.rep_d, ints(c)) for c in fds],
+        [product_cochain(e)] + [Cochain(2, e, cx.rep_e, ints(c)) for c in fes],
+        [psi.matrix] + [Matrix(f, e.dim, d.dim, [ints(r) for r in s])
+                        for s in ss])
+
+
+def _golden(th):
+    from diadeform.deformation import verify_deformation
+    report = verify_deformation(th)
+    assert not report
+    return report.first_failing_order, report.failing_identity
+
+
+def q(*values):
+    """The repr of a coordinate tuple of rationals, as reports print it."""
+    return repr(tuple(QQ.from_int(v) for v in values))
+
+
+def test_verify_golden_axiom_failures(bundled_models):
+    k = bundled_models["mult1"].morphisms["id"]
+    assert _golden(build(k, [[1, 2]], [[1, 1]], [[[0]]])) == (
+        1, "axiom 2 for f_D at order 1, triple (0, 0, 0): %s != %s"
+        % (q(2), q(3)))
+    assert _golden(build(k, [[1, 1]], [[2, 3]], [[[0]]])) == (
+        1, "axiom 2 for f_E at order 1, triple (0, 0, 0): %s != %s"
+        % (q(4), q(5)))
+    # the lowest failing order wins over the f_D-before-f_E order
+    assert _golden(build(k, [[0, 0], [1, 2]], [[1, 2], [0, 0]],
+                         [[[0]], [[0]]])) == (
+        1, "axiom 2 for f_E at order 1, triple (0, 0, 0): %s != %s"
+        % (q(2), q(3)))
+    # f_D and f_E both fail at order 2 on the zero line; f_D is reported
+    z = bundled_models["zero1"].morphisms["id"]
+    assert _golden(build(z, [[1, -1], [0, 0]], [[1, -1], [0, 0]],
+                         [[[0]], [[0]]])) == (
+        2, "axiom 2 for f_D at order 2, triple (0, 0, 0): %s != %s"
+        % (q(1), q(-1)))
+    p2 = bundled_models["dim2"].morphisms["id"]
+    one = [0] * 16
+    one[6] = 1  # e_1 -| e_1 gains e_0
+    zero = [0] * 16
+    expected = ("axiom 1 for %s at order 1, triple (0, 1, 1): "
+                + "%s != %s" % (q(1, 0), q(0, 0)))
+    assert _golden(build(p2, [one], [one], [[[0, 1], [0, 0]]])) == (
+        1, expected % "f_D")
+    assert _golden(build(p2, [zero], [one], [[[0, 0], [0, 0]]])) == (
+        1, expected % "f_E")
+
+
+def test_verify_golden_morphism_failures(bundled_models):
+    z = bundled_models["zero1"].morphisms["id"]
+    assert _golden(build(z, [[1, 2]], [[5, 2]], [[[0]]])) == (
+        1, "morphism equation (l) at order 1, pair (0, 0): %s != %s"
+        % (q(1), q(5)))
+    assert _golden(build(z, [[1, 2]], [[1, 3]], [[[0]]])) == (
+        1, "morphism equation (r) at order 1, pair (0, 0): %s != %s"
+        % (q(2), q(3)))
+
+
+def test_verify_golden_over_gf(bundled_models):
+    from diadeform.fields import PrimeField
+    from diadeform.models import load_bundled_model
+    k = load_bundled_model("mult1", field_override=PrimeField(7)) \
+        .morphisms["id"]
+    assert _golden(build(k, [[3, 3]], [[3, 3]], [[[5]]])) == (
+        1, "morphism equation (l) at order 1, pair (0, 0): (1,) != (6,)")
+
+
+def _inverse_coefficients(series):
+    """Coefficients of the inverse of 1 + sum_k series[k] t^k, order by
+    order: inv_k = -sum_{i=1..k} series[i] inv_{k-i}."""
+    f = series[0].field
+    n = series[0].rows
+    inv = [Matrix.identity(f, n)]
+    for k in range(1, len(series)):
+        acc = Matrix.zero(f, n, n)
+        for i in range(1, k + 1):
+            acc = acc + series[i] * inv[k - i]
+        inv.append(-acc)
+    return inv
+
+
+def test_transport_round_trip(all_morphisms):
+    rng = random.Random(2718)
+    for tag, psi in all_morphisms:
+        cx = MorphismComplex(psi)
+        th = random_deformation(psi, 2, rng, cx)
+        f = psi.field
+        series = []
+        for n in (psi.source.dim, psi.target.dim):
+            series.append([Matrix.identity(f, n)] + [
+                Matrix(f, n, n, [[f.from_int(rng.randint(-2, 2))
+                                  for _ in range(n)] for _ in range(n)])
+                for _ in range(th.order)])
+        iso = FormalIso(psi, *series)
+        back = FormalIso(psi, *[_inverse_coefficients(s) for s in series])
+        out = apply_formal_iso(apply_formal_iso(th, iso), back)
+        assert (out.fd, out.fe, out.psis) == (th.fd, th.fe, th.psis), tag
+
+
 def test_series_inverse():
     rng = random.Random(7)
     n = 2
+    ring = SeriesRing(QQ, 4)
     series = [Matrix.identity(QQ, n)] + [
         Matrix(QQ, n, n, [[QQ.from_int(rng.randint(-3, 3))
                            for _ in range(n)] for _ in range(n)])
         for _ in range(4)]
-    inv = series_inverse(series)
-    # the convolution of the series with its inverse is 1 + O(t^5)
-    for k in range(1, 5):
-        acc = Matrix.zero(QQ, n, n)
-        for i in range(k + 1):
-            acc = acc + series[i] * inv[k - i]
-        assert acc.is_zero()
-    assert inv[0] == Matrix.identity(QQ, n)
+    phi = Matrix(ring, n, n, [[Series(ring, [m[r, c] for m in series])
+                               for c in range(n)] for r in range(n)])
+    inv = unipotent_inverse(phi)
+    # the product of the series with its inverse is 1 + O(t^5)
+    assert phi * inv == Matrix.identity(ring, n)
+    assert inv * phi == Matrix.identity(ring, n)
+    expected = _inverse_coefficients(series)
+    for r in range(n):
+        for c in range(n):
+            assert inv[r, c].c == tuple(m[r, c] for m in expected)
+
+
+def test_series_ring_has_no_division():
+    ring = SeriesRing(QQ, 2)
+    one = ring.one
+    assert one * one == one and one - one == ring.zero
+    assert ring.from_int(3) == Series(ring, [QQ.from_int(3), 0, 0])
+    with pytest.raises(TypeError):
+        Matrix(ring, 1, 1, [[one]]).rank()
 
 
 def test_apply_identity_iso(zsetup):
@@ -192,6 +312,14 @@ def test_apply_identity_iso(zsetup):
     th = z_family(psi, cx, 1, 2, 1, 2, 3)
     out = apply_formal_iso(th, FormalIso.identity(psi, 1))
     assert out.fd == th.fd and out.fe == th.fe and out.psis == th.psis
+
+
+def test_iso_of_another_morphism(bundled_models):
+    model = bundled_models["mult1"]
+    th = model.deformations["oneplus"]
+    assert model.isos["scale"].psi is th.psi
+    with pytest.raises(BaseMismatch):
+        apply_formal_iso(th, FormalIso.identity(model.morphisms["zero"], 1))
 
 
 def test_apply_iso_preserves_validity(bundled_models, rng):
@@ -204,7 +332,8 @@ def test_apply_iso_preserves_validity(bundled_models, rng):
     mats = lambda: Matrix(f, nd, nd, [[f.from_int(rng.randint(-2, 2))
                                        for _ in range(nd)]
                                       for _ in range(nd)])
-    iso = FormalIso([Matrix.identity(f, nd)] + [mats()
+    iso = FormalIso(psi,
+                    [Matrix.identity(f, nd)] + [mats()
                                                 for _ in range(th.order)],
                     [Matrix.identity(f, nd)] + [mats()
                                                 for _ in range(th.order)])
@@ -218,10 +347,11 @@ def test_iso_order_mismatch(zsetup):
         apply_formal_iso(th, FormalIso.identity(psi, 3))
 
 
-def test_iso_requires_identity_constant_term():
+def test_iso_requires_identity_constant_term(zsetup):
+    psi, _ = zsetup
     two = Matrix(QQ, 1, 1, [[QQ.from_int(2)]])
     with pytest.raises(NonIdentityConstantTerm):
-        FormalIso([two], [two])
+        FormalIso(psi, [two], [two])
 
 
 def test_trivialize_oneplus(bundled_models):
@@ -268,13 +398,3 @@ def test_random_deformation_valid(all_morphisms, rng):
         cx = MorphismComplex(psi)
         th = random_deformation(psi, 2, rng, cx)
         assert verify_deformation(th), tag
-
-
-def test_prime_sum_small_orders():
-    # at total 2 only triples with a zero index occur
-    assert sorted(set(_sum_prime_triples(2))) == [(0, 1, 1), (1, 0, 1),
-                                                  (1, 1, 0)]
-    triples = list(_sum_prime_triples(3))
-    assert len(triples) == len(set(triples))
-    assert (1, 1, 1) in triples
-    assert all(sum(t) == 3 for t in triples)

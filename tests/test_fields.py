@@ -70,3 +70,5 @@ def test_parse_field():
     assert parse_field("gf:13") == PrimeField(13)
     with pytest.raises(BadScalar):
         parse_field("reals")
+    with pytest.raises(BadScalar):
+        parse_field("gf:4")

@@ -156,6 +156,22 @@ def test_deformation_entries(bundled_models):
 
 
 def test_formal_iso_parsed(bundled_models):
-    iso = bundled_models["mult1"].isos["scale"]
+    model = bundled_models["mult1"]
+    iso = model.isos["scale"]
     assert iso.order == 1
     assert iso.phi_d[1][0, 0] == QQ.one
+    assert iso.psi is model.morphisms["id"]
+
+
+def test_formal_iso_keeps_its_morphism():
+    # a morphism of the same shape declared first must not capture the iso
+    text = bundled_model_text("mult1")
+    id_block = text[text.index("morphism id"):text.index("morphism zero")]
+    zero_block = text[text.index("morphism zero"):
+                      text.index("deformation oneplus")]
+    swapped = text.replace(id_block + zero_block, zero_block + id_block)
+    assert swapped.index("morphism zero") < swapped.index("morphism id")
+    out = serialize_model(parse_model(swapped))
+    iso_block = out[out.index("formal-iso scale"):]
+    assert iso_block.splitlines()[1] == "  morphism id"
+    assert serialize_model(parse_model(out)) == out
