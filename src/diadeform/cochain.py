@@ -60,7 +60,7 @@ class Cochain:
     def from_function(cls, degree, dialgebra, rep, fn):
         """fn(tree, multi) must return an M coordinate tuple."""
         coeffs = []
-        for tree in enumerate_trees(degree):
+        for tree in enumerate_trees(degree, cap=degree):
             for multi in multi_indices(dialgebra.dim, degree):
                 coeffs.extend(fn(tree, multi))
         return cls(degree, dialgebra, rep, coeffs)
@@ -203,13 +203,9 @@ def coboundary_matrix(d, rep, n, cap=DEFAULT_TREE_CAP):
     """
     if n + 1 > cap:
         raise CapExceeded("coboundary matrix would exceed tree cap %d" % cap)
-    f = d.field
-    z = f.zero
+    z = d.field.zero
     mdim = rep.module_dim
     ddim = d.dim
-    n_rows = cy_dim(d, rep, n + 1)
-    n_cols = cy_dim(d, rep, n)
-    grid = [[z] * n_cols for _ in range(n_rows)]
 
     def col_offset(tree_index, multi):
         rank = 0
@@ -217,12 +213,12 @@ def coboundary_matrix(d, rep, n, cap=DEFAULT_TREE_CAP):
             rank = rank * ddim + a
         return (tree_index * ddim ** n + rank) * mdim
 
+    data = {}
     row = 0
     for y in enumerate_trees(n + 1, cap):
         faces = [face(y, i) for i in range(n + 2)]
         labels = [prod_label(y, i) for i in range(n + 2)]
         for multi in multi_indices(ddim, n + 1):
-            base_row = row
             # i = 0 term
             t0 = rep.act_dl if labels[0] is LEFT else rep.act_dr
             c0 = col_offset(faces[0].index, multi[1:])
@@ -230,8 +226,7 @@ def coboundary_matrix(d, rep, n, cap=DEFAULT_TREE_CAP):
             for u in range(mdim):
                 for w in range(mdim):
                     if block0[u][w] != z:
-                        grid[base_row + w][c0 + u] = (
-                            grid[base_row + w][c0 + u] + block0[u][w])
+                        _add(data, row + w, c0 + u, block0[u][w])
             # middle terms
             sign = 1
             for i in range(1, n + 1):
@@ -244,8 +239,7 @@ def coboundary_matrix(d, rep, n, cap=DEFAULT_TREE_CAP):
                                     multi[:i - 1] + (k,) + multi[i + 1:])
                     val = pt[k] if sign > 0 else -pt[k]
                     for w in range(mdim):
-                        grid[base_row + w][ci + w] = (
-                            grid[base_row + w][ci + w] + val)
+                        _add(data, row + w, ci + w, val)
             # i = n + 1 term
             sign = -sign
             tl = rep.act_ld if labels[n + 1] is LEFT else rep.act_rd
@@ -254,11 +248,16 @@ def coboundary_matrix(d, rep, n, cap=DEFAULT_TREE_CAP):
                 blk = tl[u][multi[n]]
                 for w in range(mdim):
                     if blk[w] != z:
-                        val = blk[w] if sign > 0 else -blk[w]
-                        grid[base_row + w][cl + u] = (
-                            grid[base_row + w][cl + u] + val)
+                        _add(data, row + w, cl + u,
+                             blk[w] if sign > 0 else -blk[w])
             row += mdim
-    return Matrix(f, n_rows, n_cols, grid)
+    return Matrix.sparse(d.field, cy_dim(d, rep, n + 1), cy_dim(d, rep, n),
+                         data)
+
+
+def _add(data, i, j, val):
+    row = data.setdefault(i, {})
+    row[j] = row[j] + val if j in row else val
 
 
 def vec(cochain):

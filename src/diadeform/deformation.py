@@ -43,7 +43,7 @@ def cochain1_to_matrix(c):
 
 def matrix_to_cochain1(mat, d, rep):
     """Inverse of cochain1_to_matrix."""
-    return Cochain(1, d, rep, sum(mat.transpose().entries, ()))
+    return Cochain(1, d, rep, sum(mat.transpose().dense_rows(), ()))
 
 
 def _lift(ring, flats):
@@ -63,7 +63,7 @@ def _rows(flat, width):
 
 def _lift_matrix(ring, ms):
     """The matrix sum_n ms[n] t^n over the series ring."""
-    flat = _lift(ring, [sum(m.entries, ()) for m in ms])
+    flat = _lift(ring, [sum(m.dense_rows(), ()) for m in ms])
     return Matrix(ring, ms[0].rows, ms[0].cols, _rows(flat, ms[0].cols))
 
 
@@ -141,7 +141,7 @@ class TruncatedDeformation:
         """The deformation of psi whose lift is (D_t, E_t, psi_t)."""
         d, e = psi.source, psi.target
         fd, fe = product_cochain(d_t).coeffs, product_cochain(e_t).coeffs
-        m = sum(psi_t.matrix.entries, ())
+        m = sum(psi_t.matrix.dense_rows(), ())
         orders = range(d_t.field.order + 1)
         return cls(psi,
                    [Cochain(2, d, adjoint_rep(d), _coefficients(fd, n))
@@ -203,15 +203,10 @@ class FormalIso:
 
     @classmethod
     def identity(cls, psi, order=0):
-        f = psi.field
-        idd = [Matrix.identity(f, psi.source.dim)]
-        ide = [Matrix.identity(f, psi.target.dim)]
-        zd = Matrix.zero(f, psi.source.dim, psi.source.dim)
-        ze = Matrix.zero(f, psi.target.dim, psi.target.dim)
-        for _ in range(order):
-            idd.append(zd)
-            ide.append(ze)
-        return cls(psi, idd, ide)
+        f, d, e = psi.field, psi.source.dim, psi.target.dim
+        return cls(psi,
+                   [Matrix.identity(f, d)] + [Matrix.zero(f, d, d)] * order,
+                   [Matrix.identity(f, e)] + [Matrix.zero(f, e, e)] * order)
 
 
 def unipotent_inverse(phi):
@@ -444,11 +439,10 @@ def obstruction_certificate(th, ob, complex_):
     """Rank witness plus per-tree obstruction values for a blocked step."""
     mat = complex_.matrix(2)
     rank = mat.rank()
-    aug = mat.hstack(Matrix.column(complex_.field,
-                                   complex_.vec(ob.cochain)))
+    # Ob raises the rank by one iff delta^2 theta = Ob has no solution
+    aug_rank = rank + (mat.solve(complex_.vec(ob.cochain)) is None)
     lines = ["obstruction at order %d is not a coboundary:" % ob.order,
-             "rank delta^2 = %d, rank [delta^2 | Ob] = %d" % (rank,
-                                                              aug.rank())]
+             "rank delta^2 = %d, rank [delta^2 | Ob] = %d" % (rank, aug_rank)]
     fmt = complex_.field.format
     for tag, c in (("Ob_D", ob.cochain.xi), ("Ob_E", ob.cochain.pi),
                    ("Ob_psi", ob.cochain.phi)):
@@ -491,7 +485,7 @@ def extend_to_order(th, target, complex_=None, order_cap=DEFAULT_ORDER_CAP):
 
 def _conjugate(d_t, phi, inv):
     """The lifted dialgebra with products phi f(inv x, inv y)."""
-    images = inv.transpose().entries  # inv applied to the basis vectors
+    images = inv.transpose().dense_rows()  # inv applied to the basis vectors
     dim = d_t.dim
     left, right = ([[phi.apply(d_t.product(label, images[i], images[j]))
                      for j in range(dim)] for i in range(dim)]
@@ -539,11 +533,10 @@ def trivialize_step(th, complex_=None):
     mat = complex_.matrix(1)
     x = mat.solve(complex_.vec(theta))
     if x is None:
-        aug = mat.hstack(Matrix.column(complex_.field, complex_.vec(theta)))
         raise NotACoboundary(
             "leading coefficient at order %d is not a coboundary" % lead,
             certificate="rank delta^1 = %d, rank [delta^1 | theta] = %d"
-            % (mat.rank(), aug.rank()))
+            % (mat.rank(), mat.rank() + 1))
     beta = complex_.normalize_1cochain(complex_.unvec(1, x))
     ident = FormalIso.identity(th.psi, th.order)
     iso = FormalIso(th.psi, *(

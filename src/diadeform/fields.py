@@ -23,15 +23,20 @@ from .errors import BadScalar, MixedFields
 _RATIONAL_TYPES = (Fraction,) if _mpq is Fraction else (Fraction, type(_mpq(0)))
 
 
+# Miller-Rabin to these bases is exact below the bound (Sorenson-Webster)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin primality test for n < _MR_BOUND."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1
+               or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _MR_BASES)
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,8 @@ class PrimeField:
     """Field descriptor for GF(p), p prime."""
 
     def __init__(self, p):
+        if p >= _MR_BOUND:
+            raise ValueError("GF order %d is too large to prove prime" % p)
         if not _is_prime(p):
             raise ValueError("GF order must be prime, got %d" % p)
         self.p = p

@@ -199,15 +199,14 @@ class _Parser:
         if source is None or target is None:
             raise ParseError("morphism %s needs source and target" % name,
                              line=lineno)
-        z = field.zero
-        grid = [[z] * source.dim for _ in range(target.dim)]
+        data = {}
         for r, c, v, ln in entries:
             if not (0 <= r < target.dim and 0 <= c < source.dim):
                 raise ParseError("morphism entry out of range", line=ln)
-            grid[r][c] = v
+            data.setdefault(r, {})[c] = v
         model.morphisms[name] = DialgebraMorphism(
-            source, target, Matrix(field, target.dim, source.dim, grid),
-            name=name)
+            source, target,
+            Matrix.sparse(field, target.dim, source.dim, data), name=name)
 
     def _parse_deformation(self, model, words, lineno):
         if len(words) != 2:

@@ -11,6 +11,7 @@ out as (xi | pi | phi); degree 0 is the zero module and cohomology starts
 at degree 1.
 """
 
+import itertools
 
 from .cochain import (Cochain, coboundary, coboundary_matrix, cy_dim,
                       multi_indices, vec)
@@ -48,10 +49,6 @@ class MorphismCochain:
 
     def __neg__(self):
         return MorphismCochain(-self.xi, -self.pi, -self.phi)
-
-    def scale(self, c):
-        return MorphismCochain(self.xi.scale(c), self.pi.scale(c),
-                               self.phi.scale(c))
 
     def is_zero(self):
         return self.xi.is_zero() and self.pi.is_zero() and self.phi.is_zero()
@@ -133,43 +130,34 @@ class MorphismComplex:
 
     def push_matrix(self, n):
         """Matrix of xi |-> psi.xi from CY^n(D,D) to CY^n(D,E)."""
-        f = self.field
-        z = f.zero
+        psi = self.psi.matrix.dense_rows()
         ddim, edim = self.D.dim, self.E.dim
-        slots = len(enumerate_trees(n)) * ddim ** n
-        rows, cols = slots * edim, slots * ddim
-        grid = [[z] * cols for _ in range(rows)]
-        for s in range(slots):
-            for w in range(edim):
-                for u in range(ddim):
-                    grid[s * edim + w][s * ddim + u] = self.psi.matrix[w, u]
-        return Matrix(f, rows, cols, grid)
+        slots = len(enumerate_trees(n, self.cap)) * ddim ** n
+        return Matrix.sparse(self.field, slots * edim, slots * ddim, {
+            s * edim + w: {s * ddim + u: c for u, c in enumerate(psi[w])}
+            for s in range(slots) for w in range(edim)})
 
     def pull_matrix(self, n):
         """Matrix of pi |-> pi.psi from CY^n(E,E) to CY^n(D,E)."""
         f = self.field
-        z = f.zero
         ddim, edim = self.D.dim, self.E.dim
-        trees = len(enumerate_trees(n))
-        rows = trees * ddim ** n * edim
-        cols = trees * edim ** n * edim
-        grid = [[z] * cols for _ in range(rows)]
-        psi = self.psi.matrix
+        # the nonzero coordinates (s, psi[s, i]) of each psi(e_i)
+        images = [[(s, c) for s, c in enumerate(col) if c != f.zero]
+                  for col in self.psi.matrix.transpose().dense_rows()]
+        trees = len(enumerate_trees(n, self.cap))
+        data = {}
         for t in range(trees):
             for di, dmulti in enumerate(multi_indices(ddim, n)):
                 base_row = (t * ddim ** n + di) * edim
-                for ei, emulti in enumerate(multi_indices(edim, n)):
-                    c = f.one
-                    for es, ds in zip(emulti, dmulti):
-                        c = c * psi[es, ds]
-                        if c == z:
-                            break
-                    if c == z:
-                        continue
+                for terms in itertools.product(*(images[i] for i in dmulti)):
+                    c, ei = f.one, 0
+                    for s, x in terms:
+                        c, ei = c * x, ei * edim + s
                     base_col = (t * edim ** n + ei) * edim
                     for w in range(edim):
-                        grid[base_row + w][base_col + w] = c
-        return Matrix(f, rows, cols, grid)
+                        data.setdefault(base_row + w, {})[base_col + w] = c
+        return Matrix.sparse(f, trees * ddim ** n * edim,
+                             trees * edim ** n * edim, data)
 
     # -- the coboundary -------------------------------------------------
 
@@ -181,34 +169,17 @@ class MorphismComplex:
         """Block matrix of delta: CY^n(psi,psi) -> CY^{n+1}(psi,psi)."""
         if n in self._matrices:
             return self._matrices[n]
-        f = self.field
         if n <= 0:
-            out = Matrix.zero(f, self.dim(1), 0)
-            self._matrices[n] = out
-            return out
-        dd = coboundary_matrix(self.D, self.rep_d, n, cap=self.cap)
-        de = coboundary_matrix(self.E, self.rep_e, n, cap=self.cap)
-        dde = coboundary_matrix(self.D, self.rep_de, n - 1, cap=self.cap)
-        push = self.push_matrix(n)
-        pull = self.pull_matrix(n)
-        z = f.zero
-        rows = dd.rows + de.rows + push.rows
-        cols = dd.cols + de.cols + dde.cols
-        grid = [[z] * cols for _ in range(rows)]
-
-        def paste(block, r0, c0, negate=False):
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    v = block[i, j]
-                    if v != z:
-                        grid[r0 + i][c0 + j] = -v if negate else v
-
-        paste(dd, 0, 0)
-        paste(de, dd.rows, dd.cols)
-        paste(push, dd.rows + de.rows, 0)
-        paste(pull, dd.rows + de.rows, dd.cols, negate=True)
-        paste(dde, dd.rows + de.rows, dd.cols + de.cols, negate=True)
-        out = Matrix(f, rows, cols, grid)
+            out = Matrix.zero(self.field, self.dim(1), 0)
+        else:
+            dd = coboundary_matrix(self.D, self.rep_d, n, cap=self.cap)
+            de = coboundary_matrix(self.E, self.rep_e, n, cap=self.cap)
+            dde = coboundary_matrix(self.D, self.rep_de, n - 1, cap=self.cap)
+            r2, c2 = dd.rows + de.rows, dd.cols + de.cols
+            out = Matrix.block(self.field, r2 + dde.rows, c2 + dde.cols, [
+                (0, 0, dd), (dd.rows, dd.cols, de),
+                (r2, 0, self.push_matrix(n)),
+                (r2, dd.cols, -self.pull_matrix(n)), (r2, c2, -dde)])
         self._matrices[n] = out
         return out
 

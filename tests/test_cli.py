@@ -152,3 +152,16 @@ def test_reports_deterministic(capsys, model_path):
     _, out2, _ = run(capsys, "extend", p, "--deformation", "theta_blocked",
                      "--to", "2")
     assert out1 == out2
+
+
+def test_large_prime_field(capsys, model_path):
+    p = model_path("mult1")
+    code, out, _ = run(capsys, "cohomology", p, "--degree", "1",
+                       "--field", "gf:2305843009213693951")
+    assert code == 0 and out
+    for n in (2 ** 61 + 1, 561):
+        code, out, err = run(capsys, "cohomology", p, "--degree", "1",
+                             "--field", "gf:%d" % n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diadeform.errors import BadScalar, MixedFields
-from diadeform.fields import GFElement, PrimeField, QQ, parse_field
+from diadeform.fields import GFElement, PrimeField, QQ, _is_prime, parse_field
 
 
 def test_rationals_basics():
@@ -72,3 +72,18 @@ def test_parse_field():
         parse_field("reals")
     with pytest.raises(BadScalar):
         parse_field("gf:4")
+
+
+def test_primality_is_exact_and_fast():
+    # 2^61 - 1 is prime; trial division would need about 10^9 steps
+    assert parse_field("gf:2305843009213693951").p == 2 ** 61 - 1
+    # 3 divides 2^61 + 1; 561 = 3 * 11 * 17 is a Carmichael number;
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (2 ** 61 + 1, 561, 3215031751):
+        with pytest.raises(BadScalar):
+            parse_field("gf:%d" % n)
+    small = [n for n in range(200) if n > 1
+             and all(n % d for d in range(2, n))]
+    assert [n for n in range(200) if _is_prime(n)] == small
+    with pytest.raises(ValueError):
+        PrimeField(3317044064679887385961981 + 2)

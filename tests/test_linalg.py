@@ -119,8 +119,81 @@ def test_transpose_rank_invariant():
     assert m.rank() == m.transpose().rank()
 
 
-def test_hstack():
+def test_block():
     a = qmat([[1], [2]])
     b = qmat([[3], [4]])
-    c = a.hstack(b)
-    assert c.cols == 2 and c[1, 1] == Fraction(4)
+    c = Matrix.block(QQ, 3, 2, [(0, 0, a), (1, 1, -b)])
+    assert c == qmat([[1, 0], [2, -3], [0, -4]])
+    assert c.dense_rows()[2] == (QQ.zero, QQ.from_int(-4))
+
+
+# -- differential check against a dense Gauss-Jordan reference ----------
+
+
+def dense_rref(field, rows, cols):
+    """Reduced row echelon form of dense rows and its pivot columns."""
+    m, pivots = [list(r) for r in rows], []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.one / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def dense_kernel(field, rows, cols):
+    m, pivots = dense_rref(field, rows, cols)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [field.zero] * cols
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve(field, rows, cols, b):
+    m, pivots = dense_rref(field, [list(r) + [x] for r, x in zip(rows, b)],
+                           cols + 1)
+    if cols in pivots:
+        return None
+    x = [field.zero] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][cols]
+    return tuple(x)
+
+
+sparse_small = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, F7]), st.integers(0, 6), st.integers(0, 6),
+       st.data())
+def test_elimination_matches_dense_reference(field, r, c, data):
+    ints = data.draw(st.lists(st.lists(sparse_small, min_size=c, max_size=c),
+                              min_size=r, max_size=r))
+    rows = [[field.from_int(x) for x in row] for row in ints]
+    m = Matrix(field, r, c, rows)
+    # alternate consistent and (mostly) inconsistent right-hand sides, and
+    # repeat them, so that a factorization polluted by one solve would show
+    rhs = []
+    for _ in range(3):
+        x = data.draw(st.lists(sparse_small, min_size=c, max_size=c))
+        rhs.append(m.apply(tuple(field.from_int(v) for v in x)))
+        rhs.append(tuple(field.from_int(v) for v in data.draw(
+            st.lists(sparse_small, min_size=r, max_size=r))))
+    for b in rhs + rhs:
+        assert m.solve(b) == dense_solve(field, rows, c, b)
+    assert m.rank() == len(dense_rref(field, rows, c)[1])
+    assert m.kernel_basis() == dense_kernel(field, rows, c)
+    for b in rhs:
+        assert m.solve(b) == dense_solve(field, rows, c, b)

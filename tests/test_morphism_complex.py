@@ -1,9 +1,15 @@
+import random
+
 import pytest
 
-from conftest import random_cochain
+from conftest import mult_dialgebra, random_cochain
 
-from diadeform.cochain import Cochain, coboundary, cy_dim, vec
-from diadeform.errors import ShapeMismatch
+from diadeform.cochain import (Cochain, coboundary, coboundary_matrix, cy_dim,
+                               vec)
+from diadeform.dialgebra import DialgebraMorphism, adjoint_rep
+from diadeform.errors import CapExceeded, ShapeMismatch
+from diadeform.fields import QQ, PrimeField
+from diadeform.models import bundled_model_names, load_bundled_model
 from diadeform.morphism_complex import (MorphismCochain, MorphismComplex,
                                         mor_coboundary)
 
@@ -104,3 +110,40 @@ def test_cochain_block_shape_checked(rng, complexes):
         MorphismCochain(random_cochain(cx.D, cx.rep_d, 1, rng),
                         random_cochain(cx.E, cx.rep_e, 2, rng),
                         random_cochain(cx.D, cx.rep_de, 0, rng))
+
+
+def test_raised_cap_reaches_push_and_pull():
+    k = mult_dialgebra()
+    cx = MorphismComplex(DialgebraMorphism.identity(k), cap=6)
+    rng = random.Random(6)
+    xi = random_cochain(k, cx.rep_d, 6, rng)
+    pi = random_cochain(k, cx.rep_e, 6, rng)
+    assert cx.push_matrix(6).apply(vec(xi)) == vec(cx.push_forward(xi))
+    assert cx.pull_matrix(6).apply(vec(pi)) == vec(cx.pull_back(pi))
+    with pytest.raises(CapExceeded):
+        MorphismComplex(cx.psi).push_matrix(6)
+
+
+def test_rank_over_qq_and_prime_fields():
+    # an integer matrix reduced mod p can only lose rank, and keeps it for
+    # a prime that divides none of the minors deciding the rank
+    fields = (QQ, PrimeField(32003), PrimeField(2), PrimeField(3))
+    by_field = [{name: load_bundled_model(name, field_override=f)
+                 for name in bundled_model_names()} for f in fields]
+
+    def ranks(models):
+        out = []
+        for name, model in sorted(models.items()):
+            for d in model.dialgebras.values():
+                out += [coboundary_matrix(d, adjoint_rep(d), n).rank()
+                        for n in range(4)]
+            if name in ("mult1", "dim2"):
+                for psi in model.morphisms.values():
+                    cx = MorphismComplex(psi)
+                    out += [cx.matrix(n).rank() for n in (1, 2)]
+        return out
+
+    qq, generic, gf2, gf3 = map(ranks, by_field)
+    assert generic == qq
+    assert all(a <= b for a, b in zip(gf2, qq))
+    assert all(a <= b for a, b in zip(gf3, qq))
