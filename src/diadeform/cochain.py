@@ -8,18 +8,23 @@ the dialgebra basis (a_1 most significant), then the M-basis index.
 The coboundary is implemented twice on purpose: once elementwise from the
 defining alternating-sum formula (``coboundary``) and once as a directly
 assembled matrix in the canonical bases (``coboundary_matrix``).  The two
-paths are checked against each other in the test suite.
+paths are checked against each other in the test suite.  They share their
+set-up: both walk the cached ``trees.tree_plan`` (the face indices and
+slot labels of every tree), index the slot tensors (the left action, the
+products, the right action) by basis index instead of multiplying basis
+vectors, and locate values with ``flat_offset``.  The elementwise path
+reads the values of f; the matrix path writes the same structure
+constants as column entries.
 """
 
 import itertools
 
-from .errors import CapExceeded, ShapeMismatch
+from .errors import CapExceeded, IndexOutOfRange, ShapeMismatch
 from .linalg import Matrix
 from .trees import (DEFAULT_TREE_CAP, ProductLabel, catalan, enumerate_trees,
-                    face, prod_label)
+                    tree_plan)
 
 LEFT = ProductLabel.LEFT
-RIGHT = ProductLabel.RIGHT
 
 
 def cy_dim(d, rep, n):
@@ -57,10 +62,10 @@ class Cochain:
                    (z,) * cy_dim(dialgebra, rep, degree))
 
     @classmethod
-    def from_function(cls, degree, dialgebra, rep, fn):
+    def from_function(cls, degree, dialgebra, rep, fn, cap=DEFAULT_TREE_CAP):
         """fn(tree, multi) must return an M coordinate tuple."""
         coeffs = []
-        for tree in enumerate_trees(degree, cap=degree):
+        for tree in enumerate_trees(degree, cap):
             for multi in multi_indices(dialgebra.dim, degree):
                 coeffs.extend(fn(tree, multi))
         return cls(degree, dialgebra, rep, coeffs)
@@ -69,17 +74,11 @@ class Cochain:
     def field(self):
         return self.dialgebra.field
 
-    def _offset(self, tree_index, multi):
-        d, m = self.dialgebra.dim, self.rep.module_dim
-        rank = 0
-        for a in multi:
-            rank = rank * d + a
-        return (tree_index * d ** self.degree + rank) * m
-
     def value(self, tree_index, multi):
         """f(y (x) (e_a1,..,e_an)) as an M coordinate tuple."""
-        off = self._offset(tree_index, multi)
-        return self.coeffs[off:off + self.rep.module_dim]
+        m = self.rep.module_dim
+        off = flat_offset(tree_index, multi, self.dialgebra.dim, m)
+        return self.coeffs[off:off + m]
 
     def nonzero_values(self):
         """Yield (tree, multi, value) for every nonzero value, in the flat
@@ -151,6 +150,22 @@ class Cochain:
         return "Cochain(degree=%d, %r)" % (self.degree, self.dialgebra)
 
 
+def flat_offset(tree_index, multi, ddim, mdim):
+    """Where the value on (tree, e_a1..e_an) starts in the flat order."""
+    pos = tree_index
+    for a in multi:
+        pos = pos * ddim + a
+    return pos * mdim
+
+
+def _slot_tensors(d, rep, labels):
+    """The tensors read at the slots of one tree: the left action at slot
+    0, the products at slots 1..n and the right action at slot n+1."""
+    return (rep.act_dl if labels[0] is LEFT else rep.act_dr,
+            [d.tensor(label) for label in labels[1:-1]],
+            rep.act_ld if labels[-1] is LEFT else rep.act_rd)
+
+
 def coboundary(f, cap=DEFAULT_TREE_CAP):
     """delta f, computed elementwise from the alternating-sum formula."""
     n = f.degree
@@ -160,36 +175,34 @@ def coboundary(f, cap=DEFAULT_TREE_CAP):
     mdim = rep.module_dim
     z = d.field.zero
     coeffs = []
-    for y in enumerate_trees(n + 1, cap):
-        faces = [face(y, i) for i in range(n + 2)]
-        labels = [prod_label(y, i) for i in range(n + 2)]
+    for faces, labels in tree_plan(n + 1):
+        first, products, last = _slot_tensors(d, rep, labels)
         for multi in multi_indices(d.dim, n + 1):
             out = [z] * mdim
-            # i = 0: first argument acts on the left
-            v = f.value(faces[0].index, multi[1:])
-            acted = rep.act_left(labels[0], d.basis_vector(multi[0]), v)
-            for w in range(mdim):
-                out[w] = out[w] + acted[w]
+            # i = 0: the first argument acts on the left
+            v = f.value(faces[0], multi[1:])
+            for u, block in enumerate(first[multi[0]]):
+                if v[u] != z:
+                    for w in range(mdim):
+                        out[w] = out[w] + v[u] * block[w]
             # 1 <= i <= n: merge adjacent arguments with the slot product
-            sign = 1
             for i in range(1, n + 1):
-                sign = -sign
-                prod = d.product(labels[i], d.basis_vector(multi[i - 1]),
-                                 d.basis_vector(multi[i]))
+                prod = products[i - 1][multi[i - 1]][multi[i]]
                 for k in range(d.dim):
                     if prod[k] == z:
                         continue
-                    inner = multi[:i - 1] + (k,) + multi[i + 1:]
-                    v = f.value(faces[i].index, inner)
+                    c = prod[k] if i % 2 == 0 else -prod[k]
+                    v = f.value(faces[i], multi[:i - 1] + (k,) + multi[i + 1:])
                     for w in range(mdim):
-                        term = prod[k] * v[w]
-                        out[w] = out[w] + (term if sign > 0 else -term)
-            # i = n + 1: last argument acts on the right
-            sign = -sign
-            v = f.value(faces[n + 1].index, multi[:n])
-            acted = rep.act_right(labels[n + 1], v, d.basis_vector(multi[n]))
-            for w in range(mdim):
-                out[w] = out[w] + (acted[w] if sign > 0 else -acted[w])
+                        out[w] = out[w] + c * v[w]
+            # i = n + 1: the last argument acts on the right
+            v = f.value(faces[n + 1], multi[:n])
+            for u in range(mdim):
+                if v[u] != z:
+                    c = v[u] if n % 2 else -v[u]
+                    block = last[u][multi[n]]
+                    for w in range(mdim):
+                        out[w] = out[w] + c * block[w]
             coeffs.extend(out)
     return Cochain(n + 1, d, rep, coeffs)
 
@@ -199,57 +212,43 @@ def coboundary_matrix(d, rep, n, cap=DEFAULT_TREE_CAP):
 
     Rows are indexed by the CY^{n+1} basis and columns by the CY^n basis,
     both in the canonical flat order.  This is an independent code path
-    from ``coboundary``; it expands structure constants directly.
+    from ``coboundary``; it writes structure constants as column entries.
     """
     if n + 1 > cap:
         raise CapExceeded("coboundary matrix would exceed tree cap %d" % cap)
     z = d.field.zero
-    mdim = rep.module_dim
-    ddim = d.dim
-
-    def col_offset(tree_index, multi):
-        rank = 0
-        for a in multi:
-            rank = rank * ddim + a
-        return (tree_index * ddim ** n + rank) * mdim
-
+    mdim, ddim = rep.module_dim, d.dim
     data = {}
     row = 0
-    for y in enumerate_trees(n + 1, cap):
-        faces = [face(y, i) for i in range(n + 2)]
-        labels = [prod_label(y, i) for i in range(n + 2)]
+    for faces, labels in tree_plan(n + 1):
+        first, products, last = _slot_tensors(d, rep, labels)
         for multi in multi_indices(ddim, n + 1):
             # i = 0 term
-            t0 = rep.act_dl if labels[0] is LEFT else rep.act_dr
-            c0 = col_offset(faces[0].index, multi[1:])
-            block0 = t0[multi[0]]
-            for u in range(mdim):
+            col = flat_offset(faces[0], multi[1:], ddim, mdim)
+            for u, block in enumerate(first[multi[0]]):
                 for w in range(mdim):
-                    if block0[u][w] != z:
-                        _add(data, row + w, c0 + u, block0[u][w])
+                    if block[w] != z:
+                        _add(data, row + w, col + u, block[w])
             # middle terms
-            sign = 1
             for i in range(1, n + 1):
-                sign = -sign
-                pt = d.tensor(labels[i])[multi[i - 1]][multi[i]]
+                prod = products[i - 1][multi[i - 1]][multi[i]]
                 for k in range(ddim):
-                    if pt[k] == z:
+                    if prod[k] == z:
                         continue
-                    ci = col_offset(faces[i].index,
-                                    multi[:i - 1] + (k,) + multi[i + 1:])
-                    val = pt[k] if sign > 0 else -pt[k]
+                    col = flat_offset(faces[i],
+                                      multi[:i - 1] + (k,) + multi[i + 1:],
+                                      ddim, mdim)
+                    c = prod[k] if i % 2 == 0 else -prod[k]
                     for w in range(mdim):
-                        _add(data, row + w, ci + w, val)
+                        _add(data, row + w, col + w, c)
             # i = n + 1 term
-            sign = -sign
-            tl = rep.act_ld if labels[n + 1] is LEFT else rep.act_rd
-            cl = col_offset(faces[n + 1].index, multi[:n])
+            col = flat_offset(faces[n + 1], multi[:n], ddim, mdim)
             for u in range(mdim):
-                blk = tl[u][multi[n]]
+                block = last[u][multi[n]]
                 for w in range(mdim):
-                    if blk[w] != z:
-                        _add(data, row + w, cl + u,
-                             blk[w] if sign > 0 else -blk[w])
+                    if block[w] != z:
+                        _add(data, row + w, col + u,
+                             block[w] if n % 2 else -block[w])
             row += mdim
     return Matrix.sparse(d.field, cy_dim(d, rep, n + 1), cy_dim(d, rep, n),
                          data)
@@ -260,17 +259,10 @@ def _add(data, i, j, val):
     row[j] = row[j] + val if j in row else val
 
 
-def vec(cochain):
-    """The flat coordinate tuple of a cochain."""
-    return cochain.coeffs
-
-
-def unvec(degree, d, rep, coords):
-    return Cochain(degree, d, rep, coords)
-
-
 def cohomology_dim(d, rep, n, cap=DEFAULT_TREE_CAP):
     """dim HY^n(D,M) = dim ker delta^n - rank delta^{n-1}."""
+    if n < 0:
+        raise IndexOutOfRange("cohomology degree must be >= 0, got %d" % n)
     mat_n = coboundary_matrix(d, rep, n, cap=cap)
     kernel = mat_n.cols - mat_n.rank()
     if n == 0:
@@ -285,20 +277,19 @@ def solve_primitive(f, cap=DEFAULT_TREE_CAP):
     if n < 1:
         raise ShapeMismatch("solve_primitive needs degree >= 1")
     mat = coboundary_matrix(f.dialgebra, f.rep, n - 1, cap=cap)
-    x = mat.solve(vec(f))
+    x = mat.solve(f.coeffs)
     if x is None:
         return None
     return Cochain(n - 1, f.dialgebra, f.rep, x)
 
 
-def product_cochain(d, rep=None):
-    """The products of D as the 2-cochain with [21] |-> left, [12] |-> right."""
+def product_cochain(d, rep=None, left=None, right=None):
+    """The 2-cochain with [21] |-> left and [12] |-> right, by default the
+    products of D."""
     from .dialgebra import adjoint_rep
-    if rep is None:
-        rep = adjoint_rep(d)
     coeffs = []
-    for tree in enumerate_trees(2):
-        tensor = d.left if tree.index == 0 else d.right
+    for tensor in (d.left if left is None else left,
+                   d.right if right is None else right):
         for i, j in multi_indices(d.dim, 2):
             coeffs.extend(tensor[i][j])
-    return Cochain(2, d, rep, coeffs)
+    return Cochain(2, d, adjoint_rep(d) if rep is None else rep, coeffs)

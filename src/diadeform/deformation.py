@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from .cochain import Cochain, product_cochain
 from .dialgebra import (AXIOMS, LEFT, RIGHT, Dialgebra, DialgebraMorphism,
                         adjoint_rep, check_dialgebra, check_morphism)
-from .errors import (BaseMismatch, InvalidDeformation, CapExceeded,
-                     NonIdentityConstantTerm, NotACoboundary, OrderMismatch,
-                     OrderTooLow, ShapeMismatch)
+from .errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
+                     InvalidDeformation, NonIdentityConstantTerm,
+                     NotACoboundary, OrderMismatch, OrderTooLow,
+                     ShapeMismatch)
 from .fields import Series, SeriesRing
 from .linalg import Matrix
 from .morphism_complex import MorphismCochain, MorphismComplex
@@ -454,6 +455,8 @@ def obstruction_certificate(th, ob, complex_):
 
 def extend_to_order(th, target, complex_=None, order_cap=DEFAULT_ORDER_CAP):
     """Iterate extend_step up to the target order."""
+    if target < 0:
+        raise IndexOutOfRange("target order must be >= 0, got %d" % target)
     if target > order_cap:
         raise CapExceeded("target order %d exceeds cap %d"
                           % (target, order_cap))
@@ -547,6 +550,9 @@ def trivialize_step(th, complex_=None):
 
 def rigidity_probe(psi, complex_=None, order_cap=4, samples=5, seed=0):
     """HY^2-based rigidity verdict, exercised on sampled deformations."""
+    if order_cap < 0:
+        raise IndexOutOfRange("sample order must be >= 0, got %d"
+                              % order_cap)
     report = check_morphism(psi)
     if not report:
         raise InvalidDeformation("psi is not a dialgebra morphism")

@@ -160,24 +160,6 @@ class Representation:
         object.__setattr__(self, "act_rd",
                            _check_tensor(f, self.act_rd, m, d, m, "act_rd"))
 
-    @property
-    def field(self):
-        return self.dialgebra.field
-
-    def act_left(self, label, va, vm):
-        """a o m for a in D, m in M."""
-        t = self.act_dl if label is LEFT else self.act_dr
-        return _bilinear(t, self.field, va, vm)
-
-    def act_right(self, label, vm, va):
-        """m o a for m in M, a in D."""
-        t = self.act_ld if label is LEFT else self.act_rd
-        return _bilinear(t, self.field, vm, va)
-
-    def basis_vector(self, u):
-        z, o = self.field.zero, self.field.one
-        return tuple(o if v == u else z for v in range(self.module_dim))
-
 
 class DialgebraMorphism:
     """A linear map psi: D -> E, stored as a target_dim x source_dim matrix."""

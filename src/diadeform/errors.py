@@ -22,7 +22,7 @@ class CapExceeded(WorkbenchError):
 
 
 class IndexOutOfRange(WorkbenchError):
-    """A leaf or basis index is outside its valid range."""
+    """A degree, order, leaf or basis index is outside its valid range."""
 
 
 class OrderTooLow(WorkbenchError):

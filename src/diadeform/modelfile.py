@@ -40,7 +40,7 @@ isomorphism is the identity.  '#' starts a comment.
 
 from dataclasses import dataclass, field as dc_field
 
-from .cochain import Cochain, product_cochain
+from .cochain import product_cochain
 from .dialgebra import (Dialgebra, DialgebraMorphism, adjoint_rep,
                         check_dialgebra, check_morphism)
 from .deformation import FormalIso, TruncatedDeformation
@@ -142,7 +142,7 @@ class _Parser:
     def _parse_dialgebra(self, model, words, lineno):
         if len(words) != 2:
             raise ParseError("expected: dialgebra <name>", line=lineno)
-        name = words[1]
+        name = self._fresh(model.dialgebras, "dialgebra", words[1], lineno)
         field = model.field
         dim = None
         basis = None
@@ -151,7 +151,7 @@ class _Parser:
             if w[0] == "dim" and len(w) == 2:
                 dim = _want_int(w[1], ln, "dimension")
             elif w[0] == "basis":
-                basis = tuple(w[1:])
+                basis, basis_line = tuple(w[1:]), ln
             elif w[0] in ("left", "right") and len(w) == 5:
                 i = _want_int(w[1], ln, "index")
                 j = _want_int(w[2], ln, "index")
@@ -164,6 +164,9 @@ class _Parser:
         if dim is None:
             raise ParseError("dialgebra %s lacks a dim line" % name,
                              line=lineno)
+        if basis is not None and len(basis) != dim:
+            raise ParseError("basis has %d names but dim is %d"
+                             % (len(basis), dim), line=basis_line)
         z = field.zero
         left = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
         right = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
@@ -180,7 +183,7 @@ class _Parser:
     def _parse_morphism(self, model, words, lineno):
         if len(words) != 2:
             raise ParseError("expected: morphism <name>", line=lineno)
-        name = words[1]
+        name = self._fresh(model.morphisms, "morphism", words[1], lineno)
         field = model.field
         source = target = None
         entries = []
@@ -211,20 +214,10 @@ class _Parser:
     def _parse_deformation(self, model, words, lineno):
         if len(words) != 2:
             raise ParseError("expected: deformation <name>", line=lineno)
-        name = words[1]
+        name = self._fresh(model.deformations, "deformation", words[1],
+                           lineno)
         field = model.field
-        psi = None
-        order = None
-        body = self._block(lineno)
-        for ln, w in body:
-            if w[0] == "morphism" and len(w) == 2:
-                psi = self._resolve(model.morphisms, w[1], ln)
-            elif w[0] == "order" and len(w) == 2:
-                order = _want_int(w[1], ln, "order")
-        if psi is None or order is None:
-            raise ParseError(
-                "deformation %s needs morphism and order lines" % name,
-                line=lineno)
+        body, psi, order = self._header(model, "deformation", name, lineno)
         d, e = psi.source, psi.target
         z = field.zero
         fd_t = [[[[z] * d.dim for _ in range(d.dim)] for _ in range(d.dim)]
@@ -270,30 +263,17 @@ class _Parser:
         fe = [product_cochain(e, rep_e)]
         psis = [psi.matrix]
         for n in range(1, order + 1):
-            fd.append(_tensors_to_cochain2(d, rep_d, fd_t[2 * (n - 1)],
-                                           fd_t[2 * (n - 1) + 1]))
-            fe.append(_tensors_to_cochain2(e, rep_e, fe_t[2 * (n - 1)],
-                                           fe_t[2 * (n - 1) + 1]))
+            fd.append(product_cochain(d, rep_d, *fd_t[2 * n - 2:2 * n]))
+            fe.append(product_cochain(e, rep_e, *fe_t[2 * n - 2:2 * n]))
             psis.append(Matrix(field, e.dim, d.dim, psi_t[n - 1]))
         model.deformations[name] = TruncatedDeformation(psi, fd, fe, psis)
 
     def _parse_iso(self, model, words, lineno):
         if len(words) != 2:
             raise ParseError("expected: formal-iso <name>", line=lineno)
-        name = words[1]
+        name = self._fresh(model.isos, "formal-iso", words[1], lineno)
         field = model.field
-        psi = None
-        order = None
-        body = self._block(lineno)
-        for ln, w in body:
-            if w[0] == "morphism" and len(w) == 2:
-                psi = self._resolve(model.morphisms, w[1], ln)
-            elif w[0] == "order" and len(w) == 2:
-                order = _want_int(w[1], ln, "order")
-        if psi is None or order is None:
-            raise ParseError(
-                "formal-iso %s needs morphism and order lines" % name,
-                line=lineno)
+        body, psi, order = self._header(model, "formal-iso", name, lineno)
         d, e = psi.source, psi.target
         z = field.zero
         phid = [[[z] * d.dim for _ in range(d.dim)] for _ in range(order)]
@@ -323,21 +303,36 @@ class _Parser:
             phi_e.append(Matrix(field, e.dim, e.dim, phie[n]))
         model.isos[name] = FormalIso(psi, phi_d, phi_e)
 
+    def _header(self, model, kind, name, lineno):
+        """The block body with its 'morphism' and 'order' lines read."""
+        psi = None
+        order = None
+        body = self._block(lineno)
+        for ln, w in body:
+            if w[0] == "morphism" and len(w) == 2:
+                psi = self._resolve(model.morphisms, w[1], ln)
+            elif w[0] == "order" and len(w) == 2:
+                order = _want_int(w[1], ln, "order")
+                if order < 0:
+                    raise ParseError("negative order %d" % order, line=ln)
+        if psi is None or order is None:
+            raise ParseError("%s %s needs morphism and order lines"
+                             % (kind, name), line=lineno)
+        return body, psi, order
+
+    @staticmethod
+    def _fresh(table, kind, name, lineno):
+        if name in table:
+            raise ParseError("%s %r declared twice" % (kind, name),
+                             line=lineno)
+        return name
+
     @staticmethod
     def _resolve(table, name, lineno):
         if name not in table:
             raise UnknownReference("unknown reference %r" % name,
                                    line=lineno)
         return table[name]
-
-
-def _tensors_to_cochain2(d, rep, left, right):
-    coeffs = []
-    for tensor in (left, right):
-        for i in range(d.dim):
-            for j in range(d.dim):
-                coeffs.extend(tensor[i][j])
-    return Cochain(2, d, rep, coeffs)
 
 
 def parse_model(text, field_override=None):

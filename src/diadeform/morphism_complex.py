@@ -14,7 +14,7 @@ at degree 1.
 import itertools
 
 from .cochain import (Cochain, coboundary, coboundary_matrix, cy_dim,
-                      multi_indices, vec)
+                      multi_indices)
 from .dialgebra import adjoint_rep, pullback_rep
 from .errors import ShapeMismatch
 from .linalg import Matrix
@@ -97,7 +97,7 @@ class MorphismComplex:
                                Cochain.zero(n - 1, self.D, self.rep_de))
 
     def vec(self, mc):
-        return vec(mc.xi) + vec(mc.pi) + vec(mc.phi)
+        return mc.xi.coeffs + mc.pi.coeffs + mc.phi.coeffs
 
     def unvec(self, n, coords):
         d1 = cy_dim(self.D, self.rep_d, n)
@@ -117,7 +117,8 @@ class MorphismComplex:
         psi = self.psi
         return Cochain.from_function(
             xi.degree, self.D, self.rep_de,
-            lambda tree, multi: psi(xi.value(tree.index, multi)))
+            lambda tree, multi: psi(xi.value(tree.index, multi)),
+            cap=self.cap)
 
     def pull_back(self, pi):
         """pi.psi in CY^n(D,E): evaluate pi on psi-images of the basis."""
@@ -126,7 +127,8 @@ class MorphismComplex:
         return Cochain.from_function(
             pi.degree, self.D, self.rep_de,
             lambda tree, multi: pi.evaluate(tree.index,
-                                            [images[a] for a in multi]))
+                                            [images[a] for a in multi]),
+            cap=self.cap)
 
     def push_matrix(self, n):
         """Matrix of xi |-> psi.xi from CY^n(D,D) to CY^n(D,E)."""

@@ -181,6 +181,15 @@ def prod_label(tree, i):
     return ProductLabel.LEFT if is_left else ProductLabel.RIGHT
 
 
+@lru_cache(maxsize=None)
+def tree_plan(m):
+    """Per m-tree in canonical order: the indices of its m+1 faces d_i and
+    its m+1 slot labels.  The one set-up behind both coboundary paths."""
+    return tuple((tuple(face(y, i).index for i in range(m + 1)),
+                  tuple(prod_label(y, i) for i in range(m + 1)))
+                 for y in enumerate_trees(m, cap=m))
+
+
 def catalan(m):
     c = 1
     for i in range(m):

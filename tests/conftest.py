@@ -4,7 +4,7 @@ import pytest
 
 from diadeform.cochain import Cochain, cy_dim
 from diadeform.dialgebra import Dialgebra, DialgebraMorphism
-from diadeform.fields import QQ
+from diadeform.fields import QQ, PrimeField
 from diadeform.models import bundled_model_names, load_bundled_model
 
 
@@ -36,21 +36,34 @@ def bundled_models():
 
 
 @pytest.fixture(scope="session")
+def gf7_models():
+    return {name: load_bundled_model(name, field_override=PrimeField(7))
+            for name in bundled_model_names()}
+
+
+def tagged(models, kind):
+    """(model.name, object) for every dialgebra or morphism of the models."""
+    return [("%s.%s" % (mname, name), obj)
+            for mname, model in models.items()
+            for name, obj in getattr(model, kind).items()]
+
+
+@pytest.fixture(scope="session")
 def all_dialgebras(bundled_models):
-    out = []
-    for mname, model in bundled_models.items():
-        for d in model.dialgebras.values():
-            out.append(("%s.%s" % (mname, d.name), d))
-    return out
+    return tagged(bundled_models, "dialgebras")
 
 
 @pytest.fixture(scope="session")
 def all_morphisms(bundled_models):
-    out = []
-    for mname, model in bundled_models.items():
-        for psi in model.morphisms.values():
-            out.append(("%s.%s" % (mname, psi.name), psi))
-    return out
+    return tagged(bundled_models, "morphisms")
+
+
+def mirror(d):
+    """D^op: x -|' y = y |- x and x |-' y = y -| x."""
+    def swap(t):
+        return [[t[j][i] for j in range(d.dim)] for i in range(d.dim)]
+    return Dialgebra(d.dim, d.field, swap(d.right), swap(d.left),
+                     name=d.name + "^op")
 
 
 @pytest.fixture

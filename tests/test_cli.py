@@ -3,6 +3,10 @@ import io
 import pytest
 
 from diadeform.cli import main
+from diadeform.cochain import cohomology_dim
+from diadeform.deformation import extend_to_order, rigidity_probe
+from diadeform.dialgebra import adjoint_rep
+from diadeform.errors import WorkbenchError
 from diadeform.models import bundled_model_text
 
 
@@ -165,3 +169,29 @@ def test_large_prime_field(capsys, model_path):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NEGATIVE_ARGUMENTS = (
+    ("cohomology", "dim2", "--object", "P2", "--degree", "-1"),
+    ("extend", "mult1", "--to", "-1"),
+    ("rigidity-probe", "mult1", "--morphism", "id", "--order", "-1"),
+)
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_ARGUMENTS,
+                         ids=[a[0] for a in NEGATIVE_ARGUMENTS])
+def test_negative_argument_is_input_error(capsys, model_path, argv):
+    code, out, err = run(capsys, argv[0], model_path(argv[1]), *argv[2:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_arguments_raise_in_the_library(bundled_models):
+    d = bundled_models["dim2"].dialgebras["P2"]
+    model = bundled_models["mult1"]
+    for call in (lambda: cohomology_dim(d, adjoint_rep(d), -1),
+                 lambda: extend_to_order(model.deformations["oneplus"], -1),
+                 lambda: rigidity_probe(model.morphisms["id"], order_cap=-1)):
+        with pytest.raises(WorkbenchError):
+            call()

@@ -175,3 +175,41 @@ def test_formal_iso_keeps_its_morphism():
     iso_block = out[out.index("formal-iso scale"):]
     assert iso_block.splitlines()[1] == "  morphism id"
     assert serialize_model(parse_model(out)) == out
+
+
+def _parse_failure(text):
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    return exc.value.line, str(exc.value)
+
+
+def _line_of(text, pos):
+    return text.count("\n", 0, pos) + 1
+
+
+def test_basis_length_must_match_dim():
+    for basis in ("e", "e f g"):
+        text = "field rationals\ndialgebra D\n  dim 2\n  basis %s\nend\n" % basis
+        line, message = _parse_failure(text)
+        assert line == 4 and "basis" in message
+
+
+def test_duplicate_names_rejected():
+    text = bundled_model_text("mult1")
+    for header in ("dialgebra K", "morphism id", "deformation oneplus",
+                   "formal-iso scale"):
+        start = text.index(header + "\n")
+        again = text + "\n" + text[start:text.index("end\n", start) + 4]
+        line, message = _parse_failure(again)
+        assert line == _line_of(again, again.rindex(header + "\n")), header
+        assert "declared twice" in message, header
+
+
+def test_negative_order_rejected():
+    text = bundled_model_text("mult1")
+    for header in ("deformation oneplus", "formal-iso scale"):
+        at = text.index("  order 1\n", text.index(header))
+        bad = text[:at] + "  order -1\n" + text[at + len("  order 1\n"):]
+        line, message = _parse_failure(bad)
+        assert line == _line_of(bad, at), header
+        assert "order" in message, header

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from conftest import mult_dialgebra, random_cochain
+from conftest import mirror, mult_dialgebra, random_cochain, tagged
 
-from diadeform.cochain import (Cochain, coboundary, coboundary_matrix, cy_dim,
-                               vec)
-from diadeform.dialgebra import DialgebraMorphism, adjoint_rep
+from diadeform.cochain import Cochain, coboundary, coboundary_matrix, cy_dim
+from diadeform.dialgebra import (DialgebraMorphism, adjoint_rep,
+                                 check_morphism)
 from diadeform.errors import CapExceeded, ShapeMismatch
 from diadeform.fields import QQ, PrimeField
 from diadeform.models import bundled_model_names, load_bundled_model
@@ -23,6 +23,12 @@ def random_mc(cx, n, rng):
 @pytest.fixture(scope="module")
 def complexes(all_morphisms):
     return [(tag, MorphismComplex(psi)) for tag, psi in all_morphisms]
+
+
+@pytest.fixture(scope="module")
+def gf7_complexes(gf7_models):
+    return [("gf7 " + tag, MorphismComplex(psi))
+            for tag, psi in tagged(gf7_models, "morphisms")]
 
 
 def test_dims(complexes):
@@ -54,8 +60,8 @@ def test_third_block_formula(rng, complexes):
         assert out.phi == expected, tag
 
 
-def test_elementwise_matches_matrix(rng, complexes):
-    for tag, cx in complexes:
+def test_elementwise_matches_matrix(rng, complexes, gf7_complexes):
+    for tag, cx in complexes + gf7_complexes:
         for n in (1, 2):
             mc = random_mc(cx, n, rng)
             assert (cx.matrix(n).apply(cx.vec(mc))
@@ -67,10 +73,10 @@ def test_push_pull_match_matrices(rng, complexes):
         for n in (1, 2):
             xi = random_cochain(cx.D, cx.rep_d, n, rng)
             pi = random_cochain(cx.E, cx.rep_e, n, rng)
-            assert (cx.push_matrix(n).apply(vec(xi))
-                    == vec(cx.push_forward(xi))), tag
-            assert (cx.pull_matrix(n).apply(vec(pi))
-                    == vec(cx.pull_back(pi))), tag
+            assert (cx.push_matrix(n).apply(xi.coeffs)
+                    == cx.push_forward(xi).coeffs), tag
+            assert (cx.pull_matrix(n).apply(pi.coeffs)
+                    == cx.pull_back(pi).coeffs), tag
 
 
 def test_vec_unvec_roundtrip(rng, complexes):
@@ -92,6 +98,19 @@ def test_cohomology_identity_morphisms(bundled_models):
     assert [cx.cohomology_dim(n) for n in (1, 2, 3)] == [2, 2, 5]
     cx = MorphismComplex(bundled_models["dim2"].morphisms["id"])
     assert [cx.cohomology_dim(n) for n in (1, 2, 3)] == [4, 0, 0]
+
+
+def test_mirror_leaves_morphism_cohomology_unchanged(complexes):
+    # psi is also a morphism D^op -> E^op, with the same matrix
+    dims = {}
+    for tag, cx in complexes:
+        op = DialgebraMorphism(mirror(cx.D), mirror(cx.E), cx.psi.matrix,
+                               name=cx.psi.name)
+        assert check_morphism(op).valid, tag
+        dims[tag] = [cx.cohomology_dim(n) for n in (1, 2)]
+        op_cx = MorphismComplex(op)
+        assert [op_cx.cohomology_dim(n) for n in (1, 2)] == dims[tag], tag
+    assert dims["zero2.proj"] == [4, 10]
 
 
 def test_normalize_1cochain(rng, complexes):
@@ -118,10 +137,15 @@ def test_raised_cap_reaches_push_and_pull():
     rng = random.Random(6)
     xi = random_cochain(k, cx.rep_d, 6, rng)
     pi = random_cochain(k, cx.rep_e, 6, rng)
-    assert cx.push_matrix(6).apply(vec(xi)) == vec(cx.push_forward(xi))
-    assert cx.pull_matrix(6).apply(vec(pi)) == vec(cx.pull_back(pi))
-    with pytest.raises(CapExceeded):
-        MorphismComplex(cx.psi).push_matrix(6)
+    assert cx.push_matrix(6).apply(xi.coeffs) == cx.push_forward(xi).coeffs
+    assert cx.pull_matrix(6).apply(pi.coeffs) == cx.pull_back(pi).coeffs
+    default = MorphismComplex(cx.psi)
+    for over_cap in (lambda: default.push_matrix(6),
+                     lambda: default.pull_matrix(6),
+                     lambda: default.push_forward(xi),
+                     lambda: default.pull_back(pi)):
+        with pytest.raises(CapExceeded):
+            over_cap()
 
 
 def test_rank_over_qq_and_prime_fields():
