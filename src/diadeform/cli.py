@@ -3,10 +3,12 @@
 Exit codes: 0 = success / property holds, 1 = property fails or an
 obstruction blocks, 2 = input error.  All reports are deterministic for
 identical inputs; `--format records` emits machine-readable key=value
-lines instead of prose.
+lines instead of prose, with values containing whitespace written as JSON
+strings.
 """
 
 import argparse
+import json
 import sys
 
 from .deformation import (extend_to_order, infinitesimal, obstruction,
@@ -22,13 +24,21 @@ from .selftest import run_selftest
 from .trees import enumerate_trees, face, prod_label
 
 
+def _record_value(v):
+    """A value with whitespace as a JSON string, so that every record
+    splits into key=value tokens."""
+    text = str(v)
+    return json.dumps(text) if any(c.isspace() for c in text) else text
+
+
 class Emitter:
     def __init__(self, records=False):
         self.records = records
 
     def line(self, text, **kv):
         if self.records:
-            print(" ".join("%s=%s" % (k, v) for k, v in kv.items()))
+            print(" ".join("%s=%s" % (k, _record_value(v))
+                           for k, v in kv.items()))
         else:
             print(text)
 
@@ -289,10 +299,8 @@ def main(argv=None):
     emit = Emitter(records=(args.format == "records"))
     try:
         return args.fn(args, emit)
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except WorkbenchError as exc:
+    except (OSError, UnicodeDecodeError, WorkbenchError) as exc:
+        # unreadable model paths and non-UTF-8 files are input errors too
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -19,8 +19,9 @@ import random
 from dataclasses import dataclass
 
 from .cochain import Cochain, product_cochain
-from .dialgebra import (AXIOMS, LEFT, RIGHT, Dialgebra, DialgebraMorphism,
-                        adjoint_rep, check_dialgebra, check_morphism)
+from .dialgebra import (AXIOMS, LEFT, Dialgebra, DialgebraMorphism,
+                        adjoint_rep, check_dialgebra, check_morphism,
+                        image_products)
 from .errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                      InvalidDeformation, NonIdentityConstantTerm,
                      NotACoboundary, OrderMismatch, OrderTooLow,
@@ -457,6 +458,9 @@ def extend_to_order(th, target, complex_=None, order_cap=DEFAULT_ORDER_CAP):
     """Iterate extend_step up to the target order."""
     if target < 0:
         raise IndexOutOfRange("target order must be >= 0, got %d" % target)
+    if target < th.order:
+        raise IndexOutOfRange("target order %d is below the deformation's"
+                              " order %d" % (target, th.order))
     if target > order_cap:
         raise CapExceeded("target order %d exceeds cap %d"
                           % (target, order_cap))
@@ -488,12 +492,10 @@ def extend_to_order(th, target, complex_=None, order_cap=DEFAULT_ORDER_CAP):
 
 def _conjugate(d_t, phi, inv):
     """The lifted dialgebra with products phi f(inv x, inv y)."""
-    images = inv.transpose().dense_rows()  # inv applied to the basis vectors
-    dim = d_t.dim
-    left, right = ([[phi.apply(d_t.product(label, images[i], images[j]))
-                     for j in range(dim)] for i in range(dim)]
-                   for label in (LEFT, RIGHT))
-    return Dialgebra(dim, d_t.field, left, right,
+    left, right = ([[phi.apply(v) for v in row] for row in table]
+                   for table in image_products(
+                       DialgebraMorphism(d_t, d_t, inv)))
+    return Dialgebra(d_t.dim, d_t.field, left, right,
                      basis_names=d_t.basis_names, name=d_t.name)
 
 

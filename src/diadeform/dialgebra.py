@@ -2,8 +2,12 @@
 
 All objects carry exact structure constants over a common field.  Axiom
 checking iterates every basis triple; bilinearity makes this complete.
+There is no general product API: each axiom side, pulled-back action
+and image product psi(e_i) o psi(e_j) is one contraction (``_combine``)
+of structure constants read by index with a coordinate vector.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, ShapeMismatch
@@ -47,23 +51,14 @@ def _check_tensor(field, tensor, d1, d2, d3, what):
     return tuple(out)
 
 
-def _bilinear(tensor, field, va, vb):
-    """Apply a structure tensor T[i][j][k] to coordinate vectors."""
-    z = field.zero
-    dim_out = len(tensor[0][0]) if tensor else 0
-    out = [z] * dim_out
-    for i, a in enumerate(va):
-        if a == z:
-            continue
-        for j, b in enumerate(vb):
-            if b == z:
-                continue
-            coeff = a * b
-            row = tensor[i][j]
-            for k in range(dim_out):
-                if row[k] != z:
-                    out[k] = out[k] + coeff * row[k]
-    return tuple(out)
+def _combine(zero, coeffs, rows):
+    """sum_s coeffs[s] * rows[s] on coordinate vectors, skipping zero
+    coefficients: the contraction behind every product evaluation."""
+    out = (zero,) * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c != zero:
+            out = tuple(o + c * x for o, x in zip(out, row))
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,17 +114,6 @@ class Dialgebra:
 
     def tensor(self, label):
         return self.left if label is LEFT else self.right
-
-    def product(self, label, va, vb):
-        """Coordinate vector of va o vb for the chosen product."""
-        if len(va) != self.dim or len(vb) != self.dim:
-            raise ShapeMismatch("expected coordinate vectors of length %d"
-                                % self.dim)
-        return _bilinear(self.tensor(label), self.field, va, vb)
-
-    def basis_vector(self, i):
-        z, o = self.field.zero, self.field.one
-        return tuple(o if j == i else z for j in range(self.dim))
 
 
 @dataclass(frozen=True)
@@ -206,27 +190,24 @@ class DialgebraMorphism:
                                  name="%s.%s" % (self.name, other.name))
 
 
-def _side(d, side, outer, inner, vx, vy, vz):
-    """Evaluate one bracketed side of an axiom on three vectors of D."""
-    if side == "R":
-        return d.product(outer, vx, d.product(inner, vy, vz))
-    return d.product(outer, d.product(inner, vx, vy), vz)
-
-
 def check_dialgebra(d):
-    """All five axioms on all basis triples; violations carry both sides."""
+    """All five axioms on all basis triples; violations carry both sides.
+
+    On (e_i, e_j, e_k), x o (y . z) contracts y . z = inner[j][k] with the
+    rows outer[i][s], and (x . y) o z contracts x . y = inner[i][j] with
+    the rows outer[s][k]."""
+    z = d.field.zero
     violations = []
-    for num, (lhs, rhs) in enumerate(AXIOMS, start=1):
-        for i in range(d.dim):
-            vx = d.basis_vector(i)
-            for j in range(d.dim):
-                vy = d.basis_vector(j)
-                for k in range(d.dim):
-                    vz = d.basis_vector(k)
-                    lv = _side(d, *lhs, vx, vy, vz)
-                    rv = _side(d, *rhs, vx, vy, vz)
-                    if lv != rv:
-                        violations.append((num, i, j, k, lv, rv))
+    for num, axiom in enumerate(AXIOMS, start=1):
+        for i, j, k in itertools.product(range(d.dim), repeat=3):
+            lv, rv = (
+                _combine(z, d.tensor(inner)[j][k], d.tensor(outer)[i])
+                if side == "R" else
+                _combine(z, d.tensor(inner)[i][j],
+                         [row[k] for row in d.tensor(outer)])
+                for side, outer, inner in axiom)
+            if lv != rv:
+                violations.append((num, i, j, k, lv, rv))
     return Report(not violations, tuple(violations))
 
 
@@ -265,21 +246,18 @@ def check_representation(d, rep):
 
 
 def check_morphism(psi):
-    """Both product-preservation identities on all basis pairs."""
+    """Both product-preservation identities on all basis pairs:
+    psi(e_i o e_j) == psi(e_i) o psi(e_j)."""
     d, e = psi.source, psi.target
     if d.field != e.field:
         raise FieldMismatch("source and target fields differ")
     violations = []
-    for label in (LEFT, RIGHT):
+    for label, table in zip((LEFT, RIGHT), image_products(psi)):
         for i in range(d.dim):
-            vi = psi(d.basis_vector(i))
             for j in range(d.dim):
-                vj = psi(d.basis_vector(j))
-                lhs = psi(d.product(label, d.basis_vector(i),
-                                    d.basis_vector(j)))
-                rhs = e.product(label, vi, vj)
-                if lhs != rhs:
-                    violations.append((label, i, j, lhs, rhs))
+                lhs = psi(d.tensor(label)[i][j])
+                if lhs != table[i][j]:
+                    violations.append((label, i, j, lhs, table[i][j]))
     return Report(not violations, tuple(violations))
 
 
@@ -291,42 +269,29 @@ def adjoint_rep(d):
 def pullback_rep(psi):
     """The target of a morphism as a representation of the source.
 
-    a o m := psi(a) o m and m o a := m o psi(a), for both products.
+    a o m := psi(a) o m and m o a := m o psi(a), for both products: each
+    action contracts E's tensor with the column psi(e_i).
     """
-    d, e = psi.source, psi.target
-    f = d.field
-    z = f.zero
+    e, z = psi.target, psi.field.zero
+    cols = psi.matrix.transpose().dense_rows()
 
-    def pull_left(tensor):
-        # T'[i][u][w] = sum_s psi[s,i] * T[s][u][w]
-        out = []
-        for i in range(d.dim):
-            block = [[z] * e.dim for _ in range(e.dim)]
-            for s in range(e.dim):
-                c = psi.matrix[s, i]
-                if c == z:
-                    continue
-                for u in range(e.dim):
-                    for w in range(e.dim):
-                        block[u][w] = block[u][w] + c * tensor[s][u][w]
-            out.append(block)
-        return out
+    def on_left(t):  # T'[i][u] = sum_s psi[s,i] * T[s][u]
+        return [[_combine(z, c, [block[u] for block in t])
+                 for u in range(e.dim)] for c in cols]
 
-    def pull_right(tensor):
-        # T'[u][i][w] = sum_s psi[s,i] * T[u][s][w]
-        out = []
-        for u in range(e.dim):
-            block = [[z] * e.dim for _ in range(d.dim)]
-            for i in range(d.dim):
-                for s in range(e.dim):
-                    c = psi.matrix[s, i]
-                    if c == z:
-                        continue
-                    for w in range(e.dim):
-                        block[i][w] = block[i][w] + c * tensor[u][s][w]
-            out.append(block)
-        return out
+    def on_right(t):  # T'[u][i] = sum_s psi[s,i] * T[u][s]
+        return [[_combine(z, c, t[u]) for c in cols] for u in range(e.dim)]
 
-    return Representation(d, e.dim,
-                          pull_left(e.left), pull_left(e.right),
-                          pull_right(e.left), pull_right(e.right))
+    return Representation(psi.source, e.dim, on_left(e.left),
+                          on_left(e.right), on_right(e.left),
+                          on_right(e.right))
+
+
+def image_products(psi):
+    """The tables psi(e_i) o psi(e_j) for -| and for |-, contracting the
+    pullback action psi(e_i) o m with the column psi(e_j)."""
+    rep = pullback_rep(psi)
+    z = psi.field.zero
+    cols = psi.matrix.transpose().dense_rows()
+    return tuple([[_combine(z, cj, block) for cj in cols] for block in act]
+                 for act in (rep.act_dl, rep.act_dr))

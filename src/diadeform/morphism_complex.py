@@ -122,8 +122,7 @@ class MorphismComplex:
 
     def pull_back(self, pi):
         """pi.psi in CY^n(D,E): evaluate pi on psi-images of the basis."""
-        psi = self.psi
-        images = [psi(self.D.basis_vector(i)) for i in range(self.D.dim)]
+        images = self.psi.matrix.transpose().dense_rows()
         return Cochain.from_function(
             pi.degree, self.D, self.rep_de,
             lambda tree, multi: pi.evaluate(tree.index,

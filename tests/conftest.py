@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from diadeform.cochain import Cochain, cy_dim
 from diadeform.dialgebra import Dialgebra, DialgebraMorphism
 from diadeform.fields import QQ, PrimeField
+from diadeform.linalg import Matrix
 from diadeform.models import bundled_model_names, load_bundled_model
 
 
@@ -64,6 +66,36 @@ def mirror(d):
         return [[t[j][i] for j in range(d.dim)] for i in range(d.dim)]
     return Dialgebra(d.dim, d.field, swap(d.right), swap(d.left),
                      name=d.name + "^op")
+
+
+def random_frame(field, n, rng):
+    """A seeded invertible integer n x n matrix P and its inverse."""
+    ident = Matrix.identity(field, n)
+    while True:
+        p = Matrix(field, n, n, [[field.from_int(rng.randint(-2, 2))
+                                  for _ in range(n)] for _ in range(n)])
+        if p.rank() == n:
+            # column j of P^-1 solves P x = e_j
+            inv_cols = [p.solve(e) for e in ident.dense_rows()]
+            return p, Matrix(field, n, n, inv_cols).transpose()
+
+
+def change_basis(d, p, p_inv):
+    """D rewritten by P, straight from the definition: for both products,
+    T'(x, y) = P T(P^-1 x, P^-1 y), with T(u, v) = sum u_a v_b T[a][b]."""
+    n, z = d.dim, d.field.zero
+    cols = p_inv.transpose().dense_rows()  # P^-1 e_i
+
+    def rewrite(t):
+        out = [[None] * n for _ in range(n)]
+        for i, j in itertools.product(range(n), repeat=2):
+            v = [z] * n
+            for a, b, k in itertools.product(range(n), repeat=3):
+                v[k] = v[k] + cols[i][a] * cols[j][b] * t[a][b][k]
+            out[i][j] = p.apply(v)
+        return out
+    return Dialgebra(n, d.field, rewrite(d.left), rewrite(d.right),
+                     name=d.name + "'")
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import io
+import shlex
 
 import pytest
 
@@ -45,6 +46,16 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "check", "/no/such/model.dl")
     assert code == 2
     assert "error" in err
+
+
+def test_unreadable_model_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.dl"
+    bad.write_bytes(b"field rationals\n# caf\xe9\n")
+    for path in (tmp_path, bad):  # a directory, then invalid UTF-8
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_name_is_input_error(capsys, model_path):
@@ -128,6 +139,38 @@ def test_records_format(capsys, model_path):
         assert all("=" in part for part in line.split())
 
 
+RECORDS_WITH_SPACES = (
+    ("trees", None, "--degree", "2"),
+    ("trivialize", "zero1", "--deformation", "theta_blocked"),
+    ("extend", "zero1", "--deformation", "theta_blocked", "--to", "2"),
+    ("rigidity-probe", "zero1"),
+)
+
+
+@pytest.mark.parametrize("argv", RECORDS_WITH_SPACES,
+                         ids=[a[0] for a in RECORDS_WITH_SPACES])
+def test_records_split_into_key_value_tokens(capsys, model_path, argv):
+    args = [argv[0]] + ([model_path(argv[1])] if argv[1] else []) + list(
+        argv[2:])
+    code, text, _ = run(capsys, *args)
+    rcode, records, _ = run(capsys, "--format", "records", *args)
+    assert rcode == code
+    lines = records.splitlines()
+    assert lines
+    values = []
+    for line in lines:
+        tokens = shlex.split(line)
+        assert tokens and all("=" in t for t in tokens), line
+        values += [t.split("=", 1) for t in tokens]
+    assert any(" " in v for _, v in values)  # something needed quoting
+    # a certificate value is its text-format line, stripped
+    certificates = [v for k, v in values if k == "certificate"]
+    assert certificates == [line.strip() for line in text.splitlines()
+                            if line.strip() in certificates]
+    if argv[0] == "trivialize":
+        assert certificates == [text.splitlines()[-1]]
+
+
 def test_field_override_flag(capsys, model_path):
     code, out, _ = run(capsys, "check", model_path("zero1"),
                        "--field", "gf:5")
@@ -185,6 +228,15 @@ def test_negative_argument_is_input_error(capsys, model_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_extend_below_the_deformation_order(capsys, model_path):
+    # mult1's deformation has order 1
+    code, out, err = run(capsys, "extend", model_path("mult1"), "--to", "0")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: target order 0 is below the deformation's"
+                   " order 1\n")
 
 
 def test_negative_arguments_raise_in_the_library(bundled_models):

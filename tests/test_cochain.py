@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import (mirror, mult_dialgebra, random_cochain, tagged,
-                      zero_dialgebra)
+from conftest import (change_basis, mirror, mult_dialgebra, random_cochain,
+                      random_frame, tagged, zero_dialgebra)
 
 from diadeform.cochain import (Cochain, coboundary, coboundary_matrix,
                                cohomology_dim, cy_dim, product_cochain,
@@ -11,9 +11,7 @@ from diadeform.cochain import (Cochain, coboundary, coboundary_matrix,
 from diadeform.dialgebra import adjoint_rep, check_dialgebra
 from diadeform.errors import CapExceeded, ShapeMismatch
 from diadeform.fields import QQ
-from diadeform.trees import ProductLabel, catalan
-
-L, R = ProductLabel.LEFT, ProductLabel.RIGHT
+from diadeform.trees import catalan
 
 
 def test_cy_dim():
@@ -101,6 +99,20 @@ def test_mirror_leaves_cohomology_unchanged(all_dialgebras):
     assert dims["dim2.P2"] == [2, 2, 0, 0]
 
 
+def test_change_of_basis_leaves_cohomology_unchanged(all_dialgebras):
+    rng = random.Random(2024)
+    dims = {}
+    for tag, d in all_dialgebras:
+        moved = change_basis(d, *random_frame(d.field, d.dim, rng))
+        assert check_dialgebra(moved).valid, tag
+        dims[tag] = [cohomology_dim(d, adjoint_rep(d), n) for n in range(4)]
+        assert [cohomology_dim(moved, adjoint_rep(moved), n)
+                for n in range(4)] == dims[tag], tag
+        if tag == "dim2.P2":
+            assert moved != d
+    assert dims["dim2.P2"] == [2, 2, 0, 0]
+
+
 def test_cohomology_dim2_example():
     from diadeform.models import load_bundled_model
     d = load_bundled_model("dim2").dialgebras["P2"]
@@ -130,10 +142,10 @@ def test_solve_primitive_rejects_noncoboundary():
 def test_product_cochain_values():
     d = mult_dialgebra()
     c = product_cochain(d)
-    e = d.basis_vector(0)
+    e = (QQ.one,)
     # position 0 holds the left product, position 1 the right product
-    assert c.evaluate(0, (e, e)) == d.product(L, e, e)
-    assert c.evaluate(1, (e, e)) == d.product(R, e, e)
+    assert c.evaluate(0, (e, e)) == d.left[0][0]
+    assert c.evaluate(1, (e, e)) == d.right[0][0]
 
 
 def test_cochain_arithmetic(rng):

@@ -10,8 +10,9 @@ from diadeform.deformation import (FormalIso, TruncatedDeformation,
                                    obstruction_cocycle_check, random_cocycle,
                                    random_deformation, rigidity_probe,
                                    trivialize_step, unipotent_inverse)
-from diadeform.errors import (BaseMismatch, NonIdentityConstantTerm,
-                              NotACoboundary, OrderMismatch, OrderTooLow)
+from diadeform.errors import (BaseMismatch, IndexOutOfRange,
+                              NonIdentityConstantTerm, NotACoboundary,
+                              OrderMismatch, OrderTooLow)
 from diadeform.fields import QQ, Series, SeriesRing
 from diadeform.linalg import Matrix
 from diadeform.morphism_complex import MorphismComplex
@@ -158,6 +159,15 @@ def test_extend_to_order(zsetup):
     assert blocked.reached == 1
     assert "not a coboundary" in blocked.certificate
     assert "[213]" in blocked.certificate and "[312]" in blocked.certificate
+
+
+def test_extend_to_order_below_the_deformation_order(zsetup):
+    psi, cx = zsetup
+    th = z_family(psi, cx, 1, 1, 1, 1, 0)  # order 1
+    with pytest.raises(IndexOutOfRange, match="below the deformation"):
+        extend_to_order(th, 0, cx)
+    same = extend_to_order(th, 1, cx)
+    assert same.succeeded and same.deformation is th
 
 
 def test_extension_guaranteed_flag(ksetup):

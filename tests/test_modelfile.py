@@ -27,19 +27,14 @@ def test_minimal_zero_model():
     model = parse_model(MINIMAL)
     d = model.dialgebras["Z"]
     assert d.dim == 1
-    z = (QQ.zero,)
-    from diadeform.trees import ProductLabel
-    assert d.product(ProductLabel.LEFT, d.basis_vector(0),
-                     d.basis_vector(0)) == z
+    assert d.left[0][0] == (QQ.zero,)
 
 
 def test_mult_model():
     model = parse_model(MULT)
     d = model.dialgebras["K"]
-    e = d.basis_vector(0)
-    from diadeform.trees import ProductLabel
-    assert d.product(ProductLabel.LEFT, e, e) == e
-    assert d.product(ProductLabel.RIGHT, e, e) == e
+    assert d.left[0][0] == (QQ.one,)
+    assert d.right[0][0] == (QQ.one,)
 
 
 def test_unknown_reference():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import mirror, mult_dialgebra, random_cochain, tagged
+from conftest import (change_basis, mirror, mult_dialgebra, random_cochain,
+                      random_frame, tagged)
 
 from diadeform.cochain import Cochain, coboundary, coboundary_matrix, cy_dim
 from diadeform.dialgebra import (DialgebraMorphism, adjoint_rep,
@@ -110,6 +111,25 @@ def test_mirror_leaves_morphism_cohomology_unchanged(complexes):
         dims[tag] = [cx.cohomology_dim(n) for n in (1, 2)]
         op_cx = MorphismComplex(op)
         assert [op_cx.cohomology_dim(n) for n in (1, 2)] == dims[tag], tag
+    assert dims["zero2.proj"] == [4, 10]
+
+
+def test_change_of_basis_leaves_morphism_cohomology_unchanged(complexes):
+    # with D and E rewritten by P_D and P_E, psi' = P_E psi P_D^-1
+    rng = random.Random(2024)
+    dims = {}
+    for tag, cx in complexes:
+        p_d, p_d_inv = random_frame(cx.field, cx.D.dim, rng)
+        p_e, p_e_inv = random_frame(cx.field, cx.E.dim, rng)
+        moved = DialgebraMorphism(change_basis(cx.D, p_d, p_d_inv),
+                                  change_basis(cx.E, p_e, p_e_inv),
+                                  p_e * cx.psi.matrix * p_d_inv,
+                                  name=cx.psi.name)
+        assert check_morphism(moved).valid, tag
+        dims[tag] = [cx.cohomology_dim(n) for n in (1, 2)]
+        moved_cx = MorphismComplex(moved)
+        assert [moved_cx.cohomology_dim(n)
+                for n in (1, 2)] == dims[tag], tag
     assert dims["zero2.proj"] == [4, 10]
 
 
