@@ -16,7 +16,7 @@ from .deformation import (extend_to_order, infinitesimal, obstruction,
                           trivialize_step, verify_deformation)
 from .dialgebra import adjoint_rep
 from .errors import NotACoboundary, WorkbenchError
-from .fields import parse_field
+from .fields import format_scalars, parse_field
 from .cochain import cohomology_dim
 from .modelfile import parse_model, validate_model
 from .morphism_complex import MorphismComplex
@@ -73,8 +73,10 @@ def cmd_check(args, emit):
         status = "PASS" if report.valid else "FAIL"
         detail = ""
         if not report.valid:
-            detail = "  (%d violation(s); first: %r)" % (
-                len(report.violations), report.violations[0])
+            detail = "  (%d violation(s); first: (%s))" % (
+                len(report.violations), ", ".join(
+                    format_scalars(model.field, x) if isinstance(x, tuple)
+                    else repr(x) for x in report.violations[0]))
         emit.line("%s %s %s%s" % (status, kind, name, detail),
                   check=kind, name=name, status=status)
     return 0 if ok else 1
@@ -229,9 +231,8 @@ def _print_mor_cochain(emit, cx, mc, names=("xi", "pi", "phi")):
     for tag, c in zip(names, (mc.xi, mc.pi, mc.phi)):
         for tree, multi, v in c.nonzero_values():
             shown = True
-            emit.line("  %s %s %r = (%s)"
-                      % (tag, tree.name, multi,
-                         ", ".join(fmt(x) for x in v)),
+            emit.line("  %s %s %r = %s"
+                      % (tag, tree.name, multi, format_scalars(cx.field, v)),
                       block=tag, tree=tree.name,
                       value=",".join(fmt(x) for x in v))
     if not shown:

@@ -130,10 +130,6 @@ class Cochain:
         return Cochain(self.degree, self.dialgebra, self.rep,
                        tuple(-a for a in self.coeffs))
 
-    def scale(self, c):
-        return Cochain(self.degree, self.dialgebra, self.rep,
-                       tuple(c * a for a in self.coeffs))
-
     def is_zero(self):
         z = self.field.zero
         return all(x == z for x in self.coeffs)
@@ -271,25 +267,11 @@ def cohomology_dim(d, rep, n, cap=DEFAULT_TREE_CAP):
     return kernel - image
 
 
-def solve_primitive(f, cap=DEFAULT_TREE_CAP):
-    """Some g with delta g = f, or None if f is not a coboundary."""
-    n = f.degree
-    if n < 1:
-        raise ShapeMismatch("solve_primitive needs degree >= 1")
-    mat = coboundary_matrix(f.dialgebra, f.rep, n - 1, cap=cap)
-    x = mat.solve(f.coeffs)
-    if x is None:
-        return None
-    return Cochain(n - 1, f.dialgebra, f.rep, x)
-
-
-def product_cochain(d, rep=None, left=None, right=None):
-    """The 2-cochain with [21] |-> left and [12] |-> right, by default the
-    products of D."""
+def product_cochain(d):
+    """The 2-cochain with [21] |-> -| and [12] |-> |-, the products of D."""
     from .dialgebra import adjoint_rep
     coeffs = []
-    for tensor in (d.left if left is None else left,
-                   d.right if right is None else right):
+    for tensor in (d.left, d.right):
         for i, j in multi_indices(d.dim, 2):
             coeffs.extend(tensor[i][j])
-    return Cochain(2, d, adjoint_rep(d) if rep is None else rep, coeffs)
+    return Cochain(2, d, adjoint_rep(d), coeffs)

@@ -26,7 +26,7 @@ from .errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                      InvalidDeformation, NonIdentityConstantTerm,
                      NotACoboundary, OrderMismatch, OrderTooLow,
                      ShapeMismatch)
-from .fields import Series, SeriesRing
+from .fields import Series, SeriesRing, format_scalars
 from .linalg import Matrix
 from .morphism_complex import MorphismCochain, MorphismComplex
 
@@ -307,9 +307,10 @@ def _first_failure(th, d_violations, e_violations, m_violations):
         return DeformationReport(True)
     what, kind, where, lv, rv = failures[orders.index(nu)]
     return DeformationReport(
-        False, nu, "%s at order %d, %s %r: %r != %r"
-        % (what, nu, kind, where, tuple(_coefficients(lv, nu)),
-           tuple(_coefficients(rv, nu))))
+        False, nu, "%s at order %d, %s %r: %s != %s"
+        % (what, nu, kind, where,
+           format_scalars(th.field, _coefficients(lv, nu)),
+           format_scalars(th.field, _coefficients(rv, nu))))
 
 
 def verify_deformation(th):

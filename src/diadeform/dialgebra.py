@@ -181,14 +181,6 @@ class DialgebraMorphism:
     def identity(cls, d, name="id"):
         return cls(d, d, Matrix.identity(d.field, d.dim), name=name)
 
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise ShapeMismatch("morphisms do not compose")
-        return DialgebraMorphism(other.source, self.target,
-                                 self.matrix * other.matrix,
-                                 name="%s.%s" % (self.name, other.name))
-
 
 def check_dialgebra(d):
     """All five axioms on all basis triples; violations carry both sides.

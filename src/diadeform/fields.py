@@ -130,8 +130,12 @@ class Rationals:
     def parse(self, text):
         try:
             return _mpq(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadScalar("bad rational %r: %s" % (text, exc))
+        except ZeroDivisionError:
+            raise BadScalar(
+                "bad rational %r: zero denominator" % text) from None
+        except ValueError:
+            raise BadScalar(
+                "bad rational %r: not a rational" % text) from None
 
     def format(self, x):
         return str(x)
@@ -176,8 +180,12 @@ class PrimeField:
         # accept "a" or "a/b" with b invertible mod p
         try:
             q = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadScalar("bad scalar %r: %s" % (text, exc))
+        except ZeroDivisionError:
+            raise BadScalar(
+                "bad scalar %r: zero denominator" % text) from None
+        except ValueError:
+            raise BadScalar(
+                "bad scalar %r: not a rational" % text) from None
         if q.denominator % self.p == 0:
             raise BadScalar("denominator of %r is 0 in GF(%d)" % (text, self.p))
         return self.from_int(q.numerator) / self.from_int(q.denominator)
@@ -259,6 +267,12 @@ class SeriesRing:
 
 
 QQ = Rationals()
+
+
+def format_scalars(field, values):
+    """A coordinate tuple as "(a, b)", each scalar through field.format, so
+    that reports do not depend on the scalar type."""
+    return "(%s)" % ", ".join(field.format(x) for x in values)
 
 
 def parse_field(text):

@@ -35,18 +35,35 @@ and diffs stay reviewable::
 
 Unspecified entries default to zero; the order-0 coefficients of a
 deformation are taken from the model and the constant term of a formal
-isomorphism is the identity.  '#' starts a comment.
+isomorphism is the identity.  '#' starts a comment.  A header line or a
+coefficient entry given twice is an error, as is a second 'field' line;
+'dim' is at most MAX_DIM and 'order' at most DEFAULT_ORDER_CAP, and both
+are checked before anything is allocated.
+
+``SECTIONS`` declares each block once: its header keys, the index axes of
+each coefficient keyword, and how an object's flat coefficient arrays are
+read off it and built back into it.  The parser and the serializer both
+run on that table.  An entry line names one position of a flat array in
+row-major order over its axes, and the fD/fE arrays of one order are the
+coordinates of a product 2-cochain ([21] then [12], then i, j, k).
 """
 
+import functools
+import itertools
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
-from .cochain import product_cochain
-from .dialgebra import (Dialgebra, DialgebraMorphism, adjoint_rep,
-                        check_dialgebra, check_morphism)
-from .deformation import FormalIso, TruncatedDeformation
+from .cochain import Cochain, product_cochain
+from .dialgebra import (Dialgebra, DialgebraMorphism, check_dialgebra,
+                        check_morphism)
+from .deformation import (DEFAULT_ORDER_CAP, FormalIso, TruncatedDeformation,
+                          _rows)
 from .errors import BadScalar, ParseError, UnknownReference
 from .fields import parse_field
 from .linalg import Matrix
+
+MAX_DIM = 16
 
 
 @dataclass
@@ -79,265 +96,255 @@ def _want_int(token, lineno, what):
         raise ParseError("bad %s %r" % (what, token), line=lineno)
 
 
-class _Parser:
-    def __init__(self, text, field_override=None):
-        self.lines = list(_tokenize(text))
-        self.pos = 0
-        self.field_override = field_override
+# -- the layout table ----------------------------------------------------
 
-    def next_line(self):
-        if self.pos >= len(self.lines):
-            return None, None
-        lineno, words = self.lines[self.pos]
-        self.pos += 1
-        return lineno, words
+# A header key: how its arguments are read and written, how many there are.
+_Key = namedtuple("_Key", "read write arity required",
+                  defaults=(lambda header: 1, True))
 
-    def parse(self):
-        field = self.field_override
-        model = None
-        while True:
-            lineno, words = self.next_line()
-            if words is None:
-                break
-            head = words[0]
-            if head == "field":
-                declared = parse_field(" ".join(words[1:]))
-                if field is None:
-                    field = declared
-                if model is not None and model.field != field:
-                    raise ParseError("field declared twice", line=lineno)
-                continue
-            if field is None:
-                raise ParseError("a 'field' line must come first",
+# A block: the ModelFile dict it fills, its header keys in file order,
+# (keyword, axes) of its coefficients given the header, the object built
+# from (field, name, header, flat arrays), and (header, flat arrays) read
+# off an object.
+_Section = namedtuple("_Section", "table keys layout build read")
+
+
+def _count(what, lo, hi):
+    def read(model, args, ln):
+        n = _want_int(args[0], ln, what)
+        if not lo <= n <= hi:
+            raise ParseError("%s %d out of %d..%d" % (what, n, lo, hi),
+                             line=ln)
+        return n
+    return _Key(read, str)
+
+
+def _ref(table):
+    def read(model, args, ln):
+        objects = getattr(model, table)
+        if args[0] not in objects:
+            raise UnknownReference("unknown reference %r" % args[0], line=ln)
+        return objects[args[0]]
+    return _Key(read, lambda obj: obj.name)
+
+
+# An axis is (what, {token: position}); the tokens are in file order.
+_LR = ("product", {"l": 0, "r": 1})
+
+
+@functools.cache
+def _index(n):
+    return ("index", {str(i): i for i in range(n)})
+
+
+@functools.cache
+def _order(n):
+    return ("order", {str(i + 1): i for i in range(n)})
+
+
+def _tensor_entries(t):
+    return [x for block in t for row in block for x in row]
+
+
+def _cochain_entries(cs):
+    return [x for c in cs for x in c.coeffs]
+
+
+def _matrix_entries(ms):
+    return [x for m in ms for row in m.dense_rows() for x in row]
+
+
+def _matrices(field, rows, cols, flat):
+    """The rows x cols matrices filled in turn from a flat array."""
+    return [Matrix.sparse(field, rows, cols,
+                          {i: dict(enumerate(row))
+                           for i, row in enumerate(_rows(chunk, cols))})
+            for chunk in _rows(flat, rows * cols)]
+
+
+def _build_dialgebra(field, name, h, flats):
+    n = h["dim"]
+    left, right = (_rows(_rows(flat, n), n) for flat in flats)
+    return Dialgebra(n, field, left, right, basis_names=h.get("basis"),
+                     name=name)
+
+
+def _deformation_layout(h):
+    psi, n = h["morphism"], _order(h["order"])
+    d, e = _index(psi.source.dim), _index(psi.target.dim)
+    return (("fD", (n, _LR, d, d, d)), ("fE", (n, _LR, e, e, e)),
+            ("psi", (n, e, d)))
+
+
+def _build_deformation(field, name, h, flats):
+    psi = h["morphism"]
+    fd, fe = ([base] + [Cochain(2, base.dialgebra, base.rep, chunk)
+                        for chunk in _rows(flat, len(base.coeffs))]
+              for base, flat in zip((product_cochain(psi.source),
+                                     product_cochain(psi.target)), flats))
+    return TruncatedDeformation(psi, fd, fe, [psi.matrix] + _matrices(
+        field, psi.target.dim, psi.source.dim, flats[2]))
+
+
+def _iso_layout(h):
+    psi, n = h["morphism"], _order(h["order"])
+    d, e = _index(psi.source.dim), _index(psi.target.dim)
+    return (("phiD", (n, d, d)), ("phiE", (n, e, e)))
+
+
+def _build_iso(field, name, h, flats):
+    psi = h["morphism"]
+    return FormalIso(psi, *([Matrix.identity(field, n)]
+                            + _matrices(field, n, n, flat)
+                            for n, flat in zip((psi.source.dim,
+                                                psi.target.dim), flats)))
+
+
+_SERIES_KEYS = {"morphism": _ref("morphisms"),
+                "order": _count("order", 0, DEFAULT_ORDER_CAP)}
+
+SECTIONS = {
+    "dialgebra": _Section(
+        "dialgebras",
+        {"dim": _count("dim", 1, MAX_DIM),
+         "basis": _Key(lambda model, args, ln: tuple(args), " ".join,
+                       arity=lambda h: h["dim"], required=False)},
+        lambda h: (("left", (_index(h["dim"]),) * 3),
+                   ("right", (_index(h["dim"]),) * 3)),
+        _build_dialgebra,
+        lambda d: ({"dim": d.dim, "basis": d.basis_names},
+                   (_tensor_entries(d.left), _tensor_entries(d.right)))),
+    "morphism": _Section(
+        "morphisms",
+        {"source": _ref("dialgebras"), "target": _ref("dialgebras")},
+        lambda h: (("entry", (_index(h["target"].dim),
+                              _index(h["source"].dim))),),
+        lambda field, name, h, flats: DialgebraMorphism(
+            h["source"], h["target"],
+            _matrices(field, h["target"].dim, h["source"].dim, flats[0])[0],
+            name=name),
+        lambda psi: ({"source": psi.source, "target": psi.target},
+                     (_matrix_entries([psi.matrix]),))),
+    "deformation": _Section(
+        "deformations", _SERIES_KEYS, _deformation_layout,
+        _build_deformation,
+        lambda th: ({"morphism": th.psi, "order": th.order},
+                    (_cochain_entries(th.fd[1:]), _cochain_entries(th.fe[1:]),
+                     _matrix_entries(th.psis[1:])))),
+    "formal-iso": _Section(
+        "isos", _SERIES_KEYS, _iso_layout, _build_iso,
+        lambda iso: ({"morphism": iso.psi, "order": iso.order},
+                     (_matrix_entries(iso.phi_d[1:]),
+                      _matrix_entries(iso.phi_e[1:])))),
+}
+
+
+def _read_entry(field, axes, words, ln):
+    """(flat position, value) of one coefficient line."""
+    if len(words) != len(axes) + 2:
+        raise ParseError("expected: %s %s <value>" % (
+            words[0], " ".join("<%s>" % what for what, _ in axes)), line=ln)
+    pos = 0
+    for (what, values), token in zip(axes, words[1:]):
+        i = values.get(token)
+        if i is None:  # also take integers spelled like "+1" or "01"
+            i = values.get(str(_want_int(token, ln, what)))
+            if i is None:
+                raise ParseError("%s %s out of range" % (what, token),
+                                 line=ln)
+        pos = pos * len(values) + i
+    return pos, _parse_scalar(field, words[-1], ln)
+
+
+def _write_entries(out, field, keyword, axes, flat):
+    """One line per nonzero entry of a flat array, in flat order."""
+    z = field.zero
+    for key, v in zip(itertools.product(*(values for _, values in axes)),
+                      flat):
+        if v != z:
+            out.append("  %s %s %s" % (keyword, " ".join(key),
+                                       field.format(v)))
+
+
+def _block(lines, lineno):
+    """Lines until the matching 'end'."""
+    for ln, words in lines:
+        if words == ["end"]:
+            return
+        yield ln, words
+    raise ParseError("unterminated block", line=lineno)
+
+
+def _parse_section(model, kind, words, lineno, lines):
+    section = SECTIONS[kind]
+    objects = getattr(model, section.table)
+    if len(words) != 2:
+        raise ParseError("expected: %s <name>" % kind, line=lineno)
+    name = words[1]
+    if name in objects:
+        raise ParseError("%s %r declared twice" % (kind, name), line=lineno)
+    found, entries = {}, []
+    for ln, w in _block(lines, lineno):
+        if w[0] not in section.keys:
+            entries.append((ln, w))
+        elif w[0] in found:
+            raise ParseError("repeated %r line" % w[0], line=ln)
+        else:
+            found[w[0]] = ln, w[1:]
+    header = {}
+    for key, spec in section.keys.items():
+        if key not in found:
+            if spec.required:
+                raise ParseError("%s %s lacks a %r line" % (kind, name, key),
                                  line=lineno)
-            if model is None:
-                model = ModelFile(field)
-            if head == "dialgebra":
-                self._parse_dialgebra(model, words, lineno)
-            elif head == "morphism":
-                self._parse_morphism(model, words, lineno)
-            elif head == "deformation":
-                self._parse_deformation(model, words, lineno)
-            elif head == "formal-iso":
-                self._parse_iso(model, words, lineno)
-            else:
-                raise ParseError("unknown section %r" % head, line=lineno)
-        if model is None:
-            if field is None:
-                raise ParseError("empty model file", line=0)
-            model = ModelFile(field)
-        return model
-
-    def _block(self, lineno):
-        """Lines until the matching 'end'."""
-        body = []
-        while True:
-            ln, words = self.next_line()
-            if words is None:
-                raise ParseError("unterminated block", line=lineno)
-            if words == ["end"]:
-                return body
-            body.append((ln, words))
-
-    def _parse_dialgebra(self, model, words, lineno):
-        if len(words) != 2:
-            raise ParseError("expected: dialgebra <name>", line=lineno)
-        name = self._fresh(model.dialgebras, "dialgebra", words[1], lineno)
-        field = model.field
-        dim = None
-        basis = None
-        entries = []  # (which, i, j, k, value)
-        for ln, w in self._block(lineno):
-            if w[0] == "dim" and len(w) == 2:
-                dim = _want_int(w[1], ln, "dimension")
-            elif w[0] == "basis":
-                basis, basis_line = tuple(w[1:]), ln
-            elif w[0] in ("left", "right") and len(w) == 5:
-                i = _want_int(w[1], ln, "index")
-                j = _want_int(w[2], ln, "index")
-                k = _want_int(w[3], ln, "index")
-                entries.append((w[0], i, j, k,
-                                _parse_scalar(field, w[4], ln), ln))
-            else:
-                raise ParseError("bad dialgebra line %r" % " ".join(w),
-                                 line=ln)
-        if dim is None:
-            raise ParseError("dialgebra %s lacks a dim line" % name,
-                             line=lineno)
-        if basis is not None and len(basis) != dim:
-            raise ParseError("basis has %d names but dim is %d"
-                             % (len(basis), dim), line=basis_line)
-        z = field.zero
-        left = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-        right = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-        for which, i, j, k, v, ln in entries:
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise ParseError("index out of range for dim %d" % dim,
-                                 line=ln)
-            tensor = left if which == "left" else right
-            tensor[i][j][k] = v
-        model.dialgebras[name] = Dialgebra(dim, field=field, left=left,
-                                           right=right, basis_names=basis,
-                                           name=name)
-
-    def _parse_morphism(self, model, words, lineno):
-        if len(words) != 2:
-            raise ParseError("expected: morphism <name>", line=lineno)
-        name = self._fresh(model.morphisms, "morphism", words[1], lineno)
-        field = model.field
-        source = target = None
-        entries = []
-        for ln, w in self._block(lineno):
-            if w[0] == "source" and len(w) == 2:
-                source = self._resolve(model.dialgebras, w[1], ln)
-            elif w[0] == "target" and len(w) == 2:
-                target = self._resolve(model.dialgebras, w[1], ln)
-            elif w[0] == "entry" and len(w) == 4:
-                entries.append((_want_int(w[1], ln, "row"),
-                                _want_int(w[2], ln, "col"),
-                                _parse_scalar(field, w[3], ln), ln))
-            else:
-                raise ParseError("bad morphism line %r" % " ".join(w),
-                                 line=ln)
-        if source is None or target is None:
-            raise ParseError("morphism %s needs source and target" % name,
-                             line=lineno)
-        data = {}
-        for r, c, v, ln in entries:
-            if not (0 <= r < target.dim and 0 <= c < source.dim):
-                raise ParseError("morphism entry out of range", line=ln)
-            data.setdefault(r, {})[c] = v
-        model.morphisms[name] = DialgebraMorphism(
-            source, target,
-            Matrix.sparse(field, target.dim, source.dim, data), name=name)
-
-    def _parse_deformation(self, model, words, lineno):
-        if len(words) != 2:
-            raise ParseError("expected: deformation <name>", line=lineno)
-        name = self._fresh(model.deformations, "deformation", words[1],
-                           lineno)
-        field = model.field
-        body, psi, order = self._header(model, "deformation", name, lineno)
-        d, e = psi.source, psi.target
-        z = field.zero
-        fd_t = [[[[z] * d.dim for _ in range(d.dim)] for _ in range(d.dim)]
-                for _ in range(2 * order)]
-        fe_t = [[[[z] * e.dim for _ in range(e.dim)] for _ in range(e.dim)]
-                for _ in range(2 * order)]
-        psi_t = [[[z] * d.dim for _ in range(e.dim)] for _ in range(order)]
-        for ln, w in body:
-            if w[0] in ("morphism", "order"):
-                continue
-            if w[0] in ("fD", "fE") and len(w) == 7:
-                dialg = d if w[0] == "fD" else e
-                store = fd_t if w[0] == "fD" else fe_t
-                n = _want_int(w[1], ln, "order")
-                if not 1 <= n <= order:
-                    raise ParseError("coefficient order %d out of 1..%d"
-                                     % (n, order), line=ln)
-                if w[2] not in ("l", "r"):
-                    raise ParseError("product must be 'l' or 'r'", line=ln)
-                i = _want_int(w[3], ln, "index")
-                j = _want_int(w[4], ln, "index")
-                k = _want_int(w[5], ln, "index")
-                if not all(0 <= x < dialg.dim for x in (i, j, k)):
-                    raise ParseError("index out of range", line=ln)
-                slot = 2 * (n - 1) + (0 if w[2] == "l" else 1)
-                store[slot][i][j][k] = _parse_scalar(field, w[6], ln)
-            elif w[0] == "psi" and len(w) == 5:
-                n = _want_int(w[1], ln, "order")
-                if not 1 <= n <= order:
-                    raise ParseError("coefficient order %d out of 1..%d"
-                                     % (n, order), line=ln)
-                r = _want_int(w[2], ln, "row")
-                c = _want_int(w[3], ln, "col")
-                if not (0 <= r < e.dim and 0 <= c < d.dim):
-                    raise ParseError("psi entry out of range", line=ln)
-                psi_t[n - 1][r][c] = _parse_scalar(field, w[4], ln)
-            else:
-                raise ParseError("bad deformation line %r" % " ".join(w),
-                                 line=ln)
-        rep_d = adjoint_rep(d)
-        rep_e = adjoint_rep(e)
-        fd = [product_cochain(d, rep_d)]
-        fe = [product_cochain(e, rep_e)]
-        psis = [psi.matrix]
-        for n in range(1, order + 1):
-            fd.append(product_cochain(d, rep_d, *fd_t[2 * n - 2:2 * n]))
-            fe.append(product_cochain(e, rep_e, *fe_t[2 * n - 2:2 * n]))
-            psis.append(Matrix(field, e.dim, d.dim, psi_t[n - 1]))
-        model.deformations[name] = TruncatedDeformation(psi, fd, fe, psis)
-
-    def _parse_iso(self, model, words, lineno):
-        if len(words) != 2:
-            raise ParseError("expected: formal-iso <name>", line=lineno)
-        name = self._fresh(model.isos, "formal-iso", words[1], lineno)
-        field = model.field
-        body, psi, order = self._header(model, "formal-iso", name, lineno)
-        d, e = psi.source, psi.target
-        z = field.zero
-        phid = [[[z] * d.dim for _ in range(d.dim)] for _ in range(order)]
-        phie = [[[z] * e.dim for _ in range(e.dim)] for _ in range(order)]
-        for ln, w in body:
-            if w[0] in ("morphism", "order"):
-                continue
-            if w[0] in ("phiD", "phiE") and len(w) == 5:
-                store = phid if w[0] == "phiD" else phie
-                dim = d.dim if w[0] == "phiD" else e.dim
-                n = _want_int(w[1], ln, "order")
-                if not 1 <= n <= order:
-                    raise ParseError("coefficient order %d out of 1..%d"
-                                     % (n, order), line=ln)
-                r = _want_int(w[2], ln, "row")
-                c = _want_int(w[3], ln, "col")
-                if not (0 <= r < dim and 0 <= c < dim):
-                    raise ParseError("iso entry out of range", line=ln)
-                store[n - 1][r][c] = _parse_scalar(field, w[4], ln)
-            else:
-                raise ParseError("bad formal-iso line %r" % " ".join(w),
-                                 line=ln)
-        phi_d = [Matrix.identity(field, d.dim)]
-        phi_e = [Matrix.identity(field, e.dim)]
-        for n in range(order):
-            phi_d.append(Matrix(field, d.dim, d.dim, phid[n]))
-            phi_e.append(Matrix(field, e.dim, e.dim, phie[n]))
-        model.isos[name] = FormalIso(psi, phi_d, phi_e)
-
-    def _header(self, model, kind, name, lineno):
-        """The block body with its 'morphism' and 'order' lines read."""
-        psi = None
-        order = None
-        body = self._block(lineno)
-        for ln, w in body:
-            if w[0] == "morphism" and len(w) == 2:
-                psi = self._resolve(model.morphisms, w[1], ln)
-            elif w[0] == "order" and len(w) == 2:
-                order = _want_int(w[1], ln, "order")
-                if order < 0:
-                    raise ParseError("negative order %d" % order, line=ln)
-        if psi is None or order is None:
-            raise ParseError("%s %s needs morphism and order lines"
-                             % (kind, name), line=lineno)
-        return body, psi, order
-
-    @staticmethod
-    def _fresh(table, kind, name, lineno):
-        if name in table:
-            raise ParseError("%s %r declared twice" % (kind, name),
-                             line=lineno)
-        return name
-
-    @staticmethod
-    def _resolve(table, name, lineno):
-        if name not in table:
-            raise UnknownReference("unknown reference %r" % name,
-                                   line=lineno)
-        return table[name]
+            continue
+        ln, args = found[key]
+        if len(args) != spec.arity(header):
+            raise ParseError("%r takes %d value(s), got %d"
+                             % (key, spec.arity(header), len(args)), line=ln)
+        header[key] = spec.read(model, args, ln)
+    layout = dict(section.layout(header))
+    z = model.field.zero
+    flats = {keyword: [z] * math.prod(len(values) for _, values in axes)
+             for keyword, axes in layout.items()}
+    seen = set()
+    for ln, w in entries:
+        if w[0] not in layout:
+            raise ParseError("bad %s line %r" % (kind, " ".join(w)), line=ln)
+        pos, value = _read_entry(model.field, layout[w[0]], w, ln)
+        if (w[0], pos) in seen:
+            raise ParseError("repeated %s entry" % w[0], line=ln)
+        seen.add((w[0], pos))
+        flats[w[0]][pos] = value
+    objects[name] = section.build(model.field, name, header,
+                                  list(flats.values()))
 
 
 def parse_model(text, field_override=None):
     """Parse a model file; raises ParseError and friends on bad input."""
-    return _Parser(text, field_override=field_override).parse()
+    lines = _tokenize(text)
+    field, declared, model = field_override, None, None
+    for lineno, words in lines:
+        head = words[0]
+        if head == "field":
+            if declared is not None:
+                raise ParseError("field declared twice", line=lineno)
+            declared = parse_field(" ".join(words[1:]))
+            if field is None:
+                field = declared
+            continue
+        if field is None:
+            raise ParseError("a 'field' line must come first", line=lineno)
+        if model is None:
+            model = ModelFile(field)
+        if head not in SECTIONS:
+            raise ParseError("unknown section %r" % head, line=lineno)
+        _parse_section(model, head, words, lineno, lines)
+    if model is None:
+        if field is None:
+            raise ParseError("empty model file", line=0)
+        model = ModelFile(field)
+    return model
 
 
 def validate_model(model):
@@ -353,71 +360,14 @@ def validate_model(model):
 def serialize_model(model):
     """Deterministic text form; reparsing yields an identical model."""
     f = model.field
-    fmt = f.format
-    z = f.zero
     out = ["field %s" % f.name, ""]
-    for name, d in model.dialgebras.items():
-        out.append("dialgebra %s" % name)
-        out.append("  dim %d" % d.dim)
-        out.append("  basis %s" % " ".join(d.basis_names))
-        for which, tensor in (("left", d.left), ("right", d.right)):
-            for i in range(d.dim):
-                for j in range(d.dim):
-                    for k in range(d.dim):
-                        if tensor[i][j][k] != z:
-                            out.append("  %s %d %d %d %s"
-                                       % (which, i, j, k,
-                                          fmt(tensor[i][j][k])))
-        out.append("end")
-        out.append("")
-    for name, psi in model.morphisms.items():
-        out.append("morphism %s" % name)
-        out.append("  source %s" % psi.source.name)
-        out.append("  target %s" % psi.target.name)
-        for r in range(psi.target.dim):
-            for c in range(psi.source.dim):
-                if psi.matrix[r, c] != z:
-                    out.append("  entry %d %d %s"
-                               % (r, c, fmt(psi.matrix[r, c])))
-        out.append("end")
-        out.append("")
-    for name, th in model.deformations.items():
-        out.append("deformation %s" % name)
-        out.append("  morphism %s" % th.psi.name)
-        out.append("  order %d" % th.order)
-        for tag, fs, dialg in (("fD", th.fd, th.psi.source),
-                               ("fE", th.fe, th.psi.target)):
-            for n in range(1, th.order + 1):
-                for ti, lab in ((0, "l"), (1, "r")):
-                    for i in range(dialg.dim):
-                        for j in range(dialg.dim):
-                            v = fs[n].value(ti, (i, j))
-                            for k in range(dialg.dim):
-                                if v[k] != z:
-                                    out.append("  %s %d %s %d %d %d %s"
-                                               % (tag, n, lab, i, j, k,
-                                                  fmt(v[k])))
-        for n in range(1, th.order + 1):
-            m = th.psis[n]
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    if m[r, c] != z:
-                        out.append("  psi %d %d %d %s"
-                                   % (n, r, c, fmt(m[r, c])))
-        out.append("end")
-        out.append("")
-    for name, iso in model.isos.items():
-        out.append("formal-iso %s" % name)
-        out.append("  morphism %s" % iso.psi.name)
-        out.append("  order %d" % iso.order)
-        for tag, series in (("phiD", iso.phi_d), ("phiE", iso.phi_e)):
-            for n in range(1, iso.order + 1):
-                m = series[n]
-                for r in range(m.rows):
-                    for c in range(m.cols):
-                        if m[r, c] != z:
-                            out.append("  %s %d %d %d %s"
-                                       % (tag, n, r, c, fmt(m[r, c])))
-        out.append("end")
-        out.append("")
+    for kind, section in SECTIONS.items():
+        for name, obj in getattr(model, section.table).items():
+            header, flats = section.read(obj)
+            out.append("%s %s" % (kind, name))
+            out.extend("  %s %s" % (key, spec.write(header[key]))
+                       for key, spec in section.keys.items())
+            for (keyword, axes), flat in zip(section.layout(header), flats):
+                _write_entries(out, f, keyword, axes, flat)
+            out += ["end", ""]
     return "\n".join(out)

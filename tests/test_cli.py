@@ -35,11 +35,14 @@ def test_check_valid_model(capsys, model_path):
 
 def test_check_invalid_model(capsys, tmp_path):
     p = tmp_path / "bad.dl"
-    p.write_text("field rationals\ndialgebra B\n  dim 1\n"
-                 "  left 0 0 0 1\nend\n")
-    code, out, _ = run(capsys, "check", str(p))
-    assert code == 1
-    assert "FAIL" in out
+    for value, first in (("1", "(2, 0, 0, 0, (1), (0))"),
+                         ("1/2", "(2, 0, 0, 0, (1/4), (0))")):
+        p.write_text("field rationals\ndialgebra B\n  dim 1\n"
+                     "  left 0 0 0 %s\nend\n" % value)
+        code, out, _ = run(capsys, "check", str(p))
+        assert code == 1
+        # scalars print through the field's format, not as Python reprs
+        assert out == "FAIL dialgebra B  (1 violation(s); first: %s)\n" % first
 
 
 def test_missing_file_is_input_error(capsys):

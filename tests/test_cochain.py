@@ -6,8 +6,7 @@ from conftest import (change_basis, mirror, mult_dialgebra, random_cochain,
                       random_frame, tagged, zero_dialgebra)
 
 from diadeform.cochain import (Cochain, coboundary, coboundary_matrix,
-                               cohomology_dim, cy_dim, product_cochain,
-                               solve_primitive)
+                               cohomology_dim, cy_dim, product_cochain)
 from diadeform.dialgebra import adjoint_rep, check_dialgebra
 from diadeform.errors import CapExceeded, ShapeMismatch
 from diadeform.fields import QQ
@@ -121,24 +120,6 @@ def test_cohomology_dim2_example():
     assert cohomology_dim(d, rep, 3) == 0
 
 
-def test_solve_primitive_roundtrip(rng):
-    from diadeform.models import load_bundled_model
-    d = load_bundled_model("dim2").dialgebras["P2"]
-    rep = adjoint_rep(d)
-    c = random_cochain(d, rep, 1, rng)
-    g = coboundary(c)
-    p = solve_primitive(g)
-    assert coboundary(p) == g
-
-
-def test_solve_primitive_rejects_noncoboundary():
-    # on the zero dialgebra delta = 0, so nothing nonzero is a coboundary
-    d = zero_dialgebra(1)
-    rep = adjoint_rep(d)
-    c = Cochain(2, d, rep, [QQ.one, QQ.zero])
-    assert solve_primitive(c) is None
-
-
 def test_product_cochain_values():
     d = mult_dialgebra()
     c = product_cochain(d)
@@ -155,7 +136,6 @@ def test_cochain_arithmetic(rng):
     b = random_cochain(d, rep, 2, rng)
     assert (a + b) - b == a
     assert (a - a).is_zero()
-    assert a.scale(QQ.from_int(2)) == a + a
     assert (-a) + a == (a - a)
 
 

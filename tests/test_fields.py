@@ -18,10 +18,13 @@ def test_rationals_basics():
 
 
 def test_rationals_bad_scalar():
-    with pytest.raises(BadScalar):
-        QQ.parse("1/0")
-    with pytest.raises(BadScalar):
-        QQ.parse("pi")
+    # the messages are the workbench's own, whatever the rational type
+    for field, kind in ((QQ, "rational"), (PrimeField(7), "scalar")):
+        for text, why in (("1/0", "zero denominator"),
+                          ("pi", "not a rational")):
+            with pytest.raises(BadScalar) as exc:
+                field.parse(text)
+            assert str(exc.value) == "bad %s %r: %s" % (kind, text, why)
 
 
 def test_gf_arithmetic():

@@ -1,8 +1,17 @@
-import pytest
+import random
 
-from diadeform.errors import (BadScalar, ParseError, UnknownReference)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diadeform.cochain import Cochain, product_cochain
+from diadeform.deformation import FormalIso, TruncatedDeformation
+from diadeform.dialgebra import Dialgebra, DialgebraMorphism
+from diadeform.errors import (BadScalar, ParseError, UnknownReference,
+                              WorkbenchError)
 from diadeform.fields import PrimeField, QQ
-from diadeform.modelfile import parse_model, serialize_model, validate_model
+from diadeform.linalg import Matrix
+from diadeform.modelfile import (ModelFile, parse_model, serialize_model,
+                                 validate_model)
 from diadeform.models import bundled_model_names, bundled_model_text
 
 
@@ -208,3 +217,213 @@ def test_negative_order_rejected():
         line, message = _parse_failure(bad)
         assert line == _line_of(bad, at), header
         assert "order" in message, header
+
+
+def _insert_after(text, anchor, line, start=0):
+    """text with ``line`` added after the first line ``anchor`` found
+    at or after ``start``, and the 1-based number of the added line."""
+    at = text.index(anchor + "\n", start) + len(anchor) + 1
+    return text[:at] + line + "\n" + text[at:], _line_of(text, at)
+
+
+def test_extra_header_arguments_rejected():
+    text = bundled_model_text("mult1")
+    for header in ("deformation oneplus", "formal-iso scale"):
+        start = text.index(header)
+        for anchor, extra in (("  order 1", "  order 5 6"),
+                              ("  morphism id", "  morphism id extra")):
+            # beside the valid line
+            bad, line = _insert_after(text, anchor, extra, start)
+            assert _parse_failure(bad)[0] == line, (header, extra)
+            # in place of it
+            at = text.index(anchor + "\n", start)
+            bad = text[:at] + extra + text[at + len(anchor):]
+            assert _parse_failure(bad)[0] == _line_of(bad, at), (header, extra)
+
+
+def test_repeated_header_line_rejected():
+    text = bundled_model_text("mult1")
+    cases = [("dialgebra K", "  dim 1"), ("dialgebra K", "  basis e"),
+             ("morphism id", "  source K"), ("morphism id", "  target K"),
+             ("deformation oneplus", "  morphism id"),
+             ("deformation oneplus", "  order 1"),
+             ("formal-iso scale", "  morphism id"),
+             ("formal-iso scale", "  order 1")]
+    for header, anchor in cases:
+        bad, line = _insert_after(text, anchor, anchor, text.index(header))
+        got, message = _parse_failure(bad)
+        assert got == line and "repeated" in message, (header, anchor)
+    # the first value no longer silently loses to the second
+    line, _ = _parse_failure("field rationals\ndialgebra D\n  dim 1\n"
+                             "  dim 2\nend\n")
+    assert line == 4
+
+
+def test_repeated_coefficient_line_rejected():
+    text = bundled_model_text("mult1")
+    cases = [("dialgebra K", "  left 0 0 0 1", "  left 0 0 0 2"),
+             ("morphism id", "  entry 0 0 1", "  entry 0 0 2"),
+             ("deformation oneplus", "  fD 1 r 0 0 0 1", "  fD 1 r 0 0 0 3"),
+             ("formal-iso scale", "  phiE 1 0 0 1", "  phiE 1 0 0 1")]
+    for header, anchor, again in cases:
+        bad, line = _insert_after(text, anchor, again, text.index(header))
+        got, message = _parse_failure(bad)
+        assert got == line and "repeated" in message, (header, again)
+    psi_line = "  psi 1 0 0 1"
+    bad, _ = _insert_after(bundled_model_text("zero1"), psi_line, psi_line)
+    assert "repeated" in _parse_failure(bad)[1]
+
+
+def test_second_field_line_rejected():
+    for second in ("field rationals", "field gf 7"):
+        line, message = _parse_failure(
+            "field rationals\n%s\ndialgebra D\n  dim 1\nend\n" % second)
+        assert line == 2 and "field" in message
+
+
+def test_sizes_checked_before_allocation():
+    from diadeform.deformation import DEFAULT_ORDER_CAP
+    from diadeform.modelfile import MAX_DIM
+    for dim in (100000, MAX_DIM + 1, 0, -3):
+        line, message = _parse_failure(
+            "field rationals\ndialgebra D\n  dim %d\nend\n" % dim)
+        assert line == 3 and "dim" in message, dim
+    assert parse_model("field rationals\ndialgebra D\n  dim %d\nend\n"
+                       % MAX_DIM).dialgebras["D"].dim == MAX_DIM
+    text = bundled_model_text("mult1")
+    for header in ("deformation oneplus", "formal-iso scale"):
+        at = text.index("  order 1\n", text.index(header))
+        for order in (1000000000, DEFAULT_ORDER_CAP + 1):
+            bad = (text[:at] + "  order %d\n" % order
+                   + text[at + len("  order 1\n"):])
+            line, message = _parse_failure(bad)
+            assert line == _line_of(bad, at) and "order" in message, header
+        ok = (text[:at] + "  order %d\n" % DEFAULT_ORDER_CAP
+              + text[at + len("  order 1\n"):])
+        assert parse_model(ok)
+
+
+# -- round trip on random models -------------------------------------------
+
+
+def _random_model(field, rng):
+    """Sparse random structures; the parser checks no axioms, so neither
+    does this."""
+    def scalar():
+        if rng.random() < 0.6:
+            return field.zero
+        return field.parse("%d/%d" % (rng.randint(-5, 5), rng.randint(1, 4)))
+
+    def values(n):
+        return [scalar() for _ in range(n)]
+
+    def matrix(rows, cols):
+        return Matrix(field, rows, cols,
+                      [values(cols) for _ in range(rows)])
+
+    def names(n):
+        return ["%s%d" % (rng.choice("abxyz"), i) for i in range(n)]
+
+    model = ModelFile(field)
+    d, e = (rng.randint(1, 3) for _ in range(2))
+    for name, n in (("D", d), ("E", e)):
+        blocks = [[values(n) for _ in range(n)] for _ in range(2 * n)]
+        model.dialgebras[name] = Dialgebra(n, field, blocks[:n], blocks[n:],
+                                           basis_names=names(n), name=name)
+    src, tgt = model.dialgebras["D"], model.dialgebras["E"]
+    psi = DialgebraMorphism(src, tgt, matrix(e, d), name="psi")
+    model.morphisms["psi"] = psi
+    model.morphisms["back"] = DialgebraMorphism(tgt, src, matrix(d, e),
+                                                name="back")
+    order = rng.randint(0, 3)
+    fd, fe = ([base] + [Cochain(2, base.dialgebra, base.rep,
+                                values(len(base.coeffs)))
+                        for _ in range(order)]
+              for base in (product_cochain(src), product_cochain(tgt)))
+    model.deformations["theta"] = TruncatedDeformation(
+        psi, fd, fe, [psi.matrix] + [matrix(e, d) for _ in range(order)])
+    iso_order = rng.randint(0, 3)
+    model.isos["phi"] = FormalIso(
+        psi, *([Matrix.identity(field, n)]
+               + [matrix(n, n) for _ in range(iso_order)] for n in (d, e)))
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([QQ, PrimeField(7)]))
+def test_roundtrip_random_models(seed, field):
+    model = _random_model(field, random.Random(seed))
+    text = serialize_model(model)
+    again = parse_model(text)
+    assert again.field == field
+    assert serialize_model(again) == text
+    for name, d in model.dialgebras.items():
+        other = again.dialgebras[name]
+        assert (other.left, other.right) == (d.left, d.right)
+        assert other.basis_names == d.basis_names
+    for name, psi in model.morphisms.items():
+        other = again.morphisms[name]
+        assert other.matrix == psi.matrix
+        assert (other.source.name, other.target.name) == (
+            psi.source.name, psi.target.name)
+    for name, th in model.deformations.items():
+        other = again.deformations[name]
+        assert (other.fd, other.fe, other.psis) == (th.fd, th.fe, th.psis)
+        assert other.psi.name == th.psi.name
+    for name, iso in model.isos.items():
+        other = again.isos[name]
+        assert (other.phi_d, other.phi_e) == (iso.phi_d, iso.phi_e)
+        assert other.psi.name == iso.psi.name
+    tables = ("dialgebras", "morphisms", "deformations", "isos")
+    assert ([list(getattr(again, t)) for t in tables]
+            == [list(getattr(model, t)) for t in tables])
+
+
+# -- parser fuzz -------------------------------------------------------------
+
+VOCABULARY = ("-1", "0", "7", "1000000000000", "x", "1/0", "l", "r", "end",
+              "field", "rationals", "gf", "dialgebra", "morphism",
+              "deformation", "formal-iso", "dim", "basis", "source", "target",
+              "order", "left", "right", "entry", "fD", "fE", "psi", "phiD",
+              "phiE")
+
+
+def _mutate(text, steps):
+    """Apply (kind, a, b, word) mutations to the text's tokens."""
+    lines = [line.split() for line in text.splitlines()]
+    for kind, a, b, word in steps:
+        slots = [(i, j) for i, words in enumerate(lines)
+                 for j in range(len(words))]
+        if not slots:
+            break
+        i, j = slots[a % len(slots)]
+        if kind == "delete":
+            del lines[i][j]
+        elif kind == "duplicate":
+            lines.insert(i, list(lines[i]))
+        elif kind == "swap":
+            k, m = slots[b % len(slots)]
+            lines[i][j], lines[k][m] = lines[k][m], lines[i][j]
+        else:
+            lines[i][j] = word
+    return "\n".join(" ".join(words) for words in lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(bundled_model_names()),
+       st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "swap",
+                                           "replace"]),
+                          st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                          st.sampled_from(VOCABULARY)),
+                min_size=1, max_size=4),
+       st.booleans())
+def test_parser_fuzz_raises_only_workbench_errors(name, steps, over_gf):
+    text = _mutate(bundled_model_text(name), steps)
+    try:
+        model = parse_model(text,
+                            field_override=PrimeField(7) if over_gf else None)
+    except WorkbenchError:
+        return
+    assert isinstance(model, ModelFile)
+    assert serialize_model(parse_model(serialize_model(model))) \
+        == serialize_model(model)
