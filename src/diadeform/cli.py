@@ -11,9 +11,9 @@ import argparse
 import json
 import sys
 
-from .deformation import (extend_to_order, infinitesimal, obstruction,
-                          obstruction_cocycle_check, rigidity_probe,
-                          trivialize_step, verify_deformation)
+from .deformation import (cocycle_check, extend_to_order, infinitesimal,
+                          obstruction, rigidity_probe, trivialize_step,
+                          verify_deformation)
 from .dialgebra import adjoint_rep
 from .errors import NotACoboundary, WorkbenchError
 from .fields import format_scalars, parse_field
@@ -141,13 +141,7 @@ def cmd_infinitesimal(args, emit):
     model = _load_model(args)
     th = _get(model.deformations, args.deformation, "deformation")
     cx = MorphismComplex(th.psi)
-    theta = infinitesimal(th, cx)
-    _print_mor_cochain(emit, cx, theta)
-    residual = cx.coboundary(theta)
-    cocycle = residual.is_zero()
-    emit.line("2-cocycle: %s" % ("yes" if cocycle else "NO"),
-              cocycle=cocycle)
-    return 0 if cocycle else 1
+    return _report_cocycle(emit, cx, infinitesimal(th, cx), 1)
 
 
 def cmd_obstruction(args, emit):
@@ -155,12 +149,8 @@ def cmd_obstruction(args, emit):
     th = _get(model.deformations, args.deformation, "deformation")
     cx = MorphismComplex(th.psi)
     ob = obstruction(th, cx)
-    _print_mor_cochain(emit, cx, ob.cochain,
-                       names=("Ob_D", "Ob_E", "Ob_psi"))
-    check = obstruction_cocycle_check(ob, cx)
-    emit.line("3-cocycle: %s" % ("yes" if check.passed else "NO"),
-              cocycle=check.passed)
-    return 0 if check.passed else 1
+    return _report_cocycle(emit, cx, ob.cochain, ob.order,
+                           names=("Ob_D", "Ob_E", "Ob_psi"))
 
 
 def cmd_extend(args, emit):
@@ -190,7 +180,7 @@ def cmd_trivialize(args, emit):
         emit.line("NOT A COBOUNDARY: %s" % exc, status="FAIL")
         emit.line(exc.certificate, certificate=exc.certificate)
         return 1
-    lead = result.leading_order(cx)
+    lead = result.leading_order()
     zero_through = result.order if lead is None else lead - 1
     emit.line("trivialized; transported deformation vanishes through"
               " order %d" % zero_through, zero_through=zero_through)
@@ -225,18 +215,23 @@ def cmd_selftest(args, emit):
     return 0 if ok else 1
 
 
-def _print_mor_cochain(emit, cx, mc, names=("xi", "pi", "phi")):
+def _report_cocycle(emit, cx, mc, order, names=("xi", "pi", "phi")):
+    """Print the nonzero values of mc and whether it is a cocycle; return
+    the exit code."""
     fmt = cx.field.format
     shown = False
-    for tag, c in zip(names, (mc.xi, mc.pi, mc.phi)):
-        for tree, multi, v in c.nonzero_values():
-            shown = True
-            emit.line("  %s %s %r = %s"
-                      % (tag, tree.name, multi, format_scalars(cx.field, v)),
-                      block=tag, tree=tree.name,
-                      value=",".join(fmt(x) for x in v))
+    for tag, tree, multi, v in mc.nonzero_values(names):
+        shown = True
+        emit.line("  %s %s %r = %s"
+                  % (tag, tree.name, multi, format_scalars(cx.field, v)),
+                  block=tag, tree=tree.name,
+                  value=",".join(fmt(x) for x in v))
     if not shown:
         emit.line("  (zero)", value="0")
+    passed = cocycle_check(cx, mc, order).passed
+    emit.line("%d-cocycle: %s" % (mc.degree, "yes" if passed else "NO"),
+              cocycle=passed)
+    return 0 if passed else 1
 
 
 def build_parser():

@@ -26,10 +26,22 @@ from .trees import (DEFAULT_TREE_CAP, ProductLabel, catalan, enumerate_trees,
 
 LEFT = ProductLabel.LEFT
 
+# the most coordinates a coboundary may produce: checked before delta is
+# built, so an oversized request fails cleanly instead of exhausting memory
+COORDINATE_BUDGET = 2 ** 17
+
 
 def cy_dim(d, rep, n):
     """dim CY^n(D,M) = |Y_n| * (dim D)^n * dim M."""
     return catalan(n) * d.dim ** n * rep.module_dim
+
+
+def _check_budget(d, rep, n):
+    """Raise CapExceeded if CY^n(D,M) has more coordinates than the budget."""
+    size = cy_dim(d, rep, n)
+    if size > COORDINATE_BUDGET:
+        raise CapExceeded("CY^%d has %d coordinates, over the budget of %d"
+                          % (n, size, COORDINATE_BUDGET))
 
 
 def multi_indices(dim, n):
@@ -168,6 +180,7 @@ def coboundary(f, cap=DEFAULT_TREE_CAP):
     if n + 1 > cap:
         raise CapExceeded("coboundary would exceed tree cap %d" % cap)
     d, rep = f.dialgebra, f.rep
+    _check_budget(d, rep, n + 1)
     mdim = rep.module_dim
     z = d.field.zero
     coeffs = []
@@ -212,6 +225,7 @@ def coboundary_matrix(d, rep, n, cap=DEFAULT_TREE_CAP):
     """
     if n + 1 > cap:
         raise CapExceeded("coboundary matrix would exceed tree cap %d" % cap)
+    _check_budget(d, rep, n + 1)
     z = d.field.zero
     mdim, ddim = rep.module_dim, d.dim
     data = {}

@@ -162,10 +162,11 @@ class TruncatedDeformation:
             self.fe + (theta.pi,),
             self.psis + (cochain1_to_matrix(theta.phi),))
 
-    def leading_order(self, complex_):
+    def leading_order(self):
         """The order of the first nonzero coefficient, or None."""
         return next((k for k in range(1, self.order + 1)
-                     if not self.theta(k, complex_).is_zero()), None)
+                     if not (self.fd[k].is_zero() and self.fe[k].is_zero()
+                             and self.psis[k].is_zero())), None)
 
     def theta(self, k, complex_):
         """The order-k coefficient as a degree-2 morphism cochain."""
@@ -335,32 +336,29 @@ def infinitesimal(th, complex_=None):
     return th.theta(1, complex_)
 
 
+def cocycle_check(complex_, mc, order):
+    """Whether delta mc = 0 exactly; else where its first nonzero value is."""
+    for name, tree, multi, _ in complex_.coboundary(mc).nonzero_values():
+        return CocycleReport(False, leading_order=order,
+                             residual_location="%s block, tree %s, indices %r"
+                             % (name, tree.name, multi))
+    return CocycleReport(True, leading_order=order)
+
+
 def leading_cocycle_check(th, complex_=None):
     """Assert that the first nonzero coefficient is an exact 2-cocycle."""
     if complex_ is None:
         complex_ = MorphismComplex(th.psi)
-    k = th.leading_order(complex_)
+    k = th.leading_order()
     if k is None:
         return CocycleReport(True, leading_order=None)  # vacuous: all zero
-    residual = complex_.coboundary(th.theta(k, complex_))
-    if residual.is_zero():
-        return CocycleReport(True, leading_order=k)
-    return CocycleReport(False, leading_order=k,
-                         residual_location=_locate(residual))
-
-
-def _locate(mc):
-    """Human-readable position of the first nonzero coordinate."""
-    for tag, c in (("xi", mc.xi), ("pi", mc.pi), ("phi", mc.phi)):
-        for tree, multi, _ in c.nonzero_values():
-            return "%s block, tree %s, indices %r" % (tag, tree.name, multi)
-    return "zero"
+    return cocycle_check(complex_, th.theta(k, complex_), k)
 
 
 # -- obstruction -------------------------------------------------------
 
 
-def obstruction(th, complex_=None, check_valid=True):
+def obstruction(th, complex_=None):
     """The obstruction class blocking extension from order N to N + 1.
 
     On the lift padded by a zero order, Ob_D and Ob_E on the k-th 3-tree
@@ -373,10 +371,9 @@ def obstruction(th, complex_=None, check_valid=True):
     if n < 1:
         raise OrderTooLow("obstruction needs order >= 1")
     violations = _residuals(th, 1)
-    if check_valid:
-        report = _first_failure(th, *violations)
-        if not report:
-            raise InvalidDeformation(report.failing_identity)
+    report = _first_failure(th, *violations)
+    if not report:
+        raise InvalidDeformation(report.failing_identity)
     if complex_ is None:
         complex_ = MorphismComplex(th.psi)
     d_violations, e_violations, m_violations = violations
@@ -402,61 +399,57 @@ def obstruction(th, complex_=None, check_valid=True):
             for label, a, b, lv, rv in m_violations])), n)
 
 
-def obstruction_cocycle_check(ob, complex_):
-    """delta Ob must vanish exactly; localize the residual otherwise."""
-    residual = complex_.coboundary(ob.cochain)
-    if residual.is_zero():
-        return CocycleReport(True, leading_order=ob.order)
-    return CocycleReport(False, leading_order=ob.order,
-                         residual_location=_locate(residual))
-
-
 # -- extension ---------------------------------------------------------
 
 
-def extend_step(th, complex_=None, check_valid=True):
-    """One order of extension: solve delta theta = Ob, or return None.
+def _solve(complex_, n, b, label):
+    """Solve delta^n x = b: x, or None if there is none, with the rank line
+    that certifies which (the rank of [delta^n | b] is one more iff none)."""
+    mat = complex_.matrix(n)
+    x = mat.solve(complex_.vec(b))
+    rank = mat.rank()
+    return (None if x is None else complex_.unvec(n, x),
+            "rank delta^%d = %d, rank [delta^%d | %s] = %d"
+            % (n, rank, n, label, rank + (x is None)))
 
-    On success the returned deformation is re-verified; an inconsistent
-    system means the obstruction class is nonzero and extension is
-    impossible at this order.
-    """
-    if complex_ is None:
-        complex_ = MorphismComplex(th.psi)
-    ob = obstruction(th, complex_, check_valid=check_valid)
-    mat = complex_.matrix(2)
-    x = mat.solve(complex_.vec(ob.cochain))
-    if x is None:
-        return None
-    theta = complex_.unvec(2, x)
+
+def _extend(th, complex_):
+    """One order of extension by a solution of delta theta = Ob: (the
+    re-verified extension, None), or (None, Ob) if Ob is no coboundary."""
+    ob = obstruction(th, complex_)
+    theta, _ = _solve(complex_, 2, ob.cochain, "Ob")
+    if theta is None:
+        return None, ob
     extended = th.extended_with(theta)
     report = verify_deformation(extended)
     if not report:
         raise InvalidDeformation(
             "solved extension failed re-verification: %s"
             % report.failing_identity)
-    return extended
+    return extended, None
+
+
+def extend_step(th, complex_=None):
+    """The deformation extended by one order, or None when a nonzero
+    obstruction class blocks extension at this order."""
+    if complex_ is None:
+        complex_ = MorphismComplex(th.psi)
+    return _extend(th, complex_)[0]
 
 
 def obstruction_certificate(th, ob, complex_):
     """Rank witness plus per-tree obstruction values for a blocked step."""
-    mat = complex_.matrix(2)
-    rank = mat.rank()
-    # Ob raises the rank by one iff delta^2 theta = Ob has no solution
-    aug_rank = rank + (mat.solve(complex_.vec(ob.cochain)) is None)
-    lines = ["obstruction at order %d is not a coboundary:" % ob.order,
-             "rank delta^2 = %d, rank [delta^2 | Ob] = %d" % (rank, aug_rank)]
-    fmt = complex_.field.format
-    for tag, c in (("Ob_D", ob.cochain.xi), ("Ob_E", ob.cochain.pi),
-                   ("Ob_psi", ob.cochain.phi)):
-        for tree, multi, v in c.nonzero_values():
-            lines.append("  %s %s %r = (%s)" % (
-                tag, tree.name, multi, ", ".join(fmt(x) for x in v)))
-    return "\n".join(lines)
+    _, ranks = _solve(complex_, 2, ob.cochain, "Ob")
+    return "\n".join(
+        ["obstruction at order %d is not a coboundary:" % ob.order, ranks]
+        + ["  %s %s %r = %s" % (tag, tree.name, multi,
+                                format_scalars(complex_.field, v))
+           for tag, tree, multi, v in ob.cochain.nonzero_values(
+               ("Ob_D", "Ob_E", "Ob_psi"))])
 
 
 def extend_to_order(th, target, complex_=None, order_cap=DEFAULT_ORDER_CAP):
-    """Iterate extend_step up to the target order."""
+    """Extend order by order up to the target; certify a blocked step."""
     if target < 0:
         raise IndexOutOfRange("target order must be >= 0, got %d" % target)
     if target < th.order:
@@ -478,9 +471,8 @@ def extend_to_order(th, target, complex_=None, order_cap=DEFAULT_ORDER_CAP):
             # order-0 deformations extend freely by a zero coefficient
             current = current.extended_with(complex_.zero(2))
             continue
-        nxt = extend_step(current, complex_, check_valid=False)
+        nxt, ob = _extend(current, complex_)
         if nxt is None:
-            ob = obstruction(current, complex_, check_valid=False)
             certificate = obstruction_certificate(current, ob, complex_)
             break
         current = nxt
@@ -532,18 +524,15 @@ def trivialize_step(th, complex_=None):
     """
     if complex_ is None:
         complex_ = MorphismComplex(th.psi)
-    lead = th.leading_order(complex_)
+    lead = th.leading_order()
     if lead is None:
         return FormalIso.identity(th.psi, th.order), th
-    theta = th.theta(lead, complex_)
-    mat = complex_.matrix(1)
-    x = mat.solve(complex_.vec(theta))
+    x, ranks = _solve(complex_, 1, th.theta(lead, complex_), "theta")
     if x is None:
         raise NotACoboundary(
             "leading coefficient at order %d is not a coboundary" % lead,
-            certificate="rank delta^1 = %d, rank [delta^1 | theta] = %d"
-            % (mat.rank(), mat.rank() + 1))
-    beta = complex_.normalize_1cochain(complex_.unvec(1, x))
+            certificate=ranks)
+    beta = complex_.normalize_1cochain(x)
     ident = FormalIso.identity(th.psi, th.order)
     iso = FormalIso(th.psi, *(
         series[:lead] + (cochain1_to_matrix(c),) + series[lead + 1:]
@@ -569,7 +558,7 @@ def rigidity_probe(psi, complex_=None, order_cap=4, samples=5, seed=0):
     trivialized = 0
     for _ in range(samples):
         th = random_deformation(psi, order_cap, rng, complex_=complex_)
-        while th.leading_order(complex_) is not None:
+        while th.leading_order() is not None:
             _, th = trivialize_step(th, complex_)
         trivialized += 1
     return RigidityReport(0, "rigid (HY^2 = 0)", trivialized)
@@ -601,7 +590,9 @@ def random_deformation(psi, order, rng, complex_=None):
 
     Starts from a random 2-cocycle infinitesimal and extends order by
     order, randomizing each particular solution by a random 2-cocycle.
-    Stops early (still valid) if an obstruction blocks the extension.
+    Stops early if an obstruction blocks the extension.  Each obstruction
+    validates the deformation it is computed from, and one that reached
+    the requested order is verified as a whole.
     """
     if complex_ is None:
         complex_ = MorphismComplex(psi)
@@ -610,10 +601,12 @@ def random_deformation(psi, order, rng, complex_=None):
         return th
     th = th.extended_with(random_cocycle(complex_, 2, rng))
     while th.order < order:
-        nxt = extend_step(th, complex_, check_valid=False)
-        if nxt is None:
-            break
-        theta = nxt.theta(nxt.order, complex_)
-        randomized = th.extended_with(theta + random_cocycle(complex_, 2, rng))
-        th = randomized
+        ob = obstruction(th, complex_)
+        theta, _ = _solve(complex_, 2, ob.cochain, "Ob")
+        if theta is None:
+            return th
+        th = th.extended_with(theta + random_cocycle(complex_, 2, rng))
+    report = verify_deformation(th)
+    if not report:
+        raise InvalidDeformation(report.failing_identity)
     return th

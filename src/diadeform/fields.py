@@ -10,6 +10,8 @@ power-series ring K[t]/(t^{N+1}) support the same except division, so
 products, axiom checks and matrix arithmetic also run over that ring.
 """
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +23,28 @@ except ImportError:  # pragma: no cover
 from .errors import BadScalar, MixedFields
 
 _RATIONAL_TYPES = (Fraction,) if _mpq is Fraction else (Fraction, type(_mpq(0)))
+
+
+# a scalar token: an integer p, or p/q with a natural number q
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_ratio(text, kind):
+    """(p, q) in lowest terms with q > 0 for a token "p" or "p/q"; ``kind``
+    names the scalar in error messages.  Nothing else is read, so no token
+    makes an integer longer than itself."""
+    bad = "bad %s %r: " % (kind, text)
+    match = _SCALAR.fullmatch(text)
+    if match is None:
+        raise BadScalar(bad + "not a rational")
+    try:
+        p, q = map(int, match.groups("1"))
+    except ValueError:  # more digits than int() converts
+        raise BadScalar(bad + "not a rational") from None
+    if q == 0:
+        raise BadScalar(bad + "zero denominator")
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 # Miller-Rabin to these bases is exact below the bound (Sorenson-Webster)
@@ -128,14 +152,7 @@ class Rationals:
         return _mpq(n)
 
     def parse(self, text):
-        try:
-            return _mpq(text)
-        except ZeroDivisionError:
-            raise BadScalar(
-                "bad rational %r: zero denominator" % text) from None
-        except ValueError:
-            raise BadScalar(
-                "bad rational %r: not a rational" % text) from None
+        return _mpq(*_parse_ratio(text, "rational"))
 
     def format(self, x):
         return str(x)
@@ -178,17 +195,10 @@ class PrimeField:
 
     def parse(self, text):
         # accept "a" or "a/b" with b invertible mod p
-        try:
-            q = Fraction(text)
-        except ZeroDivisionError:
-            raise BadScalar(
-                "bad scalar %r: zero denominator" % text) from None
-        except ValueError:
-            raise BadScalar(
-                "bad scalar %r: not a rational" % text) from None
-        if q.denominator % self.p == 0:
+        num, den = _parse_ratio(text, "scalar")
+        if den % self.p == 0:
             raise BadScalar("denominator of %r is 0 in GF(%d)" % (text, self.p))
-        return self.from_int(q.numerator) / self.from_int(q.denominator)
+        return self.from_int(num) / self.from_int(den)
 
     def format(self, x):
         return str(x.v)

@@ -53,6 +53,12 @@ class MorphismCochain:
     def is_zero(self):
         return self.xi.is_zero() and self.pi.is_zero() and self.phi.is_zero()
 
+    def nonzero_values(self, names=("xi", "pi", "phi")):
+        """Yield (name, tree, multi, value) over the xi, pi, phi blocks."""
+        for name, c in zip(names, (self.xi, self.pi, self.phi)):
+            for tree, multi, v in c.nonzero_values():
+                yield name, tree, multi, v
+
     def __eq__(self, other):
         return (isinstance(other, MorphismCochain)
                 and self.xi == other.xi and self.pi == other.pi

@@ -10,9 +10,9 @@ import random
 
 from .cochain import Cochain, coboundary, cy_dim
 from .deformation import (FormalIso, MorphismCochain, TruncatedDeformation,
-                          apply_formal_iso, extend_step, infinitesimal,
-                          leading_cocycle_check, matrix_to_cochain1,
-                          obstruction, obstruction_cocycle_check,
+                          apply_formal_iso, cocycle_check, extend_step,
+                          infinitesimal, leading_cocycle_check,
+                          matrix_to_cochain1, obstruction,
                           random_deformation, trivialize_step,
                           verify_deformation)
 from .dialgebra import adjoint_rep, check_dialgebra, check_morphism
@@ -99,10 +99,10 @@ def run_selftest(emit, samples=5):
                 if not leading_cocycle_check(th, cx).passed:
                     ok_lead = False
                 if th.order >= 1:
-                    ob = obstruction(th, cx, check_valid=False)
-                    if not obstruction_cocycle_check(ob, cx).passed:
+                    ob = obstruction(th, cx)
+                    if not cocycle_check(cx, ob.cochain, ob.order).passed:
                         ok_ob = False
-                    nxt = extend_step(th, cx, check_valid=False)
+                    nxt = extend_step(th, cx)
                     if nxt is not None and not verify_deformation(nxt):
                         ok_ext = False
             check("%s.morphism.%s.leading_cocycle" % (tag, name), ok_lead)
@@ -146,7 +146,7 @@ def run_selftest(emit, samples=5):
             ok = True
             for _ in range(samples):
                 th = random_deformation(psi, 3, rng, cx)
-                lead = th.leading_order(cx)
+                lead = th.leading_order()
                 if lead is None:
                     continue
                 try:

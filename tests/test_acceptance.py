@@ -114,7 +114,7 @@ def test_criterion_4_obstruction_is_cocycle(complexes):
             th = random_deformation(cx.psi, order, rng, cx)
             if th.order < 1:
                 continue
-            ob = obstruction(th, cx, check_valid=False)
+            ob = obstruction(th, cx)
             ok = ok and cx.coboundary(ob.cochain).is_zero()
     _report(4, "obstructions are 3-cocycles", ok)
 
@@ -128,7 +128,7 @@ def test_criterion_5_extension_biconditional(complexes, bundled_models):
             th = random_deformation(cx.psi, 1, rng, cx)
             if th.order < 1:
                 continue
-            nxt = extend_step(th, cx, check_valid=False)
+            nxt = extend_step(th, cx)
             if nxt is not None:
                 ok = ok and nxt.order == th.order + 1
                 ok = ok and verify_deformation(nxt).valid

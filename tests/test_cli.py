@@ -188,6 +188,17 @@ def test_composite_field_is_input_error(capsys, model_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_oversized_coboundary_is_input_error(capsys, tmp_path):
+    # delta^3 of a 16-dim dialgebra would have 14 * 16^4 * 16 rows
+    path = tmp_path / "z16.dl"
+    path.write_text("field rationals\ndialgebra Z\n  dim 16\nend\n")
+    code, out, err = run(capsys, "cohomology", str(path), "--degree", "3")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: CY^4 has 14680064 coordinates, over the budget"
+                   " of 131072\n")
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(bundled_model_text("zero1")))
     code, out, _ = run(capsys, "check", "-")

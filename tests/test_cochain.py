@@ -5,11 +5,14 @@ import pytest
 from conftest import (change_basis, mirror, mult_dialgebra, random_cochain,
                       random_frame, tagged, zero_dialgebra)
 
-from diadeform.cochain import (Cochain, coboundary, coboundary_matrix,
-                               cohomology_dim, cy_dim, product_cochain)
-from diadeform.dialgebra import adjoint_rep, check_dialgebra
+from diadeform.cochain import (COORDINATE_BUDGET, Cochain, coboundary,
+                               coboundary_matrix, cohomology_dim, cy_dim,
+                               product_cochain)
+from diadeform.dialgebra import (DialgebraMorphism, adjoint_rep,
+                                 check_dialgebra)
 from diadeform.errors import CapExceeded, ShapeMismatch
 from diadeform.fields import QQ
+from diadeform.morphism_complex import MorphismComplex
 from diadeform.trees import catalan
 
 
@@ -154,6 +157,22 @@ def test_coboundary_respects_cap(rng):
     c = random_cochain(d, rep, 5, rng)
     with pytest.raises(CapExceeded):
         coboundary(c)
+
+
+def test_coboundary_paths_respect_the_coordinate_budget():
+    # CY^3 of an 8-dim dialgebra has 20480 coordinates and CY^4 has 458752,
+    # over the budget: both paths refuse before building anything
+    d = zero_dialgebra(8)
+    rep = adjoint_rep(d)
+    assert cy_dim(d, rep, 3) <= COORDINATE_BUDGET < cy_dim(d, rep, 4)
+    c = Cochain.zero(3, d, rep)
+    with pytest.raises(CapExceeded, match="budget"):
+        coboundary(c)
+    with pytest.raises(CapExceeded, match="budget"):
+        coboundary_matrix(d, rep, 3)
+    with pytest.raises(CapExceeded, match="budget"):
+        MorphismComplex(DialgebraMorphism.identity(d)).matrix(3)
+    assert coboundary(Cochain.zero(2, d, rep)).is_zero()
 
 
 def test_raised_cap_is_honoured(rng):

@@ -2,17 +2,18 @@ import random
 
 import pytest
 
+from diadeform import deformation
 from diadeform.cochain import Cochain, product_cochain
 from diadeform.deformation import (FormalIso, TruncatedDeformation,
-                                   apply_formal_iso, extend_step,
-                                   extend_to_order, infinitesimal,
-                                   leading_cocycle_check, obstruction,
-                                   obstruction_cocycle_check, random_cocycle,
+                                   apply_formal_iso, cocycle_check,
+                                   extend_step, extend_to_order,
+                                   infinitesimal, leading_cocycle_check,
+                                   obstruction, random_cocycle,
                                    random_deformation, rigidity_probe,
                                    trivialize_step, unipotent_inverse)
 from diadeform.errors import (BaseMismatch, IndexOutOfRange,
-                              NonIdentityConstantTerm, NotACoboundary,
-                              OrderMismatch, OrderTooLow)
+                              InvalidDeformation, NonIdentityConstantTerm,
+                              NotACoboundary, OrderMismatch, OrderTooLow)
 from diadeform.fields import QQ, Series, SeriesRing
 from diadeform.linalg import Matrix
 from diadeform.morphism_complex import MorphismComplex
@@ -103,7 +104,7 @@ def test_leading_cocycle_detects_failure(zsetup):
     report = leading_cocycle_check(th, cx)
     assert not report.passed
     assert report.leading_order == 1
-    assert "block" in report.residual_location
+    assert report.residual_location == "phi block, tree [21], indices (0, 0)"
 
 
 def test_leading_cocycle_skips_zero_orders(zsetup):
@@ -127,7 +128,7 @@ def test_obstruction_values_z(zsetup):
     # morphism block: s*l on the left slot, s*r on the right slot
     assert ob.cochain.phi.value(0, (0, 0)) == (QQ.from_int(s * l),)
     assert ob.cochain.phi.value(1, (0, 0)) == (QQ.from_int(s * r),)
-    assert obstruction_cocycle_check(ob, cx).passed
+    assert cocycle_check(cx, ob.cochain, ob.order).passed
 
 
 def test_obstruction_vanishes_when_equal(zsetup):
@@ -159,6 +160,41 @@ def test_extend_to_order(zsetup):
     assert blocked.reached == 1
     assert "not a coboundary" in blocked.certificate
     assert "[213]" in blocked.certificate and "[312]" in blocked.certificate
+
+
+def test_blocked_extension_computes_its_obstruction_once(bundled_models,
+                                                          monkeypatch):
+    th = bundled_models["zero1"].deformations["theta_blocked"]
+    passes = []
+    residuals = deformation._residuals
+    monkeypatch.setattr(deformation, "_residuals",
+                        lambda *args: passes.append(args) or residuals(*args))
+    report = extend_to_order(th, 2)
+    assert not report.succeeded
+    assert "not a coboundary" in report.certificate
+    assert len(passes) == 2  # verify, then the one obstruction
+
+
+def test_obstruction_rejects_an_invalid_deformation(zsetup):
+    psi, cx = zsetup
+    th = z_family(psi, cx, 1, -1, 1, 0, 2)
+    with pytest.raises(InvalidDeformation):
+        obstruction(th, cx)
+    with pytest.raises(InvalidDeformation):
+        extend_step(th, cx)
+
+
+def test_nonzero_values_walks_the_blocks_in_order(zsetup):
+    psi, cx = zsetup
+    ob = obstruction(z_family(psi, cx, 1, -1, 1, -1, 2), cx)
+    got = [(name, tree.index, multi, v)
+           for name, tree, multi, v in ob.cochain.nonzero_values(
+               ("D", "E", "psi"))]
+    two, minus_two = (QQ.from_int(2),), (QQ.from_int(-2),)
+    assert got == [("D", 1, (0, 0, 0), two), ("D", 3, (0, 0, 0), minus_two),
+                   ("E", 1, (0, 0, 0), two), ("E", 3, (0, 0, 0), minus_two),
+                   ("psi", 0, (0, 0), two), ("psi", 1, (0, 0), minus_two)]
+    assert list(cx.zero(2).nonzero_values()) == []
 
 
 def test_extend_to_order_below_the_deformation_order(zsetup):
@@ -408,3 +444,19 @@ def test_random_deformation_valid(all_morphisms, rng):
         cx = MorphismComplex(psi)
         th = random_deformation(psi, 2, rng, cx)
         assert verify_deformation(th), tag
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_random_deformation_verifies_what_it_returns(ksetup, monkeypatch,
+                                                     order):
+    # with a sampler that returns a non-cocycle, the deformation built is
+    # invalid, and random_deformation must say so instead of returning it
+    psi, cx = ksetup
+    coords = [QQ.zero] * cx.dim(2)
+    coords[0] = QQ.one
+    not_a_cocycle = cx.unvec(2, tuple(coords))
+    assert not cx.coboundary(not_a_cocycle).is_zero()
+    monkeypatch.setattr(deformation, "random_cocycle",
+                        lambda complex_, n, rng: not_a_cocycle)
+    with pytest.raises(InvalidDeformation):
+        random_deformation(psi, order, random.Random(0), cx)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,20 @@ def test_rationals_basics():
 
 
 def test_rationals_bad_scalar():
-    # the messages are the workbench's own, whatever the rational type
+    # the messages are the workbench's own, whatever the rational type;
+    # a scalar is "p" or "p/q", so decimal, exponent and underscore forms
+    # are refused from their text, without building 10 ** 1000000000
     for field, kind in ((QQ, "rational"), (PrimeField(7), "scalar")):
         for text, why in (("1/0", "zero denominator"),
-                          ("pi", "not a rational")):
+                          ("pi", "not a rational"),
+                          ("1e5", "not a rational"),
+                          ("0.5", "not a rational"),
+                          ("1_0", "not a rational"),
+                          ("1e1000000000", "not a rational")):
+            start = time.perf_counter()
             with pytest.raises(BadScalar) as exc:
                 field.parse(text)
+            assert time.perf_counter() - start < 1.0
             assert str(exc.value) == "bad %s %r: %s" % (kind, text, why)
 
 
@@ -37,6 +46,9 @@ def test_gf_arithmetic():
     assert (a / b) * b == a
     assert F.from_int(10) == F.from_int(3)
     assert F.parse("5/3") == b / a
+    assert F.parse("7/7") == F.one and F.parse("+14/7") == F.from_int(2)
+    with pytest.raises(BadScalar, match=r"'1/14' is 0 in GF\(7\)"):
+        F.parse("1/14")
     assert F.format(F.from_int(-1)) == "6"
 
 

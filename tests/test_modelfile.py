@@ -381,7 +381,8 @@ def test_roundtrip_random_models(seed, field):
 
 # -- parser fuzz -------------------------------------------------------------
 
-VOCABULARY = ("-1", "0", "7", "1000000000000", "x", "1/0", "l", "r", "end",
+VOCABULARY = ("-1", "0", "7", "1000000000000", "x", "1/0", "1e5", "0.5",
+              "l", "r", "end",
               "field", "rationals", "gf", "dialgebra", "morphism",
               "deformation", "formal-iso", "dim", "basis", "source", "target",
               "order", "left", "right", "entry", "fD", "fE", "psi", "phiD",
