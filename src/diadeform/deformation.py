@@ -324,6 +324,19 @@ def verify_deformation(th):
     return _first_failure(th, *_residuals(th, 0))
 
 
+_REVERIFY = "solved extension failed re-verification: %s"
+
+
+def _require_valid(th, pad=0):
+    """The residuals on the lift padded by ``pad`` zero orders, once they
+    vanish through order N; else InvalidDeformation at the first failure."""
+    violations = _residuals(th, pad)
+    report = _first_failure(th, *violations)
+    if not report:
+        raise InvalidDeformation(report.failing_identity)
+    return violations
+
+
 # -- infinitesimal and leading cocycle ---------------------------------
 
 
@@ -370,13 +383,9 @@ def obstruction(th, complex_=None):
     n = th.order
     if n < 1:
         raise OrderTooLow("obstruction needs order >= 1")
-    violations = _residuals(th, 1)
-    report = _first_failure(th, *violations)
-    if not report:
-        raise InvalidDeformation(report.failing_identity)
+    d_violations, e_violations, m_violations = _require_valid(th, 1)
     if complex_ is None:
         complex_ = MorphismComplex(th.psi)
-    d_violations, e_violations, m_violations = violations
 
     def cochain(degree, d, rep, diffs):
         values = {key: tuple(x.c[n + 1] - y.c[n + 1] for x, y in zip(*sides))
@@ -415,18 +424,14 @@ def _solve(complex_, n, b, label):
 
 def _extend(th, complex_):
     """One order of extension by a solution of delta theta = Ob: (the
-    re-verified extension, None), or (None, Ob) if Ob is no coboundary."""
+    extension, None), or (None, Ob) if Ob is no coboundary.  Computing Ob
+    validates th; the extension is not checked here, so that the caller
+    checks it exactly once."""
     ob = obstruction(th, complex_)
     theta, _ = _solve(complex_, 2, ob.cochain, "Ob")
     if theta is None:
         return None, ob
-    extended = th.extended_with(theta)
-    report = verify_deformation(extended)
-    if not report:
-        raise InvalidDeformation(
-            "solved extension failed re-verification: %s"
-            % report.failing_identity)
-    return extended, None
+    return th.extended_with(theta), None
 
 
 def extend_step(th, complex_=None):
@@ -434,7 +439,13 @@ def extend_step(th, complex_=None):
     obstruction class blocks extension at this order."""
     if complex_ is None:
         complex_ = MorphismComplex(th.psi)
-    return _extend(th, complex_)[0]
+    extended = _extend(th, complex_)[0]
+    if extended is not None:
+        try:
+            _require_valid(extended)
+        except InvalidDeformation as exc:
+            raise InvalidDeformation(_REVERIFY % exc) from None
+    return extended
 
 
 def obstruction_certificate(th, ob, complex_):
@@ -460,22 +471,26 @@ def extend_to_order(th, target, complex_=None, order_cap=DEFAULT_ORDER_CAP):
                           % (target, order_cap))
     if complex_ is None:
         complex_ = MorphismComplex(th.psi)
-    report = verify_deformation(th)
-    if not report:
-        raise InvalidDeformation(report.failing_identity)
+    _require_valid(th)
     hy3 = complex_.cohomology_dim(3)
-    current = th
-    certificate = None
-    while current.order < target:
-        if current.order < 1:
-            # order-0 deformations extend freely by a zero coefficient
-            current = current.extended_with(complex_.zero(2))
-            continue
-        nxt, ob = _extend(current, complex_)
-        if nxt is None:
-            certificate = obstruction_certificate(current, ob, complex_)
-            break
-        current = nxt
+    # a solved extension is checked once: by the next step's obstruction,
+    # or at the end if it is the last one
+    current, solved, certificate = th, False, None
+    try:
+        while current.order < target:
+            if current.order < 1:
+                # order-0 deformations extend freely by a zero coefficient
+                current = current.extended_with(complex_.zero(2))
+                continue
+            nxt, ob = _extend(current, complex_)
+            if nxt is None:
+                certificate = obstruction_certificate(current, ob, complex_)
+                break
+            current, solved = nxt, True
+        if solved and certificate is None:
+            _require_valid(current)
+    except InvalidDeformation as exc:  # th itself passed the check above
+        raise InvalidDeformation(_REVERIFY % exc) from None
     return ExtensionReport(current.order, target, current, hy3,
                            guaranteed=(hy3 == 0), certificate=certificate)
 
@@ -606,7 +621,5 @@ def random_deformation(psi, order, rng, complex_=None):
         if theta is None:
             return th
         th = th.extended_with(theta + random_cocycle(complex_, 2, rng))
-    report = verify_deformation(th)
-    if not report:
-        raise InvalidDeformation(report.failing_identity)
+    _require_valid(th)
     return th

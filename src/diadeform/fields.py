@@ -1,16 +1,19 @@
 """Exact base fields: the rationals and prime fields GF(p).
 
-Rational scalars are ``gmpy2.mpq`` when gmpy2 is installed (much faster)
-and plain ``fractions.Fraction`` otherwise; the two types interoperate and
-compare equal, so either works everywhere.  GF(p) scalars are
-``GFElement``.  All scalar types support ``+ - * /``, compare equal to
+A rational scalar is a plain ``int`` when it is integral, and otherwise a
+``gmpy2.mpq`` when gmpy2 is installed or a ``fractions.Fraction`` when it
+is not.  The types interoperate, compare equal and hash alike, so dict
+keys and ``==`` do not depend on which one a value has.  GF(p) scalars are
+``GFElement``.  All scalar types support ``+ - *``, compare equal to
 ``0``/``1`` where appropriate, and are hashable, so all linear algebra
-code is written field-agnostically.  ``Series`` scalars of the truncated
+code is written field-agnostically.  Divide only through ``field.inv(x)``:
+``/`` on two ints gives a float.  ``Series`` scalars of the truncated
 power-series ring K[t]/(t^{N+1}) support the same except division, so
 products, axiom checks and matrix arithmetic also run over that ring.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,8 +28,10 @@ from .errors import BadScalar, MixedFields
 _RATIONAL_TYPES = (Fraction,) if _mpq is Fraction else (Fraction, type(_mpq(0)))
 
 
+# an integer token: ASCII digits with an optional sign
+INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
 # a scalar token: an integer p, or p/q with a natural number q
-_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_SCALAR = re.compile(r"(%s)(?:/([0-9]+))?" % INTEGER_TOKEN.pattern)
 
 
 def _parse_ratio(text, kind):
@@ -63,63 +68,76 @@ def _is_prime(n):
                for a in _MR_BASES)
 
 
-@dataclass(frozen=True)
 class GFElement:
-    """Canonical representative in [0, p-1] of a residue mod p."""
+    """Canonical representative in [0, p-1] of a residue mod p; immutable."""
 
-    p: int
-    v: int
+    __slots__ = ("p", "v")
 
-    def _coerce(self, other):
-        if isinstance(other, GFElement):
+    def __init__(self, p, v):
+        _set_p(self, p)
+        _set_v(self, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GFElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GFElement is immutable")
+
+    def __reduce__(self):
+        return GFElement, (self.p, self.v)
+
+    def _value(self, other):
+        """other's residue mod p as an int (not yet reduced for an int), or
+        None if other is no scalar of GF(p)."""
+        if other.__class__ is GFElement:
             if other.p != self.p:
                 raise MixedFields("GF(%d) vs GF(%d)" % (self.p, other.p))
-            return other
+            return other.v
         if isinstance(other, int):
-            return GFElement(self.p, other % self.p)
-        return NotImplemented
+            return other
+        return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        w = self._value(other)
+        if w is None:
             return NotImplemented
-        return GFElement(self.p, (self.v + other.v) % self.p)
+        return _gf(self.p, (self.v + w) % self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        w = self._value(other)
+        if w is None:
             return NotImplemented
-        return GFElement(self.p, (self.v - other.v) % self.p)
+        return _gf(self.p, (self.v - w) % self.p)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        w = self._value(other)
+        if w is None:
             return NotImplemented
-        return other - self
+        return _gf(self.p, (w - self.v) % self.p)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        w = self._value(other)
+        if w is None:
             return NotImplemented
-        return GFElement(self.p, (self.v * other.v) % self.p)
+        return _gf(self.p, (self.v * w) % self.p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        w = self._value(other)
+        if w is None:
             return NotImplemented
-        if other.v == 0:
+        if w % self.p == 0:
             raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return self * GFElement(self.p, pow(other.v, self.p - 2, self.p))
+        return _gf(self.p, self.v * pow(w, -1, self.p) % self.p)
 
     def __neg__(self):
-        return GFElement(self.p, (-self.v) % self.p)
+        return _gf(self.p, (-self.v) % self.p)
 
     def __eq__(self, other):
-        if isinstance(other, GFElement):
+        if other.__class__ is GFElement:
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
             return self.v == other % self.p
@@ -135,31 +153,47 @@ class GFElement:
         return "%d" % self.v
 
 
+_set_p, _set_v = GFElement.p.__set__, GFElement.v.__set__
+
+
+def _gf(p, v):
+    """GFElement(p, v) without the __init__ call, for results of arithmetic."""
+    x = object.__new__(GFElement)
+    _set_p(x, p)
+    _set_v(x, v)
+    return x
+
+
+def canonical(x):
+    """An integral rational as an int; any other scalar as it is."""
+    if x.__class__ in _RATIONAL_TYPES and x.denominator == 1:
+        return int(x)
+    return x
+
+
 class Rationals:
-    """Field descriptor for exact rationals."""
+    """Field descriptor for exact rationals: an integral scalar is an int,
+    any other a Fraction (or mpq)."""
 
     name = "rationals"
-
-    @property
-    def zero(self):
-        return _mpq(0)
-
-    @property
-    def one(self):
-        return _mpq(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return _mpq(n)
+        return operator.index(n)
 
     def parse(self, text):
-        return _mpq(*_parse_ratio(text, "rational"))
+        p, q = _parse_ratio(text, "rational")
+        return p if q == 1 else _mpq(p, q)
+
+    def inv(self, x):
+        return canonical(1 / _mpq(x))
 
     def format(self, x):
         return str(x)
 
     def owns(self, x):
-        # plain ints are coerced to field scalars at matrix construction
-        return isinstance(x, _RATIONAL_TYPES)
+        return type(x) is int or isinstance(x, _RATIONAL_TYPES)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -181,17 +215,10 @@ class PrimeField:
             raise ValueError("GF order must be prime, got %d" % p)
         self.p = p
         self.name = "gf %d" % p
-
-    @property
-    def zero(self):
-        return GFElement(self.p, 0)
-
-    @property
-    def one(self):
-        return GFElement(self.p, 1)
+        self.zero, self.one = _gf(p, 0), _gf(p, 1)
 
     def from_int(self, n):
-        return GFElement(self.p, n % self.p)
+        return _gf(self.p, n % self.p)
 
     def parse(self, text):
         # accept "a" or "a/b" with b invertible mod p
@@ -199,6 +226,9 @@ class PrimeField:
         if den % self.p == 0:
             raise BadScalar("denominator of %r is 0 in GF(%d)" % (text, self.p))
         return self.from_int(num) / self.from_int(den)
+
+    def inv(self, x):
+        return self.one / x
 
     def format(self, x):
         return str(x.v)
@@ -271,6 +301,10 @@ class SeriesRing:
     def from_int(self, n):
         return Series(self, [self.field.from_int(n)]
                       + [self.field.zero] * self.order)
+
+    def inv(self, x):
+        raise TypeError("K[t]/(t^%d) is not a field: no division"
+                        % (self.order + 1))
 
     def owns(self, x):
         return isinstance(x, Series) and x.ring == self

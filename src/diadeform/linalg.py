@@ -11,15 +11,16 @@ tolerance, and no result depends on the order of elimination.
 """
 
 from .errors import MixedFields, ShapeMismatch
+from .fields import canonical
 
 _EMPTY = {}
 
 
 def _coerce(field, x):
-    if isinstance(x, int):
-        return field.from_int(x)
     if field.owns(x):
         return x
+    if isinstance(x, int):
+        return field.from_int(x)
     raise MixedFields("entry %r does not belong to %r" % (x, field))
 
 
@@ -201,8 +202,8 @@ class Matrix:
             if not row:
                 forward.append((i, ops, None, None))
                 continue
-            inv = self.field.one / row[c]
-            pivots[c] = {j: x * inv for j, x in row.items()}
+            inv = self.field.inv(row[c])
+            pivots[c] = {j: canonical(x * inv) for j, x in row.items()}
             forward.append((i, ops, c, inv))
         # rows of larger pivots are reduced first, so one pass over a row
         # clears its other pivot columns without creating new ones
@@ -211,6 +212,8 @@ class Matrix:
             ops = [(j, row[j]) for j in row if j != c and j in pivots]
             for j, f in ops:
                 _axpy(row, f, pivots[j])
+            if ops:
+                pivots[c] = {j: canonical(x) for j, x in row.items()}
             back.append((c, ops))
         object.__setattr__(self, "_fact", (pivots, forward, back))
         return self._fact
@@ -251,4 +254,5 @@ class Matrix:
         for c, ops in back:
             for j, f in ops:
                 value[c] = value[c] - f * value[j]
-        return tuple(value.get(c, self._zero) for c in range(self.cols))
+        return tuple(canonical(value[c]) if c in value else self._zero
+                     for c in range(self.cols))

@@ -60,7 +60,7 @@ from .dialgebra import (Dialgebra, DialgebraMorphism, check_dialgebra,
 from .deformation import (DEFAULT_ORDER_CAP, FormalIso, TruncatedDeformation,
                           _rows)
 from .errors import BadScalar, ParseError, UnknownReference
-from .fields import parse_field
+from .fields import INTEGER_TOKEN, parse_field
 from .linalg import Matrix
 
 MAX_DIM = 16
@@ -90,10 +90,13 @@ def _parse_scalar(field, token, lineno):
 
 
 def _want_int(token, lineno, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError("bad %s %r" % (what, token), line=lineno)
+    # "+1" and "01" are read, but not "1_0", "1e1" or non-ASCII digits
+    if INTEGER_TOKEN.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError("bad %s %r" % (what, token), line=lineno)
 
 
 # -- the layout table ----------------------------------------------------

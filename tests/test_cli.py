@@ -188,6 +188,17 @@ def test_composite_field_is_input_error(capsys, model_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_non_ascii_integer_is_input_error(capsys, tmp_path):
+    path = tmp_path / "dim.dl"
+    for token in ("1_0", "\u0662", "1e1"):
+        path.write_text("field rationals\ndialgebra Z\n  dim %s\nend\n"
+                        % token, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2, token
+        assert out == ""
+        assert err == "error: line 3: bad dim %r\n" % token
+
+
 def test_oversized_coboundary_is_input_error(capsys, tmp_path):
     # delta^3 of a 16-dim dialgebra would have 14 * 16^4 * 16 rows
     path = tmp_path / "z16.dl"

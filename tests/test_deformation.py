@@ -175,6 +175,45 @@ def test_blocked_extension_computes_its_obstruction_once(bundled_models,
     assert len(passes) == 2  # verify, then the one obstruction
 
 
+def test_extension_is_verified_once(bundled_models, monkeypatch):
+    th = bundled_models["zero1"].deformations["theta_eq"]
+    passes = []
+    residuals = deformation._residuals
+    monkeypatch.setattr(deformation, "_residuals",
+                        lambda *args: passes.append(args) or residuals(*args))
+    report = extend_to_order(th, 4)
+    assert report.succeeded and report.reached == 4
+    # verify th, one obstruction per step (each validating the deformation
+    # it extends), then one check of the last extension
+    assert [(t.order, pad) for t, pad in passes] \
+        == [(1, 0), (1, 1), (2, 1), (3, 1), (4, 0)]
+
+
+@pytest.mark.parametrize("target", [2, 3])
+def test_bad_solution_is_caught(zsetup, monkeypatch, target):
+    # a solver that adds a non-cocycle to each solution: the extension is
+    # invalid at its top order, whether it is the last one (final check)
+    # or the next step's obstruction reads it
+    psi, cx = zsetup
+    coords = [QQ.zero] * cx.dim(2)
+    coords[0] = QQ.one
+    not_a_cocycle = cx.unvec(2, tuple(coords))
+    assert not cx.coboundary(not_a_cocycle).is_zero()
+    solve = deformation._solve
+
+    def bad_solve(complex_, n, b, label):
+        x, ranks = solve(complex_, n, b, label)
+        return x + not_a_cocycle, ranks
+    monkeypatch.setattr(deformation, "_solve", bad_solve)
+    th = z_family(psi, cx, 1, 1, 1, 1, 0)
+    with pytest.raises(InvalidDeformation,
+                       match="solved extension failed re-verification"):
+        extend_to_order(th, target, cx)
+    with pytest.raises(InvalidDeformation,
+                       match="solved extension failed re-verification"):
+        extend_step(th, cx)
+
+
 def test_obstruction_rejects_an_invalid_deformation(zsetup):
     psi, cx = zsetup
     th = z_family(psi, cx, 1, -1, 1, 0, 2)
@@ -182,6 +221,17 @@ def test_obstruction_rejects_an_invalid_deformation(zsetup):
         obstruction(th, cx)
     with pytest.raises(InvalidDeformation):
         extend_step(th, cx)
+
+
+@pytest.mark.parametrize("target", [1, 2])
+def test_invalid_input_is_no_failed_reverification(zsetup, target):
+    psi, cx = zsetup
+    th = z_family(psi, cx, 1, -1, 1, 0, 2)
+    # the input is reported as it is, not as a bad solved extension
+    with pytest.raises(InvalidDeformation) as caught:
+        extend_to_order(th, target, cx)
+    assert str(caught.value) \
+        == "morphism equation (r) at order 1, pair (0, 0): (-1) != (0)"
 
 
 def test_nonzero_values_walks_the_blocks_in_order(zsetup):

@@ -204,7 +204,8 @@ def _into(field, x):
     """A rational structure constant of a bundled model, read in field."""
     if field is RING:
         return Series(RING, (x, QQ.zero, QQ.zero))
-    return field.from_int(x.numerator) / field.from_int(x.denominator)
+    return field.from_int(x.numerator) * field.inv(
+        field.from_int(x.denominator))
 
 
 def scalars(field):

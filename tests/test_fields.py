@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ def test_rationals_basics():
     assert QQ.format(QQ.parse("4/6")) == "2/3"
     assert QQ.from_int(7) == Fraction(7)
     assert QQ.owns(QQ.zero) and QQ.owns(Fraction(1, 3))
-    assert not QQ.owns(0.5) and not QQ.owns(1)
+    assert QQ.owns(1) and not QQ.owns(True) and not QQ.owns(0.5)
 
 
 def test_rationals_bad_scalar():
@@ -65,6 +67,16 @@ def test_gf_compares_to_int():
     assert F.from_int(0) == 0
     assert F.from_int(1) == 1
     assert F.from_int(3) != 0
+
+
+def test_gf_element_is_immutable():
+    a = PrimeField(5).from_int(3)
+    for act in (lambda: setattr(a, "v", 1), lambda: delattr(a, "p")):
+        with pytest.raises(AttributeError):
+            act()
+    assert a.v == 3 and repr(a) == "3"
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    assert hash(GFElement(5, 3)) == hash(a)
 
 
 def test_mixed_primes_rejected():

@@ -281,6 +281,28 @@ def test_second_field_line_rejected():
         assert line == 2 and "field" in message
 
 
+def test_integers_are_ascii_digits():
+    # dim, index and order tokens are [+-]?[0-9]+: int() alone would also
+    # read "1_0" as 10 and a non-ASCII digit as its value
+    text = bundled_model_text("mult1")
+    for anchor, spelled in (("  dim 1", "  dim %s"),
+                            ("  left 0 0 0 1", "  left 0 %s 0 1"),
+                            ("  fD 1 r 0 0 0 1", "  fD %s r 0 0 0 1"),
+                            ("  order 1", "  order %s")):
+        at = text.index(anchor + "\n")
+        for token in ("1_0", "\u0662", "1e1"):
+            bad = (text[:at] + spelled % token + text[at + len(anchor):])
+            line, message = _parse_failure(bad)
+            assert line == _line_of(bad, at), (anchor, token)
+            assert message.endswith("%r" % token), (anchor, token)
+        for token in ("+1", "01"):
+            if anchor == "  left 0 0 0 1":
+                token = token.replace("1", "0")
+            good = text[:at] + spelled % token + text[at + len(anchor):]
+            assert serialize_model(parse_model(good)) \
+                == serialize_model(parse_model(text)), (anchor, token)
+
+
 def test_sizes_checked_before_allocation():
     from diadeform.deformation import DEFAULT_ORDER_CAP
     from diadeform.modelfile import MAX_DIM
@@ -382,6 +404,7 @@ def test_roundtrip_random_models(seed, field):
 # -- parser fuzz -------------------------------------------------------------
 
 VOCABULARY = ("-1", "0", "7", "1000000000000", "x", "1/0", "1e5", "0.5",
+              "1_0", "\u0662", "1e1",
               "l", "r", "end",
               "field", "rationals", "gf", "dialgebra", "morphism",
               "deformation", "formal-iso", "dim", "basis", "source", "target",
