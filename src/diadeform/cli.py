@@ -19,7 +19,7 @@ from .errors import NotACoboundary, WorkbenchError
 from .fields import format_scalars, parse_field
 from .cochain import cohomology_dim
 from .modelfile import parse_model, validate_model
-from .morphism_complex import MorphismComplex
+from .morphism_complex import complex_of
 from .selftest import run_selftest
 from .trees import enumerate_trees, face, prod_label
 
@@ -115,9 +115,8 @@ def cmd_cohomology(args, emit):
 def cmd_mor_cohomology(args, emit):
     model = _load_model(args)
     psi = _get(model.morphisms, args.morphism, "morphism")
-    cx = MorphismComplex(psi)
     n = args.degree
-    dim = cx.cohomology_dim(n)
+    dim = complex_of(psi).cohomology_dim(n)
     emit.line("HY^%d(%s,%s) = %d" % (n, psi.name, psi.name, dim),
               morphism=psi.name, degree=n, dim=dim)
     return 0
@@ -140,15 +139,15 @@ def cmd_deform_verify(args, emit):
 def cmd_infinitesimal(args, emit):
     model = _load_model(args)
     th = _get(model.deformations, args.deformation, "deformation")
-    cx = MorphismComplex(th.psi)
-    return _report_cocycle(emit, cx, infinitesimal(th, cx), 1)
+    cx = complex_of(th.psi)
+    return _report_cocycle(emit, cx, infinitesimal(th), 1)
 
 
 def cmd_obstruction(args, emit):
     model = _load_model(args)
     th = _get(model.deformations, args.deformation, "deformation")
-    cx = MorphismComplex(th.psi)
-    ob = obstruction(th, cx)
+    cx = complex_of(th.psi)
+    ob = obstruction(th)
     return _report_cocycle(emit, cx, ob.cochain, ob.order,
                            names=("Ob_D", "Ob_E", "Ob_psi"))
 
@@ -156,8 +155,7 @@ def cmd_obstruction(args, emit):
 def cmd_extend(args, emit):
     model = _load_model(args)
     th = _get(model.deformations, args.deformation, "deformation")
-    cx = MorphismComplex(th.psi)
-    report = extend_to_order(th, args.to, cx)
+    report = extend_to_order(th, args.to)
     emit.line("reached order %d of %d (HY^3 = %d%s)"
               % (report.reached, report.target, report.hy3_dim,
                  ", extension guaranteed" if report.guaranteed else ""),
@@ -173,9 +171,8 @@ def cmd_extend(args, emit):
 def cmd_trivialize(args, emit):
     model = _load_model(args)
     th = _get(model.deformations, args.deformation, "deformation")
-    cx = MorphismComplex(th.psi)
     try:
-        iso, result = trivialize_step(th, cx)
+        iso, result = trivialize_step(th)
     except NotACoboundary as exc:
         emit.line("NOT A COBOUNDARY: %s" % exc, status="FAIL")
         emit.line(exc.certificate, certificate=exc.certificate)
@@ -190,7 +187,7 @@ def cmd_trivialize(args, emit):
 def cmd_rigidity_probe(args, emit):
     model = _load_model(args)
     psi = _get(model.morphisms, args.morphism, "morphism")
-    report = rigidity_probe(psi, order_cap=args.order)
+    report = rigidity_probe(psi, order=args.order)
     emit.line("HY^2(%s,%s) = %d" % (psi.name, psi.name, report.hy2_dim),
               morphism=psi.name, hy2=report.hy2_dim)
     emit.line("verdict: %s" % report.verdict, verdict=report.verdict)

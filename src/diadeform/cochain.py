@@ -21,7 +21,7 @@ import itertools
 
 from .errors import CapExceeded, IndexOutOfRange, ShapeMismatch
 from .linalg import Matrix
-from .trees import (DEFAULT_TREE_CAP, ProductLabel, catalan, enumerate_trees,
+from .trees import (TREE_CAP, ProductLabel, catalan, enumerate_trees,
                     tree_plan)
 
 LEFT = ProductLabel.LEFT
@@ -74,10 +74,10 @@ class Cochain:
                    (z,) * cy_dim(dialgebra, rep, degree))
 
     @classmethod
-    def from_function(cls, degree, dialgebra, rep, fn, cap=DEFAULT_TREE_CAP):
+    def from_function(cls, degree, dialgebra, rep, fn):
         """fn(tree, multi) must return an M coordinate tuple."""
         coeffs = []
-        for tree in enumerate_trees(degree, cap):
+        for tree in enumerate_trees(degree):
             for multi in multi_indices(dialgebra.dim, degree):
                 coeffs.extend(fn(tree, multi))
         return cls(degree, dialgebra, rep, coeffs)
@@ -96,8 +96,7 @@ class Cochain:
         """Yield (tree, multi, value) for every nonzero value, in the flat
         coordinate order."""
         z = self.field.zero
-        # the cochain exists, so the tree cap that allowed it is not needed
-        for tree in enumerate_trees(self.degree, cap=self.degree):
+        for tree in enumerate_trees(self.degree):
             for multi in multi_indices(self.dialgebra.dim, self.degree):
                 v = self.value(tree.index, multi)
                 if any(x != z for x in v):
@@ -174,11 +173,11 @@ def _slot_tensors(d, rep, labels):
             rep.act_ld if labels[-1] is LEFT else rep.act_rd)
 
 
-def coboundary(f, cap=DEFAULT_TREE_CAP):
+def coboundary(f):
     """delta f, computed elementwise from the alternating-sum formula."""
     n = f.degree
-    if n + 1 > cap:
-        raise CapExceeded("coboundary would exceed tree cap %d" % cap)
+    if n + 1 > TREE_CAP:
+        raise CapExceeded("coboundary would exceed tree cap %d" % TREE_CAP)
     d, rep = f.dialgebra, f.rep
     _check_budget(d, rep, n + 1)
     mdim = rep.module_dim
@@ -216,15 +215,16 @@ def coboundary(f, cap=DEFAULT_TREE_CAP):
     return Cochain(n + 1, d, rep, coeffs)
 
 
-def coboundary_matrix(d, rep, n, cap=DEFAULT_TREE_CAP):
+def coboundary_matrix(d, rep, n):
     """Matrix of delta: CY^n -> CY^{n+1}, assembled row by row.
 
     Rows are indexed by the CY^{n+1} basis and columns by the CY^n basis,
     both in the canonical flat order.  This is an independent code path
     from ``coboundary``; it writes structure constants as column entries.
     """
-    if n + 1 > cap:
-        raise CapExceeded("coboundary matrix would exceed tree cap %d" % cap)
+    if n + 1 > TREE_CAP:
+        raise CapExceeded("coboundary matrix would exceed tree cap %d"
+                          % TREE_CAP)
     _check_budget(d, rep, n + 1)
     z = d.field.zero
     mdim, ddim = rep.module_dim, d.dim
@@ -269,15 +269,15 @@ def _add(data, i, j, val):
     row[j] = row[j] + val if j in row else val
 
 
-def cohomology_dim(d, rep, n, cap=DEFAULT_TREE_CAP):
+def cohomology_dim(d, rep, n):
     """dim HY^n(D,M) = dim ker delta^n - rank delta^{n-1}."""
     if n < 0:
         raise IndexOutOfRange("cohomology degree must be >= 0, got %d" % n)
-    mat_n = coboundary_matrix(d, rep, n, cap=cap)
+    mat_n = coboundary_matrix(d, rep, n)
     kernel = mat_n.cols - mat_n.rank()
     if n == 0:
         return kernel
-    image = coboundary_matrix(d, rep, n - 1, cap=cap).rank()
+    image = coboundary_matrix(d, rep, n - 1).rank()
     return kernel - image
 
 

@@ -28,9 +28,10 @@ from .errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                      ShapeMismatch)
 from .fields import Series, SeriesRing, format_scalars
 from .linalg import Matrix
-from .morphism_complex import MorphismCochain, MorphismComplex
+from .morphism_complex import MorphismCochain, complex_of
 
-DEFAULT_ORDER_CAP = 6
+ORDER_CAP = 6  # the largest deformation order extended to or parsed
+PROBE_SAMPLES = 5  # the deformations a rigidity probe samples
 
 # Y_2 indices under the documented enumeration
 TREE_L = 0  # [21], carrying the left product
@@ -168,11 +169,12 @@ class TruncatedDeformation:
                      if not (self.fd[k].is_zero() and self.fe[k].is_zero()
                              and self.psis[k].is_zero())), None)
 
-    def theta(self, k, complex_):
+    def theta(self, k):
         """The order-k coefficient as a degree-2 morphism cochain."""
+        cx = complex_of(self.psi)
         return MorphismCochain(
             self.fd[k], self.fe[k],
-            matrix_to_cochain1(self.psis[k], complex_.D, complex_.rep_de))
+            matrix_to_cochain1(self.psis[k], cx.D, cx.rep_de))
 
     def __repr__(self):
         return "TruncatedDeformation(order=%d, psi=%r)" % (self.order, self.psi)
@@ -340,38 +342,34 @@ def _require_valid(th, pad=0):
 # -- infinitesimal and leading cocycle ---------------------------------
 
 
-def infinitesimal(th, complex_=None):
+def infinitesimal(th):
     """The order-1 coefficient as a degree-2 morphism cochain."""
     if th.order < 1:
         raise OrderTooLow("infinitesimal needs order >= 1")
-    if complex_ is None:
-        complex_ = MorphismComplex(th.psi)
-    return th.theta(1, complex_)
+    return th.theta(1)
 
 
-def cocycle_check(complex_, mc, order):
+def cocycle_check(cx, mc, order):
     """Whether delta mc = 0 exactly; else where its first nonzero value is."""
-    for name, tree, multi, _ in complex_.coboundary(mc).nonzero_values():
+    for name, tree, multi, _ in cx.coboundary(mc).nonzero_values():
         return CocycleReport(False, leading_order=order,
                              residual_location="%s block, tree %s, indices %r"
                              % (name, tree.name, multi))
     return CocycleReport(True, leading_order=order)
 
 
-def leading_cocycle_check(th, complex_=None):
+def leading_cocycle_check(th):
     """Assert that the first nonzero coefficient is an exact 2-cocycle."""
-    if complex_ is None:
-        complex_ = MorphismComplex(th.psi)
     k = th.leading_order()
     if k is None:
         return CocycleReport(True, leading_order=None)  # vacuous: all zero
-    return cocycle_check(complex_, th.theta(k, complex_), k)
+    return cocycle_check(complex_of(th.psi), th.theta(k), k)
 
 
 # -- obstruction -------------------------------------------------------
 
 
-def obstruction(th, complex_=None):
+def obstruction(th):
     """The obstruction class blocking extension from order N to N + 1.
 
     On the lift padded by a zero order, Ob_D and Ob_E on the k-th 3-tree
@@ -384,8 +382,6 @@ def obstruction(th, complex_=None):
     if n < 1:
         raise OrderTooLow("obstruction needs order >= 1")
     d_violations, e_violations, m_violations = _require_valid(th, 1)
-    if complex_ is None:
-        complex_ = MorphismComplex(th.psi)
 
     def cochain(degree, d, rep, diffs):
         values = {key: tuple(x.c[n + 1] - y.c[n + 1] for x, y in zip(*sides))
@@ -403,7 +399,7 @@ def obstruction(th, complex_=None):
     return ObstructionClass(MorphismCochain(
         axiom_block(th.psi.source, d_violations),
         axiom_block(th.psi.target, e_violations),
-        cochain(2, th.psi.source, complex_.rep_de, [
+        cochain(2, th.psi.source, complex_of(th.psi).rep_de, [
             ((TREE_L if label is LEFT else TREE_R, (a, b)), (rv, lv))
             for label, a, b, lv, rv in m_violations])), n)
 
@@ -411,35 +407,33 @@ def obstruction(th, complex_=None):
 # -- extension ---------------------------------------------------------
 
 
-def _solve(complex_, n, b, label):
+def _solve(cx, n, b, label):
     """Solve delta^n x = b: x, or None if there is none, with the rank line
     that certifies which (the rank of [delta^n | b] is one more iff none)."""
-    mat = complex_.matrix(n)
-    x = mat.solve(complex_.vec(b))
+    mat = cx.matrix(n)
+    x = mat.solve(cx.vec(b))
     rank = mat.rank()
-    return (None if x is None else complex_.unvec(n, x),
+    return (None if x is None else cx.unvec(n, x),
             "rank delta^%d = %d, rank [delta^%d | %s] = %d"
             % (n, rank, n, label, rank + (x is None)))
 
 
-def _extend(th, complex_):
+def _extend(th, cx):
     """One order of extension by a solution of delta theta = Ob: (the
     extension, None), or (None, Ob) if Ob is no coboundary.  Computing Ob
     validates th; the extension is not checked here, so that the caller
     checks it exactly once."""
-    ob = obstruction(th, complex_)
-    theta, _ = _solve(complex_, 2, ob.cochain, "Ob")
+    ob = obstruction(th)
+    theta, _ = _solve(cx, 2, ob.cochain, "Ob")
     if theta is None:
         return None, ob
     return th.extended_with(theta), None
 
 
-def extend_step(th, complex_=None):
+def extend_step(th):
     """The deformation extended by one order, or None when a nonzero
     obstruction class blocks extension at this order."""
-    if complex_ is None:
-        complex_ = MorphismComplex(th.psi)
-    extended = _extend(th, complex_)[0]
+    extended = _extend(th, complex_of(th.psi))[0]
     if extended is not None:
         try:
             _require_valid(extended)
@@ -448,31 +442,30 @@ def extend_step(th, complex_=None):
     return extended
 
 
-def obstruction_certificate(th, ob, complex_):
+def obstruction_certificate(th, ob, cx):
     """Rank witness plus per-tree obstruction values for a blocked step."""
-    _, ranks = _solve(complex_, 2, ob.cochain, "Ob")
+    _, ranks = _solve(cx, 2, ob.cochain, "Ob")
     return "\n".join(
         ["obstruction at order %d is not a coboundary:" % ob.order, ranks]
         + ["  %s %s %r = %s" % (tag, tree.name, multi,
-                                format_scalars(complex_.field, v))
+                                format_scalars(cx.field, v))
            for tag, tree, multi, v in ob.cochain.nonzero_values(
                ("Ob_D", "Ob_E", "Ob_psi"))])
 
 
-def extend_to_order(th, target, complex_=None, order_cap=DEFAULT_ORDER_CAP):
+def extend_to_order(th, target):
     """Extend order by order up to the target; certify a blocked step."""
     if target < 0:
         raise IndexOutOfRange("target order must be >= 0, got %d" % target)
     if target < th.order:
         raise IndexOutOfRange("target order %d is below the deformation's"
                               " order %d" % (target, th.order))
-    if target > order_cap:
+    if target > ORDER_CAP:
         raise CapExceeded("target order %d exceeds cap %d"
-                          % (target, order_cap))
-    if complex_ is None:
-        complex_ = MorphismComplex(th.psi)
+                          % (target, ORDER_CAP))
+    cx = complex_of(th.psi)
     _require_valid(th)
-    hy3 = complex_.cohomology_dim(3)
+    hy3 = cx.cohomology_dim(3)
     # a solved extension is checked once: by the next step's obstruction,
     # or at the end if it is the last one
     current, solved, certificate = th, False, None
@@ -480,11 +473,11 @@ def extend_to_order(th, target, complex_=None, order_cap=DEFAULT_ORDER_CAP):
         while current.order < target:
             if current.order < 1:
                 # order-0 deformations extend freely by a zero coefficient
-                current = current.extended_with(complex_.zero(2))
+                current = current.extended_with(cx.zero(2))
                 continue
-            nxt, ob = _extend(current, complex_)
+            nxt, ob = _extend(current, cx)
             if nxt is None:
-                certificate = obstruction_certificate(current, ob, complex_)
+                certificate = obstruction_certificate(current, ob, cx)
                 break
             current, solved = nxt, True
         if solved and certificate is None:
@@ -531,23 +524,22 @@ def apply_formal_iso(th, iso):
         DialgebraMorphism(new_d, new_e, phi_e * psi_t.matrix * inv_d))
 
 
-def trivialize_step(th, complex_=None):
+def trivialize_step(th):
     """Kill the leading nonzero coefficient by a formal isomorphism.
 
     Requires the leading coefficient to be a 2-coboundary; returns the
     pair (iso, transported deformation) with one more vanishing order.
     """
-    if complex_ is None:
-        complex_ = MorphismComplex(th.psi)
     lead = th.leading_order()
     if lead is None:
         return FormalIso.identity(th.psi, th.order), th
-    x, ranks = _solve(complex_, 1, th.theta(lead, complex_), "theta")
+    cx = complex_of(th.psi)
+    x, ranks = _solve(cx, 1, th.theta(lead), "theta")
     if x is None:
         raise NotACoboundary(
             "leading coefficient at order %d is not a coboundary" % lead,
             certificate=ranks)
-    beta = complex_.normalize_1cochain(x)
+    beta = cx.normalize_1cochain(x)
     ident = FormalIso.identity(th.psi, th.order)
     iso = FormalIso(th.psi, *(
         series[:lead] + (cochain1_to_matrix(c),) + series[lead + 1:]
@@ -555,26 +547,24 @@ def trivialize_step(th, complex_=None):
     return iso, apply_formal_iso(th, iso)
 
 
-def rigidity_probe(psi, complex_=None, order_cap=4, samples=5, seed=0):
+def rigidity_probe(psi, order=4):
     """HY^2-based rigidity verdict, exercised on sampled deformations."""
-    if order_cap < 0:
-        raise IndexOutOfRange("sample order must be >= 0, got %d"
-                              % order_cap)
+    if order < 0:
+        raise IndexOutOfRange("sample order must be >= 0, got %d" % order)
     report = check_morphism(psi)
     if not report:
         raise InvalidDeformation("psi is not a dialgebra morphism")
-    if complex_ is None:
-        complex_ = MorphismComplex(psi)
-    hy2 = complex_.cohomology_dim(2)
+    cx = complex_of(psi)
+    hy2 = cx.cohomology_dim(2)
     if hy2 != 0:
         return RigidityReport(hy2, "not decided by vanishing HY^2"
                                    " (HY^2 = %d)" % hy2)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     trivialized = 0
-    for _ in range(samples):
-        th = random_deformation(psi, order_cap, rng, complex_=complex_)
+    for _ in range(PROBE_SAMPLES):
+        th = random_deformation(psi, order, rng)
         while th.leading_order() is not None:
-            _, th = trivialize_step(th, complex_)
+            _, th = trivialize_step(th)
         trivialized += 1
     return RigidityReport(0, "rigid (HY^2 = 0)", trivialized)
 
@@ -586,21 +576,21 @@ def _random_scalar(field, rng):
     return field.from_int(rng.randint(-3, 3))
 
 
-def random_cocycle(complex_, n, rng):
+def random_cocycle(cx, n, rng):
     """A random element of ker delta^n, as a morphism cochain."""
-    mat = complex_.matrix(n)
+    mat = cx.matrix(n)
     basis = mat.kernel_basis()
-    f = complex_.field
+    f = cx.field
     coords = [f.zero] * mat.cols
     for v in basis:
         c = _random_scalar(f, rng)
         if c == f.zero:
             continue
         coords = [x + c * y for x, y in zip(coords, v)]
-    return complex_.unvec(n, tuple(coords))
+    return cx.unvec(n, tuple(coords))
 
 
-def random_deformation(psi, order, rng, complex_=None):
+def random_deformation(psi, order, rng):
     """A random valid deformation of the given order.
 
     Starts from a random 2-cocycle infinitesimal and extends order by
@@ -609,17 +599,16 @@ def random_deformation(psi, order, rng, complex_=None):
     validates the deformation it is computed from, and one that reached
     the requested order is verified as a whole.
     """
-    if complex_ is None:
-        complex_ = MorphismComplex(psi)
     th = TruncatedDeformation.trivial(psi)
     if order < 1:
         return th
-    th = th.extended_with(random_cocycle(complex_, 2, rng))
+    cx = complex_of(psi)
+    th = th.extended_with(random_cocycle(cx, 2, rng))
     while th.order < order:
-        ob = obstruction(th, complex_)
-        theta, _ = _solve(complex_, 2, ob.cochain, "Ob")
+        ob = obstruction(th)
+        theta, _ = _solve(cx, 2, ob.cochain, "Ob")
         if theta is None:
             return th
-        th = th.extended_with(theta + random_cocycle(complex_, 2, rng))
+        th = th.extended_with(theta + random_cocycle(cx, 2, rng))
     _require_valid(th)
     return th

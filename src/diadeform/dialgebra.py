@@ -148,7 +148,7 @@ class Representation:
 class DialgebraMorphism:
     """A linear map psi: D -> E, stored as a target_dim x source_dim matrix."""
 
-    __slots__ = ("name", "source", "target", "matrix")
+    __slots__ = ("name", "source", "target", "matrix", "_complex")
 
     def __init__(self, source, target, matrix, name="psi"):
         if source.field != target.field:
@@ -162,6 +162,7 @@ class DialgebraMorphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_complex", None)  # see complex_of
 
     def __setattr__(self, name, value):
         raise AttributeError("DialgebraMorphism is immutable")

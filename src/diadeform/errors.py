@@ -18,7 +18,7 @@ class ShapeMismatch(WorkbenchError):
 
 
 class CapExceeded(WorkbenchError):
-    """A requested tree degree or deformation order exceeds the configured cap."""
+    """A requested tree degree or deformation order exceeds its fixed cap."""
 
 
 class IndexOutOfRange(WorkbenchError):

@@ -140,11 +140,12 @@ class GFElement:
         if other.__class__ is GFElement:
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
-            return self.v == other % self.p
+            # the canonical residue only, so that equal values hash alike
+            return self.v == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.v))
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0

@@ -87,10 +87,6 @@ class Matrix:
     def identity(cls, field, n):
         return cls.sparse(field, n, n, {i: {i: field.one} for i in range(n)})
 
-    @classmethod
-    def from_rows(cls, field, rows):
-        return cls(field, len(rows), len(rows[0]) if rows else 0, rows)
-
     def __getitem__(self, ij):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):

@@ -37,8 +37,8 @@ Unspecified entries default to zero; the order-0 coefficients of a
 deformation are taken from the model and the constant term of a formal
 isomorphism is the identity.  '#' starts a comment.  A header line or a
 coefficient entry given twice is an error, as is a second 'field' line;
-'dim' is at most MAX_DIM and 'order' at most DEFAULT_ORDER_CAP, and both
-are checked before anything is allocated.
+'dim' is at most MAX_DIM and 'order' at most ORDER_CAP, and both are
+checked before anything is allocated.
 
 ``SECTIONS`` declares each block once: its header keys, the index axes of
 each coefficient keyword, and how an object's flat coefficient arrays are
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field as dc_field
 from .cochain import Cochain, product_cochain
 from .dialgebra import (Dialgebra, DialgebraMorphism, check_dialgebra,
                         check_morphism)
-from .deformation import (DEFAULT_ORDER_CAP, FormalIso, TruncatedDeformation,
+from .deformation import (ORDER_CAP, FormalIso, TruncatedDeformation,
                           _rows)
 from .errors import BadScalar, ParseError, UnknownReference
 from .fields import INTEGER_TOKEN, parse_field
@@ -204,7 +204,7 @@ def _build_iso(field, name, h, flats):
 
 
 _SERIES_KEYS = {"morphism": _ref("morphisms"),
-                "order": _count("order", 0, DEFAULT_ORDER_CAP)}
+                "order": _count("order", 0, ORDER_CAP)}
 
 SECTIONS = {
     "dialgebra": _Section(

@@ -9,16 +9,23 @@ back along psi.  The coboundary is
 with the two push-forwards defined coordinatewise.  Block vectors are laid
 out as (xi | pi | phi); degree 0 is the zero module and cohomology starts
 at degree 1.
+
+The complex is determined by psi, so the deformation calculus and the CLI
+take psi and get the complex from ``complex_of(psi)``.  psi keeps only a
+weak reference to it: callers share its matrices and factorizations while
+any of them holds the complex, and a long-lived psi (in a parsed model,
+say) does not keep the matrices alive once the last holder is done.
 """
 
 import itertools
+import weakref
 
 from .cochain import (Cochain, coboundary, coboundary_matrix, cy_dim,
                       multi_indices)
 from .dialgebra import adjoint_rep, pullback_rep
 from .errors import ShapeMismatch
 from .linalg import Matrix
-from .trees import DEFAULT_TREE_CAP, enumerate_trees
+from .trees import enumerate_trees
 
 
 class MorphismCochain:
@@ -74,9 +81,8 @@ class MorphismCochain:
 class MorphismComplex:
     """CY*(psi,psi) for a fixed morphism, with cached representations."""
 
-    def __init__(self, psi, cap=DEFAULT_TREE_CAP):
+    def __init__(self, psi):
         self.psi = psi
-        self.cap = cap
         self.D = psi.source
         self.E = psi.target
         self.rep_d = adjoint_rep(self.D)
@@ -123,8 +129,7 @@ class MorphismComplex:
         psi = self.psi
         return Cochain.from_function(
             xi.degree, self.D, self.rep_de,
-            lambda tree, multi: psi(xi.value(tree.index, multi)),
-            cap=self.cap)
+            lambda tree, multi: psi(xi.value(tree.index, multi)))
 
     def pull_back(self, pi):
         """pi.psi in CY^n(D,E): evaluate pi on psi-images of the basis."""
@@ -132,14 +137,13 @@ class MorphismComplex:
         return Cochain.from_function(
             pi.degree, self.D, self.rep_de,
             lambda tree, multi: pi.evaluate(tree.index,
-                                            [images[a] for a in multi]),
-            cap=self.cap)
+                                            [images[a] for a in multi]))
 
     def push_matrix(self, n):
         """Matrix of xi |-> psi.xi from CY^n(D,D) to CY^n(D,E)."""
         psi = self.psi.matrix.dense_rows()
         ddim, edim = self.D.dim, self.E.dim
-        slots = len(enumerate_trees(n, self.cap)) * ddim ** n
+        slots = len(enumerate_trees(n)) * ddim ** n
         return Matrix.sparse(self.field, slots * edim, slots * ddim, {
             s * edim + w: {s * ddim + u: c for u, c in enumerate(psi[w])}
             for s in range(slots) for w in range(edim)})
@@ -151,7 +155,7 @@ class MorphismComplex:
         # the nonzero coordinates (s, psi[s, i]) of each psi(e_i)
         images = [[(s, c) for s, c in enumerate(col) if c != f.zero]
                   for col in self.psi.matrix.transpose().dense_rows()]
-        trees = len(enumerate_trees(n, self.cap))
+        trees = len(enumerate_trees(n))
         data = {}
         for t in range(trees):
             for di, dmulti in enumerate(multi_indices(ddim, n)):
@@ -170,7 +174,9 @@ class MorphismComplex:
 
     def coboundary(self, mc):
         """Elementwise delta(xi; pi; phi); the matrix path is separate."""
-        return mor_coboundary(self, mc)
+        third = (self.push_forward(mc.xi) - self.pull_back(mc.pi)
+                 - coboundary(mc.phi))
+        return MorphismCochain(coboundary(mc.xi), coboundary(mc.pi), third)
 
     def matrix(self, n):
         """Block matrix of delta: CY^n(psi,psi) -> CY^{n+1}(psi,psi)."""
@@ -179,9 +185,9 @@ class MorphismComplex:
         if n <= 0:
             out = Matrix.zero(self.field, self.dim(1), 0)
         else:
-            dd = coboundary_matrix(self.D, self.rep_d, n, cap=self.cap)
-            de = coboundary_matrix(self.E, self.rep_e, n, cap=self.cap)
-            dde = coboundary_matrix(self.D, self.rep_de, n - 1, cap=self.cap)
+            dd = coboundary_matrix(self.D, self.rep_d, n)
+            de = coboundary_matrix(self.E, self.rep_e, n)
+            dde = coboundary_matrix(self.D, self.rep_de, n - 1)
             r2, c2 = dd.rows + de.rows, dd.cols + de.cols
             out = Matrix.block(self.field, r2 + dde.rows, c2 + dde.cols, [
                 (0, 0, dd), (dd.rows, dd.cols, de),
@@ -209,17 +215,15 @@ class MorphismComplex:
         if mc.degree != 1:
             raise ShapeMismatch("normalize_1cochain needs degree 1")
         phi_e = Cochain(0, self.E, self.rep_e, mc.phi.coeffs)
-        return MorphismCochain(mc.xi, mc.pi + coboundary(phi_e, cap=self.cap),
+        return MorphismCochain(mc.xi, mc.pi + coboundary(phi_e),
                                Cochain.zero(0, self.D, self.rep_de))
 
 
-def mor_coboundary(complex_, mc):
-    """delta(xi; pi; phi), computed elementwise per block."""
-    n = mc.degree
-    cap = complex_.cap
-    third = (complex_.push_forward(mc.xi)
-             - complex_.pull_back(mc.pi)
-             - coboundary(mc.phi, cap=cap))
-    return MorphismCochain(coboundary(mc.xi, cap=cap),
-                           coboundary(mc.pi, cap=cap),
-                           third)
+def complex_of(psi):
+    """CY*(psi,psi), the same object for as long as any caller holds it."""
+    ref = psi._complex
+    cx = None if ref is None else ref()
+    if cx is None:
+        cx = MorphismComplex(psi)
+        object.__setattr__(psi, "_complex", weakref.ref(cx))
+    return cx

@@ -19,10 +19,11 @@ from .dialgebra import adjoint_rep, check_dialgebra, check_morphism
 from .errors import NotACoboundary
 from .linalg import Matrix
 from .models import bundled_model_names, load_bundled_model
-from .morphism_complex import MorphismComplex
+from .morphism_complex import complex_of
 from .trees import catalan, enumerate_trees, face
 
 SELFTEST_SEED = 20240517
+SAMPLES = 5  # per sampled check
 
 
 def _random_cochain(d, rep, n, rng):
@@ -38,7 +39,7 @@ def _random_mc(cx, n, rng):
                            _random_cochain(cx.D, cx.rep_de, n - 1, rng))
 
 
-def run_selftest(emit, samples=5):
+def run_selftest(emit):
     """Run every check; emit(name, ok, detail) per check.  Returns bool."""
     rng = random.Random(SELFTEST_SEED)
     all_ok = True
@@ -70,7 +71,7 @@ def run_selftest(emit, samples=5):
             rep = adjoint_rep(d)
             ok = True
             for n in range(0, 3):
-                for _ in range(samples):
+                for _ in range(SAMPLES):
                     c = _random_cochain(d, rep, n, rng)
                     if not coboundary(coboundary(c)).is_zero():
                         ok = False
@@ -79,10 +80,10 @@ def run_selftest(emit, samples=5):
         for name, psi in model.morphisms.items():
             check("%s.morphism.%s.preserves" % (tag, name),
                   check_morphism(psi).valid)
-            cx = MorphismComplex(psi)
+            cx = complex_of(psi)
             ok = True
             for n in (1, 2):
-                for _ in range(samples):
+                for _ in range(SAMPLES):
                     mc = _random_mc(cx, n, rng)
                     if not cx.coboundary(cx.coboundary(mc)).is_zero():
                         ok = False
@@ -91,18 +92,18 @@ def run_selftest(emit, samples=5):
             # leading coefficient of a valid deformation is a 2-cocycle,
             # and its obstruction is a 3-cocycle
             ok_lead = ok_ob = ok_ext = True
-            for _ in range(samples):
-                th = random_deformation(psi, 3, rng, cx)
+            for _ in range(SAMPLES):
+                th = random_deformation(psi, 3, rng)
                 if not verify_deformation(th):
                     ok_lead = False
                     continue
-                if not leading_cocycle_check(th, cx).passed:
+                if not leading_cocycle_check(th).passed:
                     ok_lead = False
                 if th.order >= 1:
-                    ob = obstruction(th, cx)
+                    ob = obstruction(th)
                     if not cocycle_check(cx, ob.cochain, ob.order).passed:
                         ok_ob = False
-                    nxt = extend_step(th, cx)
+                    nxt = extend_step(th)
                     if nxt is not None and not verify_deformation(nxt):
                         ok_ext = False
             check("%s.morphism.%s.leading_cocycle" % (tag, name), ok_lead)
@@ -113,8 +114,8 @@ def run_selftest(emit, samples=5):
             # coboundary of the linear iso coefficients
             ok = True
             f = psi.field
-            for _ in range(samples):
-                th = random_deformation(psi, 2, rng, cx)
+            for _ in range(SAMPLES):
+                th = random_deformation(psi, 2, rng)
                 if th.order < 1:
                     th = TruncatedDeformation.trivial(psi, 1)
                 nd, ne = psi.source.dim, psi.target.dim
@@ -137,23 +138,23 @@ def run_selftest(emit, samples=5):
                     matrix_to_cochain1(phd[1], cx.D, cx.rep_d),
                     matrix_to_cochain1(phe[1], cx.E, cx.rep_e),
                     Cochain.zero(0, cx.D, cx.rep_de))
-                diff = infinitesimal(th, cx) - infinitesimal(tht, cx)
+                diff = infinitesimal(th) - infinitesimal(tht)
                 if cx.vec(diff) != cx.vec(cx.coboundary(beta)):
                     ok = False
             check("%s.morphism.%s.equivalence_transport" % (tag, name), ok)
 
             # trivialization kills the leading order when it applies
             ok = True
-            for _ in range(samples):
-                th = random_deformation(psi, 3, rng, cx)
+            for _ in range(SAMPLES):
+                th = random_deformation(psi, 3, rng)
                 lead = th.leading_order()
                 if lead is None:
                     continue
                 try:
-                    _, res = trivialize_step(th, cx)
+                    _, res = trivialize_step(th)
                 except NotACoboundary:
                     continue  # legitimately not trivializable
-                if any(not res.theta(k, cx).is_zero()
+                if any(not res.theta(k).is_zero()
                        for k in range(1, lead + 1)):
                     ok = False
             check("%s.morphism.%s.trivialize_step" % (tag, name), ok)

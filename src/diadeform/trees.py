@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .errors import CapExceeded, IndexOutOfRange
 
-DEFAULT_TREE_CAP = 5
+TREE_CAP = 5  # the largest tree degree enumerated
 
 
 class ProductLabel(Enum):
@@ -105,12 +105,12 @@ def tree_name(degree, index):
 
 
 @lru_cache(maxsize=None)
-def enumerate_trees(m, cap=DEFAULT_TREE_CAP):
+def enumerate_trees(m):
     """All m-trees in canonical order.  |Y_m| is the m-th Catalan number."""
     if m < 0:
         raise IndexOutOfRange("tree degree must be >= 0, got %d" % m)
-    if m > cap:
-        raise CapExceeded("tree degree %d exceeds cap %d" % (m, cap))
+    if m > TREE_CAP:
+        raise CapExceeded("tree degree %d exceeds cap %d" % (m, TREE_CAP))
     return tuple(Tree(s, m, i) for i, s in enumerate(_shapes(m)))
 
 
@@ -187,7 +187,7 @@ def tree_plan(m):
     its m+1 slot labels.  The one set-up behind both coboundary paths."""
     return tuple((tuple(face(y, i).index for i in range(m + 1)),
                   tuple(prod_label(y, i) for i in range(m + 1)))
-                 for y in enumerate_trees(m, cap=m))
+                 for y in enumerate_trees(m))
 
 
 def catalan(m):

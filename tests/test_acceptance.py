@@ -25,7 +25,7 @@ from diadeform.deformation import (FormalIso, TruncatedDeformation,
 from diadeform.dialgebra import adjoint_rep
 from diadeform.fields import QQ
 from diadeform.linalg import Matrix
-from diadeform.morphism_complex import MorphismCochain, MorphismComplex
+from diadeform.morphism_complex import MorphismCochain, complex_of
 from diadeform.selftest import run_selftest
 from diadeform.trees import catalan, enumerate_trees, face
 
@@ -40,7 +40,7 @@ def _report(num, label, ok):
 
 @pytest.fixture(scope="module")
 def complexes(all_morphisms):
-    return [(tag, MorphismComplex(psi)) for tag, psi in all_morphisms]
+    return [(tag, complex_of(psi)) for tag, psi in all_morphisms]
 
 
 def _random_mc(cx, n, rng):
@@ -84,13 +84,13 @@ def test_criterion_3_leading_coefficient_cocycle(complexes, bundled_models):
     ok = True
     for tag, cx in complexes:
         for _ in range(50):
-            th = random_deformation(cx.psi, 2, rng, cx)
+            th = random_deformation(cx.psi, 2, rng)
             ok = ok and verify_deformation(th).valid
-            ok = ok and leading_cocycle_check(th, cx).passed
+            ok = ok and leading_cocycle_check(th).passed
     # closed-form check on the zero line: an order-1 deformation of the
     # identity is valid exactly when the two first-order products agree
     psi = bundled_models["zero1"].morphisms["id"]
-    zcx = MorphismComplex(psi)
+    zcx = complex_of(psi)
     d = psi.source
     prod = product_cochain(d)
     for l, r, lp, rp, s in itertools.product((-1, 0, 1), repeat=5):
@@ -111,10 +111,10 @@ def test_criterion_4_obstruction_is_cocycle(complexes):
     ok = True
     for tag, cx in complexes:
         for order in (1, 2, 3, 4):
-            th = random_deformation(cx.psi, order, rng, cx)
+            th = random_deformation(cx.psi, order, rng)
             if th.order < 1:
                 continue
-            ob = obstruction(th, cx)
+            ob = obstruction(th)
             ok = ok and cx.coboundary(ob.cochain).is_zero()
     _report(4, "obstructions are 3-cocycles", ok)
 
@@ -125,10 +125,10 @@ def test_criterion_5_extension_biconditional(complexes, bundled_models):
     # (i) every successful extension step re-verifies at the next order
     for tag, cx in complexes:
         for _ in range(5):
-            th = random_deformation(cx.psi, 1, rng, cx)
+            th = random_deformation(cx.psi, 1, rng)
             if th.order < 1:
                 continue
-            nxt = extend_step(th, cx)
+            nxt = extend_step(th)
             if nxt is not None:
                 ok = ok and nxt.order == th.order + 1
                 ok = ok and verify_deformation(nxt).valid
@@ -136,17 +136,17 @@ def test_criterion_5_extension_biconditional(complexes, bundled_models):
     # the two first-order product coefficients coincide, and the blocked
     # certificate exhibits l(l-r) and r(l-r) as the nonzero tree values
     psi = bundled_models["zero1"].morphisms["id"]
-    cx = MorphismComplex(psi)
+    cx = complex_of(psi)
     d = psi.source
     prod = product_cochain(d)
     for l, r in itertools.product((-2, -1, 0, 1, 2), repeat=2):
         f1 = Cochain(2, d, cx.rep_d, [QQ.from_int(l), QQ.from_int(r)])
         th = TruncatedDeformation(psi, [prod, f1], [prod, f1],
                                   [psi.matrix, Matrix.zero(QQ, 1, 1)])
-        nxt = extend_step(th, cx)
+        nxt = extend_step(th)
         ok = ok and (nxt is not None) == (l == r)
         if l != r:
-            ob = obstruction(th, cx)
+            ob = obstruction(th)
             values = [ob.cochain.xi.value(t, (0, 0, 0))[0]
                       for t in range(5)]
             expected = sorted([QQ.zero, QQ.zero, QQ.zero,
@@ -166,7 +166,7 @@ def test_criterion_6_equivalent_infinitesimals(complexes):
         f = psi.field
         nd, ne = psi.source.dim, psi.target.dim
         for _ in range(50):
-            th = random_deformation(psi, 1, rng, cx)
+            th = random_deformation(psi, 1, rng)
             if th.order < 1:
                 th = TruncatedDeformation.trivial(psi, 1)
             phd1 = Matrix(f, nd, nd, [[f.from_int(rng.randint(-2, 2))
@@ -182,18 +182,17 @@ def test_criterion_6_equivalent_infinitesimals(complexes):
                 matrix_to_cochain1(phd1, cx.D, cx.rep_d),
                 matrix_to_cochain1(phe1, cx.E, cx.rep_e),
                 Cochain.zero(0, cx.D, cx.rep_de))
-            diff = infinitesimal(th, cx) - infinitesimal(transported, cx)
+            diff = infinitesimal(th) - infinitesimal(transported)
             ok = ok and diff == cx.coboundary(beta)
     _report(6, "transported infinitesimals differ by a coboundary", ok)
 
 
 def test_criterion_7_rigidity_of_the_multiplication_line(bundled_models):
     th = bundled_models["mult1"].deformations["oneplus"]
-    cx = MorphismComplex(th.psi)
-    iso, result = trivialize_step(th, cx)
-    ok = all(result.theta(k, cx).is_zero()
+    iso, result = trivialize_step(th)
+    ok = all(result.theta(k).is_zero()
              for k in range(1, result.order + 1))
-    report = rigidity_probe(th.psi, cx, order_cap=4, samples=5)
+    report = rigidity_probe(th.psi, order=4)
     ok = ok and report.hy2_dim == 0
     ok = ok and report.trivialized_samples == 5
     _report(7, "multiplication line is rigid", ok)

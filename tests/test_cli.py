@@ -269,6 +269,6 @@ def test_negative_arguments_raise_in_the_library(bundled_models):
     model = bundled_models["mult1"]
     for call in (lambda: cohomology_dim(d, adjoint_rep(d), -1),
                  lambda: extend_to_order(model.deformations["oneplus"], -1),
-                 lambda: rigidity_probe(model.morphisms["id"], order_cap=-1)):
+                 lambda: rigidity_probe(model.morphisms["id"], order=-1)):
         with pytest.raises(WorkbenchError):
             call()

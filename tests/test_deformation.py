@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from diadeform import deformation
+from diadeform import deformation, morphism_complex
 from diadeform.cochain import Cochain, product_cochain
 from diadeform.deformation import (FormalIso, TruncatedDeformation,
                                    apply_formal_iso, cocycle_check,
@@ -16,7 +16,8 @@ from diadeform.errors import (BaseMismatch, IndexOutOfRange,
                               NotACoboundary, OrderMismatch, OrderTooLow)
 from diadeform.fields import QQ, Series, SeriesRing
 from diadeform.linalg import Matrix
-from diadeform.morphism_complex import MorphismComplex
+from diadeform.models import load_bundled_model
+from diadeform.morphism_complex import MorphismComplex, complex_of
 
 
 def z_family(psi, cx, l, r, lp, rp, s):
@@ -37,13 +38,13 @@ def z_family(psi, cx, l, r, lp, rp, s):
 @pytest.fixture(scope="module")
 def zsetup(bundled_models):
     psi = bundled_models["zero1"].morphisms["id"]
-    return psi, MorphismComplex(psi)
+    return psi, complex_of(psi)
 
 
 @pytest.fixture(scope="module")
 def ksetup(bundled_models):
     psi = bundled_models["mult1"].morphisms["id"]
-    return psi, MorphismComplex(psi)
+    return psi, complex_of(psi)
 
 
 def test_bundled_deformations_valid(bundled_models):
@@ -70,7 +71,7 @@ def test_trivial_deformation(zsetup):
     assert th.order == 3
     assert verify_deformation(th)
     for k in range(1, 4):
-        assert th.theta(k, cx).is_zero()
+        assert th.theta(k).is_zero()
 
 
 def test_base_mismatch_rejected(zsetup, ksetup):
@@ -89,11 +90,11 @@ def test_base_mismatch_rejected(zsetup, ksetup):
 def test_infinitesimal(zsetup):
     psi, cx = zsetup
     th = z_family(psi, cx, 1, -1, 1, -1, 0)
-    theta1 = infinitesimal(th, cx)
-    assert theta1 == th.theta(1, cx)
+    theta1 = infinitesimal(th)
+    assert theta1 == th.theta(1)
     assert cx.coboundary(theta1).is_zero()
     with pytest.raises(OrderTooLow):
-        infinitesimal(TruncatedDeformation.trivial(psi), cx)
+        infinitesimal(TruncatedDeformation.trivial(psi))
 
 
 def test_leading_cocycle_detects_failure(zsetup):
@@ -101,7 +102,7 @@ def test_leading_cocycle_detects_failure(zsetup):
     # on the zero dialgebra the third coboundary block reduces to xi - pi,
     # so unequal first-order products give a non-cocycle leading term
     th = z_family(psi, cx, 1, 0, 0, 0, 0)
-    report = leading_cocycle_check(th, cx)
+    report = leading_cocycle_check(th)
     assert not report.passed
     assert report.leading_order == 1
     assert report.residual_location == "phi block, tree [21], indices (0, 0)"
@@ -111,7 +112,7 @@ def test_leading_cocycle_skips_zero_orders(zsetup):
     psi, cx = zsetup
     th = TruncatedDeformation.trivial(psi, 1)
     th = th.extended_with(cx.zero(2))  # order 2, still all zero
-    report = leading_cocycle_check(th, cx)
+    report = leading_cocycle_check(th)
     assert report.passed and report.leading_order is None
 
 
@@ -119,7 +120,7 @@ def test_obstruction_values_z(zsetup):
     psi, cx = zsetup
     l, r, s = 1, -1, 2
     th = z_family(psi, cx, l, r, l, r, s)
-    ob = obstruction(th, cx)
+    ob = obstruction(th)
     # composition square: l(l-r) on [213], r(l-r) on [312], 0 elsewhere
     expected = [0, l * (l - r), 0, r * (l - r), 0]
     got = [ob.cochain.xi.value(t, (0, 0, 0))[0] for t in range(5)]
@@ -134,18 +135,18 @@ def test_obstruction_values_z(zsetup):
 def test_obstruction_vanishes_when_equal(zsetup):
     psi, cx = zsetup
     th = z_family(psi, cx, 2, 2, 2, 2, 0)
-    assert obstruction(th, cx).is_zero()
+    assert obstruction(th).is_zero()
 
 
 def test_extend_step_blocked(zsetup):
     psi, cx = zsetup
-    assert extend_step(z_family(psi, cx, 1, -1, 1, -1, 0), cx) is None
+    assert extend_step(z_family(psi, cx, 1, -1, 1, -1, 0)) is None
 
 
 def test_extend_step_succeeds(zsetup):
     from diadeform.deformation import verify_deformation
     psi, cx = zsetup
-    nxt = extend_step(z_family(psi, cx, 2, 2, 2, 2, 1), cx)
+    nxt = extend_step(z_family(psi, cx, 2, 2, 2, 2, 1))
     assert nxt is not None
     assert nxt.order == 2
     assert verify_deformation(nxt)
@@ -153,9 +154,9 @@ def test_extend_step_succeeds(zsetup):
 
 def test_extend_to_order(zsetup):
     psi, cx = zsetup
-    good = extend_to_order(z_family(psi, cx, 1, 1, 1, 1, 0), 4, cx)
+    good = extend_to_order(z_family(psi, cx, 1, 1, 1, 1, 0), 4)
     assert good.succeeded and good.reached == 4
-    blocked = extend_to_order(z_family(psi, cx, 1, -1, 1, -1, 0), 3, cx)
+    blocked = extend_to_order(z_family(psi, cx, 1, -1, 1, -1, 0), 3)
     assert not blocked.succeeded
     assert blocked.reached == 1
     assert "not a coboundary" in blocked.certificate
@@ -189,6 +190,33 @@ def test_extension_is_verified_once(bundled_models, monkeypatch):
         == [(1, 0), (1, 1), (2, 1), (3, 1), (4, 0)]
 
 
+def test_blocked_extension_reports_its_own_hy3(bundled_models):
+    report = extend_to_order(
+        bundled_models["zero1"].deformations["theta_blocked"], 3)
+    assert report.reached == 1 and not report.succeeded
+    assert report.hy3_dim == 5 and report.guaranteed is False
+    assert "not a coboundary" in report.certificate
+
+
+@pytest.mark.parametrize("name, run", [
+    ("zero1", lambda m: extend_to_order(m.deformations["theta_eq"], 4)),
+    ("mult1", lambda m: rigidity_probe(m.morphisms["id"], order=3))])
+def test_delta_blocks_are_assembled_once_per_call(monkeypatch, name, run):
+    # every step of one call reads the same complex, so each block of the
+    # two delta matrices it needs is assembled once; a freshly parsed model
+    # shares no complex with other tests
+    model = load_bundled_model(name)
+    built = []
+    assemble = morphism_complex.coboundary_matrix
+    monkeypatch.setattr(morphism_complex, "coboundary_matrix",
+                        lambda d, rep, n: built.append((d, rep, n))
+                        or assemble(d, rep, n))
+    run(model)
+    assert len(built) == 6
+    keys = [(id(d), id(rep), n) for d, rep, n in built]
+    assert len(set(keys)) == len(keys)
+
+
 @pytest.mark.parametrize("target", [2, 3])
 def test_bad_solution_is_caught(zsetup, monkeypatch, target):
     # a solver that adds a non-cocycle to each solution: the extension is
@@ -201,26 +229,26 @@ def test_bad_solution_is_caught(zsetup, monkeypatch, target):
     assert not cx.coboundary(not_a_cocycle).is_zero()
     solve = deformation._solve
 
-    def bad_solve(complex_, n, b, label):
-        x, ranks = solve(complex_, n, b, label)
+    def bad_solve(cx, n, b, label):
+        x, ranks = solve(cx, n, b, label)
         return x + not_a_cocycle, ranks
     monkeypatch.setattr(deformation, "_solve", bad_solve)
     th = z_family(psi, cx, 1, 1, 1, 1, 0)
     with pytest.raises(InvalidDeformation,
                        match="solved extension failed re-verification"):
-        extend_to_order(th, target, cx)
+        extend_to_order(th, target)
     with pytest.raises(InvalidDeformation,
                        match="solved extension failed re-verification"):
-        extend_step(th, cx)
+        extend_step(th)
 
 
 def test_obstruction_rejects_an_invalid_deformation(zsetup):
     psi, cx = zsetup
     th = z_family(psi, cx, 1, -1, 1, 0, 2)
     with pytest.raises(InvalidDeformation):
-        obstruction(th, cx)
+        obstruction(th)
     with pytest.raises(InvalidDeformation):
-        extend_step(th, cx)
+        extend_step(th)
 
 
 @pytest.mark.parametrize("target", [1, 2])
@@ -229,14 +257,14 @@ def test_invalid_input_is_no_failed_reverification(zsetup, target):
     th = z_family(psi, cx, 1, -1, 1, 0, 2)
     # the input is reported as it is, not as a bad solved extension
     with pytest.raises(InvalidDeformation) as caught:
-        extend_to_order(th, target, cx)
+        extend_to_order(th, target)
     assert str(caught.value) \
         == "morphism equation (r) at order 1, pair (0, 0): (-1) != (0)"
 
 
 def test_nonzero_values_walks_the_blocks_in_order(zsetup):
     psi, cx = zsetup
-    ob = obstruction(z_family(psi, cx, 1, -1, 1, -1, 2), cx)
+    ob = obstruction(z_family(psi, cx, 1, -1, 1, -1, 2))
     got = [(name, tree.index, multi, v)
            for name, tree, multi, v in ob.cochain.nonzero_values(
                ("D", "E", "psi"))]
@@ -251,15 +279,15 @@ def test_extend_to_order_below_the_deformation_order(zsetup):
     psi, cx = zsetup
     th = z_family(psi, cx, 1, 1, 1, 1, 0)  # order 1
     with pytest.raises(IndexOutOfRange, match="below the deformation"):
-        extend_to_order(th, 0, cx)
-    same = extend_to_order(th, 1, cx)
+        extend_to_order(th, 0)
+    same = extend_to_order(th, 1)
     assert same.succeeded and same.deformation is th
 
 
 def test_extension_guaranteed_flag(ksetup):
     psi, cx = ksetup
     th = TruncatedDeformation.trivial(psi, 1)
-    report = extend_to_order(th, 3, cx)
+    report = extend_to_order(th, 3)
     assert report.hy3_dim == 0
     assert report.guaranteed
     assert report.reached == 3
@@ -359,8 +387,7 @@ def _inverse_coefficients(series):
 def test_transport_round_trip(all_morphisms):
     rng = random.Random(2718)
     for tag, psi in all_morphisms:
-        cx = MorphismComplex(psi)
-        th = random_deformation(psi, 2, rng, cx)
+        th = random_deformation(psi, 2, rng)
         f = psi.field
         series = []
         for n in (psi.source.dim, psi.target.dim):
@@ -421,8 +448,7 @@ def test_iso_of_another_morphism(bundled_models):
 def test_apply_iso_preserves_validity(bundled_models, rng):
     from diadeform.deformation import verify_deformation
     psi = bundled_models["dim2"].morphisms["id"]
-    cx = MorphismComplex(psi)
-    th = random_deformation(psi, 2, rng, cx)
+    th = random_deformation(psi, 2, rng)
     f = psi.field
     nd = psi.source.dim
     mats = lambda: Matrix(f, nd, nd, [[f.from_int(rng.randint(-2, 2))
@@ -452,31 +478,30 @@ def test_iso_requires_identity_constant_term(zsetup):
 
 def test_trivialize_oneplus(bundled_models):
     th = bundled_models["mult1"].deformations["oneplus"]
-    cx = MorphismComplex(th.psi)
-    iso, result = trivialize_step(th, cx)
+    iso, result = trivialize_step(th)
     for k in range(1, result.order + 1):
-        assert result.theta(k, cx).is_zero()
+        assert result.theta(k).is_zero()
 
 
 def test_trivialize_rejects_noncoboundary(zsetup):
     psi, cx = zsetup
     th = z_family(psi, cx, 1, 1, 1, 1, 0)
     with pytest.raises(NotACoboundary) as exc:
-        trivialize_step(th, cx)
+        trivialize_step(th)
     assert "rank" in exc.value.certificate
 
 
 def test_rigidity_probe_mult(ksetup):
-    psi, cx = ksetup
-    report = rigidity_probe(psi, cx, order_cap=3, samples=4)
+    psi, _ = ksetup
+    report = rigidity_probe(psi, order=3)
     assert report.hy2_dim == 0
     assert report.verdict.startswith("rigid")
-    assert report.trivialized_samples == 4
+    assert report.trivialized_samples == 5
 
 
 def test_rigidity_probe_undecided(zsetup):
-    psi, cx = zsetup
-    report = rigidity_probe(psi, cx, order_cap=2, samples=1)
+    psi, _ = zsetup
+    report = rigidity_probe(psi, order=2)
     assert report.hy2_dim == 2
     assert "not decided" in report.verdict
 
@@ -491,8 +516,7 @@ def test_random_cocycle_in_kernel(zsetup, rng):
 def test_random_deformation_valid(all_morphisms, rng):
     from diadeform.deformation import verify_deformation
     for tag, psi in all_morphisms:
-        cx = MorphismComplex(psi)
-        th = random_deformation(psi, 2, rng, cx)
+        th = random_deformation(psi, 2, rng)
         assert verify_deformation(th), tag
 
 
@@ -507,6 +531,6 @@ def test_random_deformation_verifies_what_it_returns(ksetup, monkeypatch,
     not_a_cocycle = cx.unvec(2, tuple(coords))
     assert not cx.coboundary(not_a_cocycle).is_zero()
     monkeypatch.setattr(deformation, "random_cocycle",
-                        lambda complex_, n, rng: not_a_cocycle)
+                        lambda cx, n, rng: not_a_cocycle)
     with pytest.raises(InvalidDeformation):
-        random_deformation(psi, order, random.Random(0), cx)
+        random_deformation(psi, order, random.Random(0))

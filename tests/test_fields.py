@@ -69,6 +69,21 @@ def test_gf_compares_to_int():
     assert F.from_int(3) != 0
 
 
+@pytest.mark.parametrize("p", [5, 32003])
+def test_gf_int_equality_agrees_with_hash(p):
+    # an element equals one int only, its residue in [0, p), so that sets
+    # and dicts mixing elements and ints find what == finds
+    F = PrimeField(p)
+    ints = (-p - 1, -p, -1, 0, 1, 2, p - 1, p, p + 1, 2 * p)
+    for x in map(F.from_int, ints):
+        for n in ints:
+            assert (x == n) == (n == x.v)
+            if x == n:
+                assert hash(x) == hash(n)
+            assert (n in {x}) == (x == n) == (x in {n})
+            assert {x: True}.get(n, False) == (x == n)
+
+
 def test_gf_element_is_immutable():
     a = PrimeField(5).from_int(3)
     for act in (lambda: setattr(a, "v", 1), lambda: delattr(a, "p")):

@@ -11,7 +11,7 @@ F7 = PrimeField(7)
 
 
 def qmat(rows):
-    return Matrix.from_rows(QQ, rows)
+    return Matrix(QQ, len(rows), len(rows[0]), rows)
 
 
 small = st.integers(-6, 6)
@@ -23,7 +23,7 @@ def matrices(field=QQ, max_dim=4):
             lambda c: st.lists(
                 st.lists(small, min_size=c, max_size=c),
                 min_size=r, max_size=r).map(
-                    lambda rows: Matrix.from_rows(field, rows))))
+                    lambda rows: Matrix(field, r, c, rows))))
 
 
 def test_construction_and_indexing():
@@ -44,7 +44,7 @@ def test_shape_checks():
 
 def test_field_checks():
     a = qmat([[1]])
-    b = Matrix.from_rows(F7, [[1]])
+    b = Matrix(F7, 1, 1, [[1]])
     with pytest.raises(MixedFields):
         a + b
 

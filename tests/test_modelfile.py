@@ -304,7 +304,7 @@ def test_integers_are_ascii_digits():
 
 
 def test_sizes_checked_before_allocation():
-    from diadeform.deformation import DEFAULT_ORDER_CAP
+    from diadeform.deformation import ORDER_CAP
     from diadeform.modelfile import MAX_DIM
     for dim in (100000, MAX_DIM + 1, 0, -3):
         line, message = _parse_failure(
@@ -315,12 +315,12 @@ def test_sizes_checked_before_allocation():
     text = bundled_model_text("mult1")
     for header in ("deformation oneplus", "formal-iso scale"):
         at = text.index("  order 1\n", text.index(header))
-        for order in (1000000000, DEFAULT_ORDER_CAP + 1):
+        for order in (1000000000, ORDER_CAP + 1):
             bad = (text[:at] + "  order %d\n" % order
                    + text[at + len("  order 1\n"):])
             line, message = _parse_failure(bad)
             assert line == _line_of(bad, at) and "order" in message, header
-        ok = (text[:at] + "  order %d\n" % DEFAULT_ORDER_CAP
+        ok = (text[:at] + "  order %d\n" % ORDER_CAP
               + text[at + len("  order 1\n"):])
         assert parse_model(ok)
 

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -8,11 +9,11 @@ from conftest import (change_basis, mirror, mult_dialgebra, random_cochain,
 from diadeform.cochain import Cochain, coboundary, coboundary_matrix, cy_dim
 from diadeform.dialgebra import (DialgebraMorphism, adjoint_rep,
                                  check_morphism)
-from diadeform.errors import CapExceeded, ShapeMismatch
+from diadeform.errors import ShapeMismatch
 from diadeform.fields import QQ, PrimeField
 from diadeform.models import bundled_model_names, load_bundled_model
 from diadeform.morphism_complex import (MorphismCochain, MorphismComplex,
-                                        mor_coboundary)
+                                        complex_of)
 
 
 def random_mc(cx, n, rng):
@@ -86,12 +87,6 @@ def test_vec_unvec_roundtrip(rng, complexes):
         assert cx.unvec(2, cx.vec(mc)) == mc, tag
 
 
-def test_free_function_agrees_with_method(rng, complexes):
-    for tag, cx in complexes:
-        mc = random_mc(cx, 1, rng)
-        assert mor_coboundary(cx, mc) == cx.coboundary(mc), tag
-
-
 def test_cohomology_identity_morphisms(bundled_models):
     cx = MorphismComplex(bundled_models["mult1"].morphisms["id"])
     assert [cx.cohomology_dim(n) for n in (1, 2, 3)] == [1, 0, 0]
@@ -151,21 +146,22 @@ def test_cochain_block_shape_checked(rng, complexes):
                         random_cochain(cx.D, cx.rep_de, 0, rng))
 
 
-def test_raised_cap_reaches_push_and_pull():
-    k = mult_dialgebra()
-    cx = MorphismComplex(DialgebraMorphism.identity(k), cap=6)
-    rng = random.Random(6)
-    xi = random_cochain(k, cx.rep_d, 6, rng)
-    pi = random_cochain(k, cx.rep_e, 6, rng)
-    assert cx.push_matrix(6).apply(xi.coeffs) == cx.push_forward(xi).coeffs
-    assert cx.pull_matrix(6).apply(pi.coeffs) == cx.pull_back(pi).coeffs
-    default = MorphismComplex(cx.psi)
-    for over_cap in (lambda: default.push_matrix(6),
-                     lambda: default.pull_matrix(6),
-                     lambda: default.push_forward(xi),
-                     lambda: default.pull_back(pi)):
-        with pytest.raises(CapExceeded):
-            over_cap()
+def test_complex_of_is_shared_while_held():
+    psi = DialgebraMorphism.identity(mult_dialgebra())
+    cx = complex_of(psi)
+    assert complex_of(psi) is cx and cx.psi is psi
+    assert complex_of(DialgebraMorphism.identity(cx.D)) is not cx
+
+
+def test_complex_of_is_freed_with_its_last_holder():
+    # the memo keeps no complex, or its matrices, alive by itself
+    psi = DialgebraMorphism.identity(mult_dialgebra())
+    cx = complex_of(psi)
+    cx.matrix(2)
+    ref = weakref.ref(cx)
+    del cx
+    assert ref() is None
+    assert complex_of(psi).cohomology_dim(2) == 0
 
 
 def test_rank_over_qq_and_prime_fields():

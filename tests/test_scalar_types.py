@@ -23,7 +23,7 @@ from diadeform.fields import QQ, Rationals
 from diadeform.linalg import Matrix
 from diadeform.modelfile import parse_model
 from diadeform.models import bundled_model_names, bundled_model_text
-from diadeform.morphism_complex import MorphismComplex
+from diadeform.morphism_complex import MorphismComplex, complex_of
 
 TOKENS = ("0", "0", "0", "1", "-1", "2", "-3", "1/2", "-2/3")
 
@@ -119,14 +119,14 @@ def _computations(model, as_fractions, seed):
             out += [mat, mat.rank(), coboundary(c).coeffs]
             _assert_pivot_rows_canonical(mat)
     for psi in model.morphisms.values():
-        cx = MorphismComplex(psi)
+        cx = complex_of(psi)
         for n in (1, 2):
             mat = cx.matrix(n)
             out += [mat, mat.rank(), mat.kernel_basis()]
             _assert_pivot_rows_canonical(mat)
         out.append(cx.vec(cx.coboundary(cx.unvec(2, coords(cx.dim(2))))))
         try:
-            th = random_deformation(psi, 2, random.Random(seed), cx)
+            th = random_deformation(psi, 2, random.Random(seed))
             out += [[c.coeffs for c in th.fd + th.fe], th.psis]
         except InvalidDeformation as exc:  # the lopsided model's
             out.append(str(exc))
