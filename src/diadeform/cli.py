@@ -8,6 +8,7 @@ strings.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -231,7 +232,11 @@ def _report_cocycle(emit, cx, mc, order, names=("xi", "pi", "phi")):
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one: parse_args returns a fresh namespace each time, and the
+    defaults are immutable."""
     top = argparse.ArgumentParser(
         prog="diadeform",
         description="Exact workbench for dialgebra cohomology and"

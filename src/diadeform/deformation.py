@@ -30,7 +30,7 @@ from .fields import Series, SeriesRing, format_scalars
 from .linalg import Matrix
 from .morphism_complex import MorphismCochain, complex_of
 
-ORDER_CAP = 6  # the largest deformation order extended to or parsed
+ORDER_CAP = 6  # the largest deformation order extended to, sampled or parsed
 PROBE_SAMPLES = 5  # the deformations a rigidity probe samples
 
 # Y_2 indices under the documented enumeration
@@ -442,7 +442,13 @@ def extend_step(th):
     return extended
 
 
-def obstruction_certificate(th, ob, cx):
+def _require_within_cap(kind, order):
+    if order > ORDER_CAP:
+        raise CapExceeded("%s order %d exceeds cap %d"
+                          % (kind, order, ORDER_CAP))
+
+
+def obstruction_certificate(ob, cx):
     """Rank witness plus per-tree obstruction values for a blocked step."""
     _, ranks = _solve(cx, 2, ob.cochain, "Ob")
     return "\n".join(
@@ -460,9 +466,7 @@ def extend_to_order(th, target):
     if target < th.order:
         raise IndexOutOfRange("target order %d is below the deformation's"
                               " order %d" % (target, th.order))
-    if target > ORDER_CAP:
-        raise CapExceeded("target order %d exceeds cap %d"
-                          % (target, ORDER_CAP))
+    _require_within_cap("target", target)
     cx = complex_of(th.psi)
     _require_valid(th)
     hy3 = cx.cohomology_dim(3)
@@ -477,7 +481,7 @@ def extend_to_order(th, target):
                 continue
             nxt, ob = _extend(current, cx)
             if nxt is None:
-                certificate = obstruction_certificate(current, ob, cx)
+                certificate = obstruction_certificate(ob, cx)
                 break
             current, solved = nxt, True
         if solved and certificate is None:
@@ -551,6 +555,7 @@ def rigidity_probe(psi, order=4):
     """HY^2-based rigidity verdict, exercised on sampled deformations."""
     if order < 0:
         raise IndexOutOfRange("sample order must be >= 0, got %d" % order)
+    _require_within_cap("sample", order)
     report = check_morphism(psi)
     if not report:
         raise InvalidDeformation("psi is not a dialgebra morphism")
@@ -599,6 +604,7 @@ def random_deformation(psi, order, rng):
     validates the deformation it is computed from, and one that reached
     the requested order is verified as a whole.
     """
+    _require_within_cap("target", order)
     th = TruncatedDeformation.trivial(psi)
     if order < 1:
         return th

@@ -153,7 +153,7 @@ def test_criterion_5_extension_biconditional(complexes, bundled_models):
                                QQ.from_int(l * (l - r)),
                                QQ.from_int(r * (l - r))])
             ok = ok and sorted(values) == expected
-            cert = obstruction_certificate(th, ob, cx)
+            cert = obstruction_certificate(ob, cx)
             ok = ok and "not a coboundary" in cert
     _report(5, "extension iff obstruction bounds", ok)
 

@@ -1,9 +1,14 @@
 import io
+import os
+import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
-from diadeform.cli import main
+import diadeform
+from diadeform.cli import build_parser, main
 from diadeform.cochain import cohomology_dim
 from diadeform.deformation import extend_to_order, rigidity_probe
 from diadeform.dialgebra import adjoint_rep
@@ -132,6 +137,19 @@ def test_rigidity_probe(capsys, model_path):
                        "--morphism", "id", "--order", "3")
     assert code == 0
     assert "rigid" in out
+
+
+def test_rigidity_probe_order_cap(capsys, model_path):
+    p = model_path("mult1")
+    code, out, _ = run(capsys, "rigidity-probe", p, "--morphism", "id",
+                       "--order", "6")
+    assert code == 0
+    assert "to order 6" in out
+    code, out, err = run(capsys, "rigidity-probe", p, "--morphism", "id",
+                         "--order", "7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: sample order 7 exceeds cap 6\n"
 
 
 def test_records_format(capsys, model_path):
@@ -272,3 +290,41 @@ def test_negative_arguments_raise_in_the_library(bundled_models):
                  lambda: rigidity_probe(model.morphisms["id"], order=-1)):
         with pytest.raises(WorkbenchError):
             call()
+
+
+# each step's argv differs from the one before only in what a parser
+# reused from the earlier call could leak: a flag's value, the format, a
+# default, or the state left by a usage error
+REUSE_SEQUENCE = (
+    ("cohomology", "{mult1}", "--degree", "3"),
+    ("cohomology", "{mult1}"),
+    ("--format", "records", "check", "{zero1}"),
+    ("check", "{zero1}"),
+    ("extend", "{mult1}", "--to", "3"),
+    ("extend", "{mult1}"),
+    ("cohomology", "{mult1}", "--degree", "x"),
+    ("cohomology", "{mult1}"),
+)
+
+
+def test_reused_parser_matches_fresh_processes(capsys, model_path,
+                                               monkeypatch):
+    paths = {name: model_path(name) for name in ("mult1", "zero1")}
+    # usage messages wrap at the terminal width, so fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=str(
+        pathlib.Path(diadeform.__file__).parent.parent))
+    build_parser.cache_clear()
+    for step in REUSE_SEQUENCE:
+        argv = [a.format(**paths) for a in step]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "diadeform.cli"] + argv,
+            capture_output=True, encoding="utf-8", env=env)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), step
+    assert build_parser.cache_info().misses == 1

@@ -11,7 +11,7 @@ from diadeform.deformation import (FormalIso, TruncatedDeformation,
                                    obstruction, random_cocycle,
                                    random_deformation, rigidity_probe,
                                    trivialize_step, unipotent_inverse)
-from diadeform.errors import (BaseMismatch, IndexOutOfRange,
+from diadeform.errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                               InvalidDeformation, NonIdentityConstantTerm,
                               NotACoboundary, OrderMismatch, OrderTooLow)
 from diadeform.fields import QQ, Series, SeriesRing
@@ -504,6 +504,17 @@ def test_rigidity_probe_undecided(zsetup):
     report = rigidity_probe(psi, order=2)
     assert report.hy2_dim == 2
     assert "not decided" in report.verdict
+
+
+def test_sample_order_above_the_cap_raises(ksetup):
+    psi, _ = ksetup
+    cap = deformation.ORDER_CAP
+    above = "order %d exceeds cap %d" % (cap + 1, cap)
+    with pytest.raises(CapExceeded, match="sample " + above):
+        rigidity_probe(psi, order=cap + 1)
+    with pytest.raises(CapExceeded, match="target " + above):
+        random_deformation(psi, cap + 1, random.Random(0))
+    assert random_deformation(psi, cap, random.Random(0)).order == cap
 
 
 def test_random_cocycle_in_kernel(zsetup, rng):
