@@ -44,17 +44,27 @@ class Emitter:
             print(text)
 
 
-def _load_model(args):
+# object kind -> the flag that picks one object of that kind
+KIND_FLAGS = {"dialgebra": "object", "morphism": "morphism",
+              "deformation": "deformation"}
+
+
+def _target(args):
+    """What a command works on: nothing, the whole model file, or the one
+    object of its kind that the kind's flag picks."""
+    if args.kind is None:
+        return None
     override = parse_field(args.field) if args.field else None
     if args.model == "-":
         text = sys.stdin.read()
     else:
         with open(args.model, encoding="utf-8") as fh:
             text = fh.read()
-    return parse_model(text, field_override=override)
-
-
-def _get(table, name, kind):
+    model = parse_model(text, field_override=override)
+    if args.kind == "model":
+        return model
+    kind, table = args.kind, getattr(model, args.kind + "s")
+    name = getattr(args, KIND_FLAGS[kind])
     if name is None:
         if len(table) == 1:
             return next(iter(table.values()))
@@ -66,8 +76,7 @@ def _get(table, name, kind):
     return table[name]
 
 
-def cmd_check(args, emit):
-    model = _load_model(args)
+def cmd_check(args, emit, model):
     ok = True
     for kind, name, report in validate_model(model):
         ok = ok and report.valid
@@ -83,7 +92,7 @@ def cmd_check(args, emit):
     return 0 if ok else 1
 
 
-def cmd_trees(args, emit):
+def cmd_trees(args, emit, _):
     m = args.degree
     trees = enumerate_trees(m)
     emit.line("Y_%d: %d trees" % (m, len(trees)), degree=m,
@@ -103,9 +112,7 @@ def cmd_trees(args, emit):
     return 0
 
 
-def cmd_cohomology(args, emit):
-    model = _load_model(args)
-    d = _get(model.dialgebras, args.object, "dialgebra")
+def cmd_cohomology(args, emit, d):
     n = args.degree
     dim = cohomology_dim(d, adjoint_rep(d), n)
     emit.line("HY^%d(%s,%s) = %d" % (n, d.name, d.name, dim),
@@ -113,9 +120,7 @@ def cmd_cohomology(args, emit):
     return 0
 
 
-def cmd_mor_cohomology(args, emit):
-    model = _load_model(args)
-    psi = _get(model.morphisms, args.morphism, "morphism")
+def cmd_mor_cohomology(args, emit, psi):
     n = args.degree
     dim = complex_of(psi).cohomology_dim(n)
     emit.line("HY^%d(%s,%s) = %d" % (n, psi.name, psi.name, dim),
@@ -123,9 +128,7 @@ def cmd_mor_cohomology(args, emit):
     return 0
 
 
-def cmd_deform_verify(args, emit):
-    model = _load_model(args)
-    th = _get(model.deformations, args.deformation, "deformation")
+def cmd_deform_verify(args, emit, th):
     report = verify_deformation(th)
     if report:
         emit.line("PASS deformation valid through order %d" % th.order,
@@ -137,25 +140,19 @@ def cmd_deform_verify(args, emit):
     return 1
 
 
-def cmd_infinitesimal(args, emit):
-    model = _load_model(args)
-    th = _get(model.deformations, args.deformation, "deformation")
+def cmd_infinitesimal(args, emit, th):
     cx = complex_of(th.psi)
     return _report_cocycle(emit, cx, infinitesimal(th), 1)
 
 
-def cmd_obstruction(args, emit):
-    model = _load_model(args)
-    th = _get(model.deformations, args.deformation, "deformation")
+def cmd_obstruction(args, emit, th):
     cx = complex_of(th.psi)
     ob = obstruction(th)
     return _report_cocycle(emit, cx, ob.cochain, ob.order,
                            names=("Ob_D", "Ob_E", "Ob_psi"))
 
 
-def cmd_extend(args, emit):
-    model = _load_model(args)
-    th = _get(model.deformations, args.deformation, "deformation")
+def cmd_extend(args, emit, th):
     report = extend_to_order(th, args.to)
     emit.line("reached order %d of %d (HY^3 = %d%s)"
               % (report.reached, report.target, report.hy3_dim,
@@ -169,9 +166,7 @@ def cmd_extend(args, emit):
     return 0
 
 
-def cmd_trivialize(args, emit):
-    model = _load_model(args)
-    th = _get(model.deformations, args.deformation, "deformation")
+def cmd_trivialize(args, emit, th):
     try:
         iso, result = trivialize_step(th)
     except NotACoboundary as exc:
@@ -185,9 +180,7 @@ def cmd_trivialize(args, emit):
     return 0
 
 
-def cmd_rigidity_probe(args, emit):
-    model = _load_model(args)
-    psi = _get(model.morphisms, args.morphism, "morphism")
+def cmd_rigidity_probe(args, emit, psi):
     report = rigidity_probe(psi, order=args.order)
     emit.line("HY^2(%s,%s) = %d" % (psi.name, psi.name, report.hy2_dim),
               morphism=psi.name, hy2=report.hy2_dim)
@@ -199,7 +192,7 @@ def cmd_rigidity_probe(args, emit):
     return 0 if report.hy2_dim == 0 else 1
 
 
-def cmd_selftest(args, emit):
+def cmd_selftest(args, emit, _):
     def report(name, ok, detail):
         status = "PASS" if ok else "FAIL"
         extra = ("  %s" % detail) if detail else ""
@@ -245,49 +238,42 @@ def build_parser():
                      default="text", help="report style")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_model=True):
+    def add(name, fn, kind=None):
+        """A subcommand on None, "model" or an object kind and its flag."""
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        if needs_model:
+        p.set_defaults(fn=fn, kind=kind)
+        if kind:
             p.add_argument("model", help="model file path, or - for stdin")
             p.add_argument("--field", default=None,
                            help="override the base field, e.g. gf:7")
+        if kind in KIND_FLAGS:
+            p.add_argument("--" + KIND_FLAGS[kind], default=None)
         return p
 
-    add("check", cmd_check)
+    add("check", cmd_check, "model")
 
-    p = add("trees", cmd_trees, needs_model=False)
+    p = add("trees", cmd_trees)
     p.add_argument("--degree", type=int, default=3)
 
-    p = add("cohomology", cmd_cohomology)
-    p.add_argument("--object", default=None)
+    p = add("cohomology", cmd_cohomology, "dialgebra")
     p.add_argument("--degree", type=int, default=2)
 
-    p = add("mor-cohomology", cmd_mor_cohomology)
-    p.add_argument("--morphism", default=None)
+    p = add("mor-cohomology", cmd_mor_cohomology, "morphism")
     p.add_argument("--degree", type=int, default=2)
 
-    p = add("deform-verify", cmd_deform_verify)
-    p.add_argument("--deformation", default=None)
+    add("deform-verify", cmd_deform_verify, "deformation")
+    add("infinitesimal", cmd_infinitesimal, "deformation")
+    add("obstruction", cmd_obstruction, "deformation")
 
-    p = add("infinitesimal", cmd_infinitesimal)
-    p.add_argument("--deformation", default=None)
-
-    p = add("obstruction", cmd_obstruction)
-    p.add_argument("--deformation", default=None)
-
-    p = add("extend", cmd_extend)
-    p.add_argument("--deformation", default=None)
+    p = add("extend", cmd_extend, "deformation")
     p.add_argument("--to", type=int, default=2)
 
-    p = add("trivialize", cmd_trivialize)
-    p.add_argument("--deformation", default=None)
+    add("trivialize", cmd_trivialize, "deformation")
 
-    p = add("rigidity-probe", cmd_rigidity_probe)
-    p.add_argument("--morphism", default=None)
+    p = add("rigidity-probe", cmd_rigidity_probe, "morphism")
     p.add_argument("--order", type=int, default=4)
 
-    add("selftest", cmd_selftest, needs_model=False)
+    add("selftest", cmd_selftest)
     return top
 
 
@@ -296,7 +282,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     emit = Emitter(records=(args.format == "records"))
     try:
-        return args.fn(args, emit)
+        return args.fn(args, emit, _target(args))
     except (OSError, UnicodeDecodeError, WorkbenchError) as exc:
         # unreadable model paths and non-UTF-8 files are input errors too
         print("error: %s" % exc, file=sys.stderr)

@@ -281,6 +281,18 @@ def cohomology_dim(d, rep, n):
     return kernel - image
 
 
+def random_scalar(field, rng):
+    """One seeded scalar draw, an integer from -3 to 3."""
+    return field.from_int(rng.randint(-3, 3))
+
+
+def random_cochain(d, rep, n, rng):
+    """A random element of CY^n(D,M): one scalar draw per coordinate, in
+    the flat coordinate order."""
+    return Cochain(n, d, rep, [random_scalar(d.field, rng)
+                               for _ in range(cy_dim(d, rep, n))])
+
+
 def product_cochain(d):
     """The 2-cochain with [21] |-> -| and [12] |-> |-, the products of D."""
     from .dialgebra import adjoint_rep

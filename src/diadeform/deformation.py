@@ -18,7 +18,7 @@ isomorphism acts by conjugating the lifted products and morphism.
 import random
 from dataclasses import dataclass
 
-from .cochain import Cochain, product_cochain
+from .cochain import Cochain, product_cochain, random_scalar
 from .dialgebra import (AXIOMS, LEFT, Dialgebra, DialgebraMorphism,
                         adjoint_rep, check_dialgebra, check_morphism,
                         image_products)
@@ -212,6 +212,14 @@ class FormalIso:
         return cls(psi,
                    [Matrix.identity(f, d)] + [Matrix.zero(f, d, d)] * order,
                    [Matrix.identity(f, e)] + [Matrix.zero(f, e, e)] * order)
+
+    def beta(self, k):
+        """The order-k coefficients as the morphism 1-cochain (xi; pi; 0)."""
+        cx = complex_of(self.psi)
+        return MorphismCochain(
+            matrix_to_cochain1(self.phi_d[k], cx.D, cx.rep_d),
+            matrix_to_cochain1(self.phi_e[k], cx.E, cx.rep_e),
+            Cochain.zero(0, cx.D, cx.rep_de))
 
 
 def unipotent_inverse(phi):
@@ -418,15 +426,18 @@ def _solve(cx, n, b, label):
             % (n, rank, n, label, rank + (x is None)))
 
 
-def _extend(th, cx):
+def _extend(th, cx, rng=None):
     """One order of extension by a solution of delta theta = Ob: (the
-    extension, None), or (None, Ob) if Ob is no coboundary.  Computing Ob
-    validates th; the extension is not checked here, so that the caller
-    checks it exactly once."""
+    extension, None), or (None, Ob) if Ob is no coboundary.  With an rng,
+    the solution is shifted by a random 2-cocycle.  Computing Ob validates
+    th; the extension is not checked here, so that the caller checks it
+    exactly once."""
     ob = obstruction(th)
     theta, _ = _solve(cx, 2, ob.cochain, "Ob")
     if theta is None:
         return None, ob
+    if rng is not None:
+        theta = theta + random_cocycle(cx, 2, rng)
     return th.extended_with(theta), None
 
 
@@ -531,9 +542,16 @@ def apply_formal_iso(th, iso):
 def trivialize_step(th):
     """Kill the leading nonzero coefficient by a formal isomorphism.
 
-    Requires the leading coefficient to be a 2-coboundary; returns the
-    pair (iso, transported deformation) with one more vanishing order.
+    Requires a valid deformation whose leading coefficient is a
+    2-coboundary; returns the pair (iso, transported deformation) with one
+    more vanishing order.
     """
+    _require_valid(th)
+    return _trivialize(th)
+
+
+def _trivialize(th):
+    """trivialize_step on a deformation known to be valid."""
     lead = th.leading_order()
     if lead is None:
         return FormalIso.identity(th.psi, th.order), th
@@ -568,30 +586,38 @@ def rigidity_probe(psi, order=4):
     trivialized = 0
     for _ in range(PROBE_SAMPLES):
         th = random_deformation(psi, order, rng)
+        # a sample is valid, and so is every transport of it
         while th.leading_order() is not None:
-            _, th = trivialize_step(th)
+            _, th = _trivialize(th)
         trivialized += 1
     return RigidityReport(0, "rigid (HY^2 = 0)", trivialized)
 
 
-# -- random valid deformations -----------------------------------------
+# -- random samples ----------------------------------------------------
 
 
-def _random_scalar(field, rng):
-    return field.from_int(rng.randint(-3, 3))
+def random_formal_iso(psi, order, rng):
+    """A random formal isomorphism of psi of the given order: entries from
+    -2 to 2, drawn row by row for orders 1..N of D's series, then E's."""
+    f = psi.field
+
+    def series(n):
+        return [Matrix.identity(f, n)] + [
+            Matrix(f, n, n, [[f.from_int(rng.randint(-2, 2))
+                              for _ in range(n)] for _ in range(n)])
+            for _ in range(order)]
+    return FormalIso(psi, series(psi.source.dim), series(psi.target.dim))
 
 
 def random_cocycle(cx, n, rng):
     """A random element of ker delta^n, as a morphism cochain."""
     mat = cx.matrix(n)
-    basis = mat.kernel_basis()
-    f = cx.field
-    coords = [f.zero] * mat.cols
-    for v in basis:
-        c = _random_scalar(f, rng)
-        if c == f.zero:
-            continue
-        coords = [x + c * y for x, y in zip(coords, v)]
+    z = cx.field.zero
+    coords = [z] * mat.cols
+    for v in mat.kernel_basis():  # one scalar draw per basis vector
+        c = random_scalar(cx.field, rng)
+        if c != z:
+            coords = [x + c * y for x, y in zip(coords, v)]
     return cx.unvec(n, tuple(coords))
 
 
@@ -611,10 +637,9 @@ def random_deformation(psi, order, rng):
     cx = complex_of(psi)
     th = th.extended_with(random_cocycle(cx, 2, rng))
     while th.order < order:
-        ob = obstruction(th)
-        theta, _ = _solve(cx, 2, ob.cochain, "Ob")
-        if theta is None:
+        nxt, _ = _extend(th, cx, rng)
+        if nxt is None:
             return th
-        th = th.extended_with(theta + random_cocycle(cx, 2, rng))
+        th = nxt
     _require_valid(th)
     return th

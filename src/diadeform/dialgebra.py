@@ -54,11 +54,12 @@ def _check_tensor(field, tensor, d1, d2, d3, what):
 def _combine(zero, coeffs, rows):
     """sum_s coeffs[s] * rows[s] on coordinate vectors, skipping zero
     coefficients: the contraction behind every product evaluation."""
-    out = (zero,) * len(rows[0])
+    out = None
     for c, row in zip(coeffs, rows):
         if c != zero:
-            out = tuple(o + c * x for o, x in zip(out, row))
-    return out
+            out = ([c * x for x in row] if out is None
+                   else [o + c * x for o, x in zip(out, row)])
+    return (zero,) * len(rows[0]) if out is None else tuple(out)
 
 
 @dataclass(frozen=True)
@@ -259,6 +260,13 @@ def adjoint_rep(d):
     return Representation(d, d.dim, d.left, d.right, d.left, d.right)
 
 
+def _on_left(t, cols, z):
+    """The pulled-back action psi(e_i) o m of a product tensor T of E:
+    T'[i][u] = sum_s psi[s,i] * T[s][u], for each column psi(e_i)."""
+    return [[_combine(z, c, [block[u] for block in t]) for u in range(len(t))]
+            for c in cols]
+
+
 def pullback_rep(psi):
     """The target of a morphism as a representation of the source.
 
@@ -268,23 +276,20 @@ def pullback_rep(psi):
     e, z = psi.target, psi.field.zero
     cols = psi.matrix.transpose().dense_rows()
 
-    def on_left(t):  # T'[i][u] = sum_s psi[s,i] * T[s][u]
-        return [[_combine(z, c, [block[u] for block in t])
-                 for u in range(e.dim)] for c in cols]
-
     def on_right(t):  # T'[u][i] = sum_s psi[s,i] * T[u][s]
         return [[_combine(z, c, t[u]) for c in cols] for u in range(e.dim)]
 
-    return Representation(psi.source, e.dim, on_left(e.left),
-                          on_left(e.right), on_right(e.left),
+    return Representation(psi.source, e.dim, _on_left(e.left, cols, z),
+                          _on_left(e.right, cols, z), on_right(e.left),
                           on_right(e.right))
 
 
 def image_products(psi):
     """The tables psi(e_i) o psi(e_j) for -| and for |-, contracting the
-    pullback action psi(e_i) o m with the column psi(e_j)."""
-    rep = pullback_rep(psi)
+    pulled-back action psi(e_i) o m with the column psi(e_j).  Only the
+    two left actions are read, so no representation is built."""
     z = psi.field.zero
     cols = psi.matrix.transpose().dense_rows()
-    return tuple([[_combine(z, cj, block) for cj in cols] for block in act]
-                 for act in (rep.act_dl, rep.act_dr))
+    return tuple([[_combine(z, cj, block) for cj in cols]
+                  for block in _on_left(t, cols, z)]
+                 for t in (psi.target.left, psi.target.right))

@@ -21,7 +21,7 @@ import itertools
 import weakref
 
 from .cochain import (Cochain, coboundary, coboundary_matrix, cy_dim,
-                      multi_indices)
+                      multi_indices, random_cochain)
 from .dialgebra import adjoint_rep, pullback_rep
 from .errors import ShapeMismatch
 from .linalg import Matrix
@@ -107,6 +107,12 @@ class MorphismComplex:
         return MorphismCochain(Cochain.zero(n, self.D, self.rep_d),
                                Cochain.zero(n, self.E, self.rep_e),
                                Cochain.zero(n - 1, self.D, self.rep_de))
+
+    def random_cochain(self, n, rng):
+        """A random element of CY^n(psi,psi): xi, then pi, then phi."""
+        return MorphismCochain(random_cochain(self.D, self.rep_d, n, rng),
+                               random_cochain(self.E, self.rep_e, n, rng),
+                               random_cochain(self.D, self.rep_de, n - 1, rng))
 
     def vec(self, mc):
         return mc.xi.coeffs + mc.pi.coeffs + mc.phi.coeffs

@@ -8,35 +8,20 @@ one deterministic PASS/FAIL line per check.
 
 import random
 
-from .cochain import Cochain, coboundary, cy_dim
-from .deformation import (FormalIso, MorphismCochain, TruncatedDeformation,
-                          apply_formal_iso, cocycle_check, extend_step,
-                          infinitesimal, leading_cocycle_check,
-                          matrix_to_cochain1, obstruction,
-                          random_deformation, trivialize_step,
-                          verify_deformation)
+from .cochain import coboundary, random_cochain
+from .deformation import (TruncatedDeformation, apply_formal_iso,
+                          cocycle_check, extend_step, infinitesimal,
+                          leading_cocycle_check, obstruction,
+                          random_deformation, random_formal_iso,
+                          trivialize_step, verify_deformation)
 from .dialgebra import adjoint_rep, check_dialgebra, check_morphism
 from .errors import NotACoboundary
-from .linalg import Matrix
 from .models import bundled_model_names, load_bundled_model
 from .morphism_complex import complex_of
 from .trees import catalan, enumerate_trees, face
 
 SELFTEST_SEED = 20240517
 SAMPLES = 5  # per sampled check
-
-
-def _random_cochain(d, rep, n, rng):
-    f = d.field
-    return Cochain(n, d, rep,
-                   [f.from_int(rng.randint(-3, 3))
-                    for _ in range(cy_dim(d, rep, n))])
-
-
-def _random_mc(cx, n, rng):
-    return MorphismCochain(_random_cochain(cx.D, cx.rep_d, n, rng),
-                           _random_cochain(cx.E, cx.rep_e, n, rng),
-                           _random_cochain(cx.D, cx.rep_de, n - 1, rng))
 
 
 def run_selftest(emit):
@@ -52,14 +37,10 @@ def run_selftest(emit):
     # tree calculus
     ok = all(len(enumerate_trees(m)) == catalan(m) for m in range(1, 6))
     check("trees.catalan", ok)
-    ok = True
-    for m in range(2, 6):
-        for y in enumerate_trees(m):
-            for i in range(m + 1):
-                for j in range(i + 1, m + 1):
-                    if face(face(y, j), i) != face(face(y, i), j - 1):
-                        ok = False
-    check("trees.simplicial", ok)
+    check("trees.simplicial", all(
+        face(face(y, j), i) == face(face(y, i), j - 1)
+        for m in range(2, 6) for y in enumerate_trees(m)
+        for i in range(m + 1) for j in range(i + 1, m + 1)))
 
     for model_name in bundled_model_names():
         model = load_bundled_model(model_name)
@@ -69,24 +50,18 @@ def run_selftest(emit):
             check("%s.dialgebra.%s.axioms" % (tag, name),
                   check_dialgebra(d).valid)
             rep = adjoint_rep(d)
-            ok = True
-            for n in range(0, 3):
-                for _ in range(SAMPLES):
-                    c = _random_cochain(d, rep, n, rng)
-                    if not coboundary(coboundary(c)).is_zero():
-                        ok = False
+            # a list, not a generator: every sample is drawn even after a
+            # failure, so the later checks see the same rng
+            ok = all([coboundary(coboundary(random_cochain(d, rep, n, rng)))
+                      .is_zero() for n in range(3) for _ in range(SAMPLES)])
             check("%s.dialgebra.%s.delta2" % (tag, name), ok)
 
         for name, psi in model.morphisms.items():
             check("%s.morphism.%s.preserves" % (tag, name),
                   check_morphism(psi).valid)
             cx = complex_of(psi)
-            ok = True
-            for n in (1, 2):
-                for _ in range(SAMPLES):
-                    mc = _random_mc(cx, n, rng)
-                    if not cx.coboundary(cx.coboundary(mc)).is_zero():
-                        ok = False
+            ok = all([cx.coboundary(cx.coboundary(cx.random_cochain(n, rng)))
+                      .is_zero() for n in (1, 2) for _ in range(SAMPLES)])
             check("%s.morphism.%s.mor_delta2" % (tag, name), ok)
 
             # leading coefficient of a valid deformation is a 2-cocycle,
@@ -113,33 +88,17 @@ def run_selftest(emit):
             # equivalence transport: infinitesimals differ by the
             # coboundary of the linear iso coefficients
             ok = True
-            f = psi.field
             for _ in range(SAMPLES):
                 th = random_deformation(psi, 2, rng)
                 if th.order < 1:
                     th = TruncatedDeformation.trivial(psi, 1)
-                nd, ne = psi.source.dim, psi.target.dim
-                phd = [Matrix.identity(f, nd)] + [
-                    Matrix(f, nd, nd,
-                           [[f.from_int(rng.randint(-2, 2))
-                             for _ in range(nd)] for _ in range(nd)])
-                    for _ in range(th.order)]
-                phe = [Matrix.identity(f, ne)] + [
-                    Matrix(f, ne, ne,
-                           [[f.from_int(rng.randint(-2, 2))
-                             for _ in range(ne)] for _ in range(ne)])
-                    for _ in range(th.order)]
-                iso = FormalIso(psi, phd, phe)
+                iso = random_formal_iso(psi, th.order, rng)
                 tht = apply_formal_iso(th, iso)
                 if not verify_deformation(tht):
                     ok = False
                     continue
-                beta = MorphismCochain(
-                    matrix_to_cochain1(phd[1], cx.D, cx.rep_d),
-                    matrix_to_cochain1(phe[1], cx.E, cx.rep_e),
-                    Cochain.zero(0, cx.D, cx.rep_de))
                 diff = infinitesimal(th) - infinitesimal(tht)
-                if cx.vec(diff) != cx.vec(cx.coboundary(beta)):
+                if cx.vec(diff) != cx.vec(cx.coboundary(iso.beta(1))):
                     ok = False
             check("%s.morphism.%s.equivalence_transport" % (tag, name), ok)
 

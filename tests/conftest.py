@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from diadeform.cochain import Cochain, cy_dim
-from diadeform.dialgebra import Dialgebra, DialgebraMorphism
+from diadeform.cochain import Cochain, product_cochain
+from diadeform.deformation import TruncatedDeformation
+from diadeform.dialgebra import Dialgebra, DialgebraMorphism, adjoint_rep
 from diadeform.fields import QQ, PrimeField
 from diadeform.linalg import Matrix
 from diadeform.models import bundled_model_names, load_bundled_model
@@ -20,11 +21,26 @@ def mult_dialgebra(name="K"):
     return Dialgebra(1, QQ, left=one, right=one, name=name)
 
 
-def random_cochain(d, rep, n, rng, lo=-3, hi=3):
-    f = d.field
-    return Cochain(n, d, rep,
-                   [f.from_int(rng.randint(lo, hi))
-                    for _ in range(cy_dim(d, rep, n))])
+def int_deformation(psi, fds, fes, ss):
+    """A deformation of psi from flat integer coefficient lists, one list
+    per order >= 1: fds/fes hold 2-cochain coordinates, ss matrix rows."""
+    f = psi.field
+    d, e = psi.source, psi.target
+    ints = lambda xs: [f.from_int(x) for x in xs]
+    return TruncatedDeformation(
+        psi,
+        [product_cochain(d)] + [Cochain(2, d, adjoint_rep(d), ints(c))
+                                for c in fds],
+        [product_cochain(e)] + [Cochain(2, e, adjoint_rep(e), ints(c))
+                                for c in fes],
+        [psi.matrix] + [Matrix(f, e.dim, d.dim, [ints(r) for r in s])
+                        for s in ss])
+
+
+def randint_sequence(seed, lo, hi, count):
+    """A fresh rng's first count randint(lo, hi) draws, and its state."""
+    ref = random.Random(seed)
+    return [ref.randint(lo, hi) for _ in range(count)], ref.getstate()
 
 
 @pytest.fixture

@@ -10,22 +10,19 @@ import random
 
 import pytest
 
-from conftest import random_cochain
+from conftest import int_deformation
 
-from diadeform.cochain import (Cochain, coboundary, cohomology_dim,
-                               product_cochain)
-from diadeform.deformation import (FormalIso, TruncatedDeformation,
-                                   apply_formal_iso, extend_step,
-                                   infinitesimal,
-                                   leading_cocycle_check,
-                                   matrix_to_cochain1, obstruction,
+from diadeform.cochain import coboundary, cohomology_dim, random_cochain
+from diadeform.deformation import (TruncatedDeformation, apply_formal_iso,
+                                   extend_step, infinitesimal,
+                                   leading_cocycle_check, obstruction,
                                    obstruction_certificate,
-                                   random_deformation, rigidity_probe,
-                                   trivialize_step, verify_deformation)
+                                   random_deformation, random_formal_iso,
+                                   rigidity_probe, trivialize_step,
+                                   verify_deformation)
 from diadeform.dialgebra import adjoint_rep
 from diadeform.fields import QQ
-from diadeform.linalg import Matrix
-from diadeform.morphism_complex import MorphismCochain, complex_of
+from diadeform.morphism_complex import complex_of
 from diadeform.selftest import run_selftest
 from diadeform.trees import catalan, enumerate_trees, face
 
@@ -41,12 +38,6 @@ def _report(num, label, ok):
 @pytest.fixture(scope="module")
 def complexes(all_morphisms):
     return [(tag, complex_of(psi)) for tag, psi in all_morphisms]
-
-
-def _random_mc(cx, n, rng):
-    return MorphismCochain(random_cochain(cx.D, cx.rep_d, n, rng),
-                           random_cochain(cx.E, cx.rep_e, n, rng),
-                           random_cochain(cx.D, cx.rep_de, n - 1, rng))
 
 
 def test_criterion_1_tree_calculus():
@@ -74,7 +65,7 @@ def test_criterion_2_coboundary_squares_to_zero(all_dialgebras, complexes):
     for tag, cx in complexes:
         for n in range(1, 4):
             for _ in range(100):
-                mc = _random_mc(cx, n, rng)
+                mc = cx.random_cochain(n, rng)
                 ok = ok and cx.coboundary(cx.coboundary(mc)).is_zero()
     _report(2, "coboundary squares to zero", ok)
 
@@ -90,17 +81,8 @@ def test_criterion_3_leading_coefficient_cocycle(complexes, bundled_models):
     # closed-form check on the zero line: an order-1 deformation of the
     # identity is valid exactly when the two first-order products agree
     psi = bundled_models["zero1"].morphisms["id"]
-    zcx = complex_of(psi)
-    d = psi.source
-    prod = product_cochain(d)
     for l, r, lp, rp, s in itertools.product((-1, 0, 1), repeat=5):
-        th = TruncatedDeformation(
-            psi,
-            [prod, Cochain(2, d, zcx.rep_d, [QQ.from_int(l),
-                                             QQ.from_int(r)])],
-            [prod, Cochain(2, d, zcx.rep_e, [QQ.from_int(lp),
-                                             QQ.from_int(rp)])],
-            [psi.matrix, Matrix(QQ, 1, 1, [[QQ.from_int(s)]])])
+        th = int_deformation(psi, [[l, r]], [[lp, rp]], [[[s]]])
         expected = (l == lp and r == rp)
         ok = ok and verify_deformation(th).valid == expected
     _report(3, "leading coefficients are 2-cocycles", ok)
@@ -137,12 +119,8 @@ def test_criterion_5_extension_biconditional(complexes, bundled_models):
     # certificate exhibits l(l-r) and r(l-r) as the nonzero tree values
     psi = bundled_models["zero1"].morphisms["id"]
     cx = complex_of(psi)
-    d = psi.source
-    prod = product_cochain(d)
     for l, r in itertools.product((-2, -1, 0, 1, 2), repeat=2):
-        f1 = Cochain(2, d, cx.rep_d, [QQ.from_int(l), QQ.from_int(r)])
-        th = TruncatedDeformation(psi, [prod, f1], [prod, f1],
-                                  [psi.matrix, Matrix.zero(QQ, 1, 1)])
+        th = int_deformation(psi, [[l, r]], [[l, r]], [[[0]]])
         nxt = extend_step(th)
         ok = ok and (nxt is not None) == (l == r)
         if l != r:
@@ -163,27 +141,14 @@ def test_criterion_6_equivalent_infinitesimals(complexes):
     ok = True
     for tag, cx in complexes:
         psi = cx.psi
-        f = psi.field
-        nd, ne = psi.source.dim, psi.target.dim
         for _ in range(50):
             th = random_deformation(psi, 1, rng)
             if th.order < 1:
                 th = TruncatedDeformation.trivial(psi, 1)
-            phd1 = Matrix(f, nd, nd, [[f.from_int(rng.randint(-2, 2))
-                                       for _ in range(nd)]
-                                      for _ in range(nd)])
-            phe1 = Matrix(f, ne, ne, [[f.from_int(rng.randint(-2, 2))
-                                       for _ in range(ne)]
-                                      for _ in range(ne)])
-            iso = FormalIso(psi, [Matrix.identity(f, nd), phd1],
-                            [Matrix.identity(f, ne), phe1])
+            iso = random_formal_iso(psi, 1, rng)
             transported = apply_formal_iso(th, iso)
-            beta = MorphismCochain(
-                matrix_to_cochain1(phd1, cx.D, cx.rep_d),
-                matrix_to_cochain1(phe1, cx.E, cx.rep_e),
-                Cochain.zero(0, cx.D, cx.rep_de))
             diff = infinitesimal(th) - infinitesimal(transported)
-            ok = ok and diff == cx.coboundary(beta)
+            ok = ok and diff == cx.coboundary(iso.beta(1))
     _report(6, "transported infinitesimals differ by a coboundary", ok)
 
 

@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from conftest import (change_basis, mirror, mult_dialgebra, random_cochain,
-                      random_frame, tagged, zero_dialgebra)
+from conftest import (change_basis, mirror, mult_dialgebra, random_frame,
+                      tagged, zero_dialgebra)
 
 from diadeform.cochain import (COORDINATE_BUDGET, Cochain, coboundary,
                                coboundary_matrix, cohomology_dim, cy_dim,
-                               product_cochain)
-from diadeform.dialgebra import (DialgebraMorphism, adjoint_rep,
+                               product_cochain, random_cochain)
+from diadeform.dialgebra import (Dialgebra, DialgebraMorphism, adjoint_rep,
                                  check_dialgebra)
 from diadeform.errors import CapExceeded, ShapeMismatch
 from diadeform.fields import QQ
+from diadeform.models import load_bundled_model
 from diadeform.morphism_complex import MorphismComplex
 from diadeform.trees import catalan
 
@@ -39,7 +40,6 @@ def test_degree0_coboundary_formula():
     # the degree-0 formula is m |-> (a |-> a -| m - m |- a); probe it on
     # a raw structure with left = multiplication and right = 0, where
     # the two terms cannot cancel
-    from diadeform.dialgebra import Dialgebra
     d = Dialgebra(1, QQ, left=[[[QQ.one]]], right=[[[QQ.zero]]])
     rep = adjoint_rep(d)
     c = Cochain(0, d, rep, [QQ.one])
@@ -116,7 +116,6 @@ def test_change_of_basis_leaves_cohomology_unchanged(all_dialgebras):
 
 
 def test_cohomology_dim2_example():
-    from diadeform.models import load_bundled_model
     d = load_bundled_model("dim2").dialgebras["P2"]
     rep = adjoint_rep(d)
     assert cohomology_dim(d, rep, 2) == 0

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import int_deformation, randint_sequence
+
 from diadeform import deformation, morphism_complex
 from diadeform.cochain import Cochain, product_cochain
 from diadeform.deformation import (FormalIso, TruncatedDeformation,
@@ -9,30 +11,23 @@ from diadeform.deformation import (FormalIso, TruncatedDeformation,
                                    extend_step, extend_to_order,
                                    infinitesimal, leading_cocycle_check,
                                    obstruction, random_cocycle,
-                                   random_deformation, rigidity_probe,
-                                   trivialize_step, unipotent_inverse)
+                                   random_deformation, random_formal_iso,
+                                   rigidity_probe, trivialize_step,
+                                   unipotent_inverse, verify_deformation)
 from diadeform.errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                               InvalidDeformation, NonIdentityConstantTerm,
                               NotACoboundary, OrderMismatch, OrderTooLow)
-from diadeform.fields import QQ, Series, SeriesRing
+from diadeform.fields import QQ, PrimeField, Series, SeriesRing
 from diadeform.linalg import Matrix
 from diadeform.models import load_bundled_model
-from diadeform.morphism_complex import MorphismComplex, complex_of
+from diadeform.morphism_complex import complex_of
 
 
-def z_family(psi, cx, l, r, lp, rp, s):
+def z_family(psi, l, r, lp, rp, s):
     """Order-1 deformation of the identity on the 1-dim zero dialgebra:
     first-order products (l, r) on the source, (lp, rp) on the target,
     first-order morphism coefficient s."""
-    f = psi.field
-    d, e = psi.source, psi.target
-    fd1 = Cochain(2, d, cx.rep_d, [f.from_int(l), f.from_int(r)])
-    fe1 = Cochain(2, e, cx.rep_e, [f.from_int(lp), f.from_int(rp)])
-    return TruncatedDeformation(
-        psi,
-        [product_cochain(d), fd1],
-        [product_cochain(e), fe1],
-        [psi.matrix, Matrix(f, 1, 1, [[f.from_int(s)]])])
+    return int_deformation(psi, [[l, r]], [[lp, rp]], [[[s]]])
 
 
 @pytest.fixture(scope="module")
@@ -48,25 +43,22 @@ def ksetup(bundled_models):
 
 
 def test_bundled_deformations_valid(bundled_models):
-    from diadeform.deformation import verify_deformation
     for model in bundled_models.values():
         for th in model.deformations.values():
             assert verify_deformation(th), th
 
 
 def test_z_family_validity(zsetup):
-    from diadeform.deformation import verify_deformation
-    psi, cx = zsetup
-    assert verify_deformation(z_family(psi, cx, 1, -1, 1, -1, 2))
-    report = verify_deformation(z_family(psi, cx, 1, -1, 1, 0, 2))
+    psi, _ = zsetup
+    assert verify_deformation(z_family(psi, 1, -1, 1, -1, 2))
+    report = verify_deformation(z_family(psi, 1, -1, 1, 0, 2))
     assert not report
     assert report.first_failing_order == 1
     assert "morphism equation" in report.failing_identity
 
 
 def test_trivial_deformation(zsetup):
-    from diadeform.deformation import verify_deformation
-    psi, cx = zsetup
+    psi, _ = zsetup
     th = TruncatedDeformation.trivial(psi, 3)
     assert th.order == 3
     assert verify_deformation(th)
@@ -89,7 +81,7 @@ def test_base_mismatch_rejected(zsetup, ksetup):
 
 def test_infinitesimal(zsetup):
     psi, cx = zsetup
-    th = z_family(psi, cx, 1, -1, 1, -1, 0)
+    th = z_family(psi, 1, -1, 1, -1, 0)
     theta1 = infinitesimal(th)
     assert theta1 == th.theta(1)
     assert cx.coboundary(theta1).is_zero()
@@ -98,10 +90,10 @@ def test_infinitesimal(zsetup):
 
 
 def test_leading_cocycle_detects_failure(zsetup):
-    psi, cx = zsetup
+    psi, _ = zsetup
     # on the zero dialgebra the third coboundary block reduces to xi - pi,
     # so unequal first-order products give a non-cocycle leading term
-    th = z_family(psi, cx, 1, 0, 0, 0, 0)
+    th = z_family(psi, 1, 0, 0, 0, 0)
     report = leading_cocycle_check(th)
     assert not report.passed
     assert report.leading_order == 1
@@ -119,7 +111,7 @@ def test_leading_cocycle_skips_zero_orders(zsetup):
 def test_obstruction_values_z(zsetup):
     psi, cx = zsetup
     l, r, s = 1, -1, 2
-    th = z_family(psi, cx, l, r, l, r, s)
+    th = z_family(psi, l, r, l, r, s)
     ob = obstruction(th)
     # composition square: l(l-r) on [213], r(l-r) on [312], 0 elsewhere
     expected = [0, l * (l - r), 0, r * (l - r), 0]
@@ -133,30 +125,29 @@ def test_obstruction_values_z(zsetup):
 
 
 def test_obstruction_vanishes_when_equal(zsetup):
-    psi, cx = zsetup
-    th = z_family(psi, cx, 2, 2, 2, 2, 0)
+    psi, _ = zsetup
+    th = z_family(psi, 2, 2, 2, 2, 0)
     assert obstruction(th).is_zero()
 
 
 def test_extend_step_blocked(zsetup):
-    psi, cx = zsetup
-    assert extend_step(z_family(psi, cx, 1, -1, 1, -1, 0)) is None
+    psi, _ = zsetup
+    assert extend_step(z_family(psi, 1, -1, 1, -1, 0)) is None
 
 
 def test_extend_step_succeeds(zsetup):
-    from diadeform.deformation import verify_deformation
-    psi, cx = zsetup
-    nxt = extend_step(z_family(psi, cx, 2, 2, 2, 2, 1))
+    psi, _ = zsetup
+    nxt = extend_step(z_family(psi, 2, 2, 2, 2, 1))
     assert nxt is not None
     assert nxt.order == 2
     assert verify_deformation(nxt)
 
 
 def test_extend_to_order(zsetup):
-    psi, cx = zsetup
-    good = extend_to_order(z_family(psi, cx, 1, 1, 1, 1, 0), 4)
+    psi, _ = zsetup
+    good = extend_to_order(z_family(psi, 1, 1, 1, 1, 0), 4)
     assert good.succeeded and good.reached == 4
-    blocked = extend_to_order(z_family(psi, cx, 1, -1, 1, -1, 0), 3)
+    blocked = extend_to_order(z_family(psi, 1, -1, 1, -1, 0), 3)
     assert not blocked.succeeded
     assert blocked.reached == 1
     assert "not a coboundary" in blocked.certificate
@@ -233,7 +224,7 @@ def test_bad_solution_is_caught(zsetup, monkeypatch, target):
         x, ranks = solve(cx, n, b, label)
         return x + not_a_cocycle, ranks
     monkeypatch.setattr(deformation, "_solve", bad_solve)
-    th = z_family(psi, cx, 1, 1, 1, 1, 0)
+    th = z_family(psi, 1, 1, 1, 1, 0)
     with pytest.raises(InvalidDeformation,
                        match="solved extension failed re-verification"):
         extend_to_order(th, target)
@@ -243,18 +234,30 @@ def test_bad_solution_is_caught(zsetup, monkeypatch, target):
 
 
 def test_obstruction_rejects_an_invalid_deformation(zsetup):
-    psi, cx = zsetup
-    th = z_family(psi, cx, 1, -1, 1, 0, 2)
+    psi, _ = zsetup
+    th = z_family(psi, 1, -1, 1, 0, 2)
     with pytest.raises(InvalidDeformation):
         obstruction(th)
     with pytest.raises(InvalidDeformation):
         extend_step(th)
 
 
+def test_trivialize_rejects_an_invalid_deformation(ksetup):
+    # oneplus with an order-2 left product of 5 on D: valid through
+    # order 1, so its leading coefficient alone looks trivializable
+    psi, _ = ksetup
+    th = int_deformation(psi, [[1, 1], [5, 0]], [[1, 1], [0, 0]],
+                         [[[0]], [[0]]])
+    with pytest.raises(InvalidDeformation) as caught:
+        trivialize_step(th)
+    assert str(caught.value) \
+        == "axiom 2 for f_D at order 2, triple (0, 0, 0): (11) != (6)"
+
+
 @pytest.mark.parametrize("target", [1, 2])
 def test_invalid_input_is_no_failed_reverification(zsetup, target):
-    psi, cx = zsetup
-    th = z_family(psi, cx, 1, -1, 1, 0, 2)
+    psi, _ = zsetup
+    th = z_family(psi, 1, -1, 1, 0, 2)
     # the input is reported as it is, not as a bad solved extension
     with pytest.raises(InvalidDeformation) as caught:
         extend_to_order(th, target)
@@ -264,7 +267,7 @@ def test_invalid_input_is_no_failed_reverification(zsetup, target):
 
 def test_nonzero_values_walks_the_blocks_in_order(zsetup):
     psi, cx = zsetup
-    ob = obstruction(z_family(psi, cx, 1, -1, 1, -1, 2))
+    ob = obstruction(z_family(psi, 1, -1, 1, -1, 2))
     got = [(name, tree.index, multi, v)
            for name, tree, multi, v in ob.cochain.nonzero_values(
                ("D", "E", "psi"))]
@@ -276,8 +279,8 @@ def test_nonzero_values_walks_the_blocks_in_order(zsetup):
 
 
 def test_extend_to_order_below_the_deformation_order(zsetup):
-    psi, cx = zsetup
-    th = z_family(psi, cx, 1, 1, 1, 1, 0)  # order 1
+    psi, _ = zsetup
+    th = z_family(psi, 1, 1, 1, 1, 0)  # order 1
     with pytest.raises(IndexOutOfRange, match="below the deformation"):
         extend_to_order(th, 0)
     same = extend_to_order(th, 1)
@@ -285,7 +288,7 @@ def test_extend_to_order_below_the_deformation_order(zsetup):
 
 
 def test_extension_guaranteed_flag(ksetup):
-    psi, cx = ksetup
+    psi, _ = ksetup
     th = TruncatedDeformation.trivial(psi, 1)
     report = extend_to_order(th, 3)
     assert report.hy3_dim == 0
@@ -293,23 +296,7 @@ def test_extension_guaranteed_flag(ksetup):
     assert report.reached == 3
 
 
-def build(psi, fds, fes, ss):
-    """A deformation of psi from flat integer coefficient lists, one list
-    per order >= 1: fds/fes hold 2-cochain coordinates, ss matrix rows."""
-    f = psi.field
-    d, e = psi.source, psi.target
-    cx = MorphismComplex(psi)
-    ints = lambda xs: [f.from_int(x) for x in xs]
-    return TruncatedDeformation(
-        psi,
-        [product_cochain(d)] + [Cochain(2, d, cx.rep_d, ints(c)) for c in fds],
-        [product_cochain(e)] + [Cochain(2, e, cx.rep_e, ints(c)) for c in fes],
-        [psi.matrix] + [Matrix(f, e.dim, d.dim, [ints(r) for r in s])
-                        for s in ss])
-
-
 def _golden(th):
-    from diadeform.deformation import verify_deformation
     report = verify_deformation(th)
     assert not report
     return report.first_failing_order, report.failing_identity
@@ -322,21 +309,21 @@ def q(*values):
 
 def test_verify_golden_axiom_failures(bundled_models):
     k = bundled_models["mult1"].morphisms["id"]
-    assert _golden(build(k, [[1, 2]], [[1, 1]], [[[0]]])) == (
+    assert _golden(int_deformation(k, [[1, 2]], [[1, 1]], [[[0]]])) == (
         1, "axiom 2 for f_D at order 1, triple (0, 0, 0): %s != %s"
         % (q(2), q(3)))
-    assert _golden(build(k, [[1, 1]], [[2, 3]], [[[0]]])) == (
+    assert _golden(int_deformation(k, [[1, 1]], [[2, 3]], [[[0]]])) == (
         1, "axiom 2 for f_E at order 1, triple (0, 0, 0): %s != %s"
         % (q(4), q(5)))
     # the lowest failing order wins over the f_D-before-f_E order
-    assert _golden(build(k, [[0, 0], [1, 2]], [[1, 2], [0, 0]],
-                         [[[0]], [[0]]])) == (
+    assert _golden(int_deformation(k, [[0, 0], [1, 2]], [[1, 2], [0, 0]],
+                                   [[[0]], [[0]]])) == (
         1, "axiom 2 for f_E at order 1, triple (0, 0, 0): %s != %s"
         % (q(2), q(3)))
     # f_D and f_E both fail at order 2 on the zero line; f_D is reported
     z = bundled_models["zero1"].morphisms["id"]
-    assert _golden(build(z, [[1, -1], [0, 0]], [[1, -1], [0, 0]],
-                         [[[0]], [[0]]])) == (
+    assert _golden(int_deformation(z, [[1, -1], [0, 0]], [[1, -1], [0, 0]],
+                                   [[[0]], [[0]]])) == (
         2, "axiom 2 for f_D at order 2, triple (0, 0, 0): %s != %s"
         % (q(1), q(-1)))
     p2 = bundled_models["dim2"].morphisms["id"]
@@ -345,28 +332,26 @@ def test_verify_golden_axiom_failures(bundled_models):
     zero = [0] * 16
     expected = ("axiom 1 for %s at order 1, triple (0, 1, 1): "
                 + "%s != %s" % (q(1, 0), q(0, 0)))
-    assert _golden(build(p2, [one], [one], [[[0, 1], [0, 0]]])) == (
+    assert _golden(int_deformation(p2, [one], [one], [[[0, 1], [0, 0]]])) == (
         1, expected % "f_D")
-    assert _golden(build(p2, [zero], [one], [[[0, 0], [0, 0]]])) == (
+    assert _golden(int_deformation(p2, [zero], [one], [[[0, 0], [0, 0]]])) == (
         1, expected % "f_E")
 
 
 def test_verify_golden_morphism_failures(bundled_models):
     z = bundled_models["zero1"].morphisms["id"]
-    assert _golden(build(z, [[1, 2]], [[5, 2]], [[[0]]])) == (
+    assert _golden(int_deformation(z, [[1, 2]], [[5, 2]], [[[0]]])) == (
         1, "morphism equation (l) at order 1, pair (0, 0): %s != %s"
         % (q(1), q(5)))
-    assert _golden(build(z, [[1, 2]], [[1, 3]], [[[0]]])) == (
+    assert _golden(int_deformation(z, [[1, 2]], [[1, 3]], [[[0]]])) == (
         1, "morphism equation (r) at order 1, pair (0, 0): %s != %s"
         % (q(2), q(3)))
 
 
 def test_verify_golden_over_gf(bundled_models):
-    from diadeform.fields import PrimeField
-    from diadeform.models import load_bundled_model
     k = load_bundled_model("mult1", field_override=PrimeField(7)) \
         .morphisms["id"]
-    assert _golden(build(k, [[3, 3]], [[3, 3]], [[[5]]])) == (
+    assert _golden(int_deformation(k, [[3, 3]], [[3, 3]], [[[5]]])) == (
         1, "morphism equation (l) at order 1, pair (0, 0): (1) != (6)")
 
 
@@ -388,15 +373,9 @@ def test_transport_round_trip(all_morphisms):
     rng = random.Random(2718)
     for tag, psi in all_morphisms:
         th = random_deformation(psi, 2, rng)
-        f = psi.field
-        series = []
-        for n in (psi.source.dim, psi.target.dim):
-            series.append([Matrix.identity(f, n)] + [
-                Matrix(f, n, n, [[f.from_int(rng.randint(-2, 2))
-                                  for _ in range(n)] for _ in range(n)])
-                for _ in range(th.order)])
-        iso = FormalIso(psi, *series)
-        back = FormalIso(psi, *[_inverse_coefficients(s) for s in series])
+        iso = random_formal_iso(psi, th.order, rng)
+        back = FormalIso(psi, _inverse_coefficients(iso.phi_d),
+                         _inverse_coefficients(iso.phi_e))
         out = apply_formal_iso(apply_formal_iso(th, iso), back)
         assert (out.fd, out.fe, out.psis) == (th.fd, th.fe, th.psis), tag
 
@@ -431,8 +410,8 @@ def test_series_ring_has_no_division():
 
 
 def test_apply_identity_iso(zsetup):
-    psi, cx = zsetup
-    th = z_family(psi, cx, 1, 2, 1, 2, 3)
+    psi, _ = zsetup
+    th = z_family(psi, 1, 2, 1, 2, 3)
     out = apply_formal_iso(th, FormalIso.identity(psi, 1))
     assert out.fd == th.fd and out.fe == th.fe and out.psis == th.psis
 
@@ -446,25 +425,15 @@ def test_iso_of_another_morphism(bundled_models):
 
 
 def test_apply_iso_preserves_validity(bundled_models, rng):
-    from diadeform.deformation import verify_deformation
     psi = bundled_models["dim2"].morphisms["id"]
     th = random_deformation(psi, 2, rng)
-    f = psi.field
-    nd = psi.source.dim
-    mats = lambda: Matrix(f, nd, nd, [[f.from_int(rng.randint(-2, 2))
-                                       for _ in range(nd)]
-                                      for _ in range(nd)])
-    iso = FormalIso(psi,
-                    [Matrix.identity(f, nd)] + [mats()
-                                                for _ in range(th.order)],
-                    [Matrix.identity(f, nd)] + [mats()
-                                                for _ in range(th.order)])
+    iso = random_formal_iso(psi, th.order, rng)
     assert verify_deformation(apply_formal_iso(th, iso))
 
 
 def test_iso_order_mismatch(zsetup):
-    psi, cx = zsetup
-    th = z_family(psi, cx, 1, 1, 1, 1, 0)
+    psi, _ = zsetup
+    th = z_family(psi, 1, 1, 1, 1, 0)
     with pytest.raises(OrderMismatch):
         apply_formal_iso(th, FormalIso.identity(psi, 3))
 
@@ -484,8 +453,8 @@ def test_trivialize_oneplus(bundled_models):
 
 
 def test_trivialize_rejects_noncoboundary(zsetup):
-    psi, cx = zsetup
-    th = z_family(psi, cx, 1, 1, 1, 1, 0)
+    psi, _ = zsetup
+    th = z_family(psi, 1, 1, 1, 1, 0)
     with pytest.raises(NotACoboundary) as exc:
         trivialize_step(th)
     assert "rank" in exc.value.certificate
@@ -524,8 +493,31 @@ def test_random_cocycle_in_kernel(zsetup, rng):
         assert cx.coboundary(c).is_zero()
 
 
+def test_random_cocycle_draws_once_per_kernel_vector(zsetup):
+    psi, cx = zsetup
+    rng = random.Random(11)
+    c = random_cocycle(cx, 2, rng)
+    basis = cx.matrix(2).kernel_basis()
+    ints, state = randint_sequence(11, -3, 3, len(basis))
+    assert cx.vec(c) == tuple(sum((x * v[i] for x, v in zip(ints, basis)),
+                                  QQ.zero) for i in range(cx.dim(2)))
+    assert rng.getstate() == state
+
+
+def test_random_formal_iso_draws_d_then_e(bundled_models):
+    # emb: K -> P2, so the source and target blocks differ in size
+    psi = bundled_models["dim2"].morphisms["emb"]
+    rng = random.Random(3)
+    iso = random_formal_iso(psi, 2, rng)
+    ints, state = randint_sequence(3, -2, 2, 2 * (1 + 4))
+    assert [x for series in (iso.phi_d, iso.phi_e) for m in series[1:]
+            for row in m.dense_rows() for x in row] == ints
+    assert rng.getstate() == state
+    assert iso.phi_d[0] == Matrix.identity(QQ, 1)
+    assert iso.phi_e[0] == Matrix.identity(QQ, 2)
+
+
 def test_random_deformation_valid(all_morphisms, rng):
-    from diadeform.deformation import verify_deformation
     for tag, psi in all_morphisms:
         th = random_deformation(psi, 2, rng)
         assert verify_deformation(th), tag

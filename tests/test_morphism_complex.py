@@ -3,10 +3,11 @@ import weakref
 
 import pytest
 
-from conftest import (change_basis, mirror, mult_dialgebra, random_cochain,
+from conftest import (change_basis, mirror, mult_dialgebra, randint_sequence,
                       random_frame, tagged)
 
-from diadeform.cochain import Cochain, coboundary, coboundary_matrix, cy_dim
+from diadeform.cochain import (coboundary, coboundary_matrix, cy_dim,
+                               random_cochain)
 from diadeform.dialgebra import (DialgebraMorphism, adjoint_rep,
                                  check_morphism)
 from diadeform.errors import ShapeMismatch
@@ -14,12 +15,6 @@ from diadeform.fields import QQ, PrimeField
 from diadeform.models import bundled_model_names, load_bundled_model
 from diadeform.morphism_complex import (MorphismCochain, MorphismComplex,
                                         complex_of)
-
-
-def random_mc(cx, n, rng):
-    return MorphismCochain(random_cochain(cx.D, cx.rep_d, n, rng),
-                           random_cochain(cx.E, cx.rep_e, n, rng),
-                           random_cochain(cx.D, cx.rep_de, n - 1, rng))
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +26,16 @@ def complexes(all_morphisms):
 def gf7_complexes(gf7_models):
     return [("gf7 " + tag, MorphismComplex(psi))
             for tag, psi in tagged(gf7_models, "morphisms")]
+
+
+def test_random_cochains_draw_in_flat_order(complexes):
+    # one draw per coordinate, xi then pi then phi: vec's (xi | pi | phi)
+    for tag, cx in complexes:
+        rng = random.Random(5)
+        mc = cx.random_cochain(2, rng)
+        ints, state = randint_sequence(5, -3, 3, cx.dim(2))
+        assert cx.vec(mc) == tuple(map(cx.field.from_int, ints)), tag
+        assert rng.getstate() == state, tag
 
 
 def test_dims(complexes):
@@ -46,14 +51,14 @@ def test_dims(complexes):
 def test_coboundary_squares_to_zero(rng, complexes):
     for tag, cx in complexes:
         for n in (1, 2):
-            mc = random_mc(cx, n, rng)
+            mc = cx.random_cochain(n, rng)
             assert cx.coboundary(cx.coboundary(mc)).is_zero(), (tag, n)
 
 
 def test_third_block_formula(rng, complexes):
     # delta(xi; pi; phi) third block is push(xi) - pull(pi) - delta(phi)
     for tag, cx in complexes:
-        mc = random_mc(cx, 2, rng)
+        mc = cx.random_cochain(2, rng)
         out = cx.coboundary(mc)
         assert out.xi == coboundary(mc.xi), tag
         assert out.pi == coboundary(mc.pi), tag
@@ -65,7 +70,7 @@ def test_third_block_formula(rng, complexes):
 def test_elementwise_matches_matrix(rng, complexes, gf7_complexes):
     for tag, cx in complexes + gf7_complexes:
         for n in (1, 2):
-            mc = random_mc(cx, n, rng)
+            mc = cx.random_cochain(n, rng)
             assert (cx.matrix(n).apply(cx.vec(mc))
                     == cx.vec(cx.coboundary(mc))), (tag, n)
 
@@ -83,7 +88,7 @@ def test_push_pull_match_matrices(rng, complexes):
 
 def test_vec_unvec_roundtrip(rng, complexes):
     for tag, cx in complexes:
-        mc = random_mc(cx, 2, rng)
+        mc = cx.random_cochain(2, rng)
         assert cx.unvec(2, cx.vec(mc)) == mc, tag
 
 
@@ -132,7 +137,7 @@ def test_normalize_1cochain(rng, complexes):
     # normalization zeroes the connecting block without changing the
     # coboundary, so cocycles stay cocycles
     for tag, cx in complexes:
-        mc = random_mc(cx, 1, rng)
+        mc = cx.random_cochain(1, rng)
         nm = cx.normalize_1cochain(mc)
         assert nm.phi.is_zero(), tag
         assert cx.coboundary(mc) == cx.coboundary(nm), tag
