@@ -10,16 +10,23 @@ defining alternating-sum formula (``coboundary``) and once as a directly
 assembled matrix in the canonical bases (``coboundary_matrix``).  The two
 paths are checked against each other in the test suite.  They share their
 set-up: both walk the cached ``trees.tree_plan`` (the face indices and
-slot labels of every tree), index the slot tensors (the left action, the
-products, the right action) by basis index instead of multiplying basis
-vectors, and locate values with ``flat_offset``.  The elementwise path
-reads the values of f; the matrix path writes the same structure
-constants as column entries.
+slot labels of every tree) and index the slot tensors (the left action,
+the products, the right action) by basis index instead of multiplying
+basis vectors.  The elementwise path reads the values of f; the matrix
+path writes the same structure constants as column entries.
+
+Their arithmetic differs on purpose too.  The elementwise path lifts the
+values of f and the slot tensors to plain numbers once (``field.lift``),
+sums on those, and reduces each output coordinate once
+(``field.reduce``), so over GF(p) its loop makes no ``GFElement``; over
+QQ both are the identity and are skipped.  The matrix path stays on field
+scalars, so the cross-check also tests the lifted arithmetic.
 """
 
 import itertools
 
 from .errors import CapExceeded, IndexOutOfRange, ShapeMismatch
+from .fields import unchanged
 from .linalg import Matrix
 from .trees import (TREE_CAP, ProductLabel, catalan, enumerate_trees,
                     tree_plan)
@@ -173,45 +180,78 @@ def _slot_tensors(d, rep, labels):
             rep.act_ld if labels[-1] is LEFT else rep.act_rd)
 
 
+def _lifted(tensor, lift):
+    """A three-index slot tensor with every scalar lifted."""
+    return [[[lift(x) for x in row] for row in plane] for plane in tensor]
+
+
 def coboundary(f):
-    """delta f, computed elementwise from the alternating-sum formula."""
+    """delta f, computed elementwise from the alternating-sum formula.
+
+    The values of f and the slot tensors are lifted to plain numbers once,
+    and each output coordinate is reduced back to a scalar once; over QQ,
+    whose scalars are plain numbers already, neither step runs."""
     n = f.degree
     if n + 1 > TREE_CAP:
         raise CapExceeded("coboundary would exceed tree cap %d" % TREE_CAP)
     d, rep = f.dialgebra, f.rep
     _check_budget(d, rep, n + 1)
-    mdim = rep.module_dim
-    z = d.field.zero
+    ddim, mdim = d.dim, rep.module_dim
+    lift, reduce = d.field.lift, d.field.reduce
+    # over QQ both are the identity: the inputs are used as they are
+    lifting = lift is not unchanged
+    vals, lifted = f.coeffs, None
+    if lifting:
+        vals = [lift(x) for x in f.coeffs]
+        lifted = {id(t): _lifted(t, lift) for t in (
+            d.left, d.right, rep.act_dl, rep.act_dr, rep.act_ld, rep.act_rd)}
+
+    # each term's flat offset is read off the row's index r, the base-ddim
+    # number with digits multi: term 0 drops the first digit, term n + 1
+    # the last, and term i puts the merged index k for digits i - 1 and i
+    power = [ddim ** e for e in range(n + 2)]
+    tree_size = power[n] * mdim
     coeffs = []
     for faces, labels in tree_plan(n + 1):
         first, products, last = _slot_tensors(d, rep, labels)
-        for multi in multi_indices(d.dim, n + 1):
-            out = [z] * mdim
+        if lifting:
+            first, last = lifted[id(first)], lifted[id(last)]
+            products = [lifted[id(t)] for t in products]
+        for r, multi in enumerate(multi_indices(ddim, n + 1)):
+            out = [0] * mdim
             # i = 0: the first argument acts on the left
-            v = f.value(faces[0], multi[1:])
+            off = faces[0] * tree_size + r % power[n] * mdim
             for u, block in enumerate(first[multi[0]]):
-                if v[u] != z:
+                c = vals[off + u]
+                if c:
                     for w in range(mdim):
-                        out[w] = out[w] + v[u] * block[w]
+                        out[w] += c * block[w]
             # 1 <= i <= n: merge adjacent arguments with the slot product
             for i in range(1, n + 1):
                 prod = products[i - 1][multi[i - 1]][multi[i]]
-                for k in range(d.dim):
-                    if prod[k] == z:
+                low = power[n - i]
+                base = faces[i] * tree_size + (
+                    r // power[n - i + 2] * power[n - i + 1] + r % low) * mdim
+                for k in range(ddim):
+                    c = prod[k]
+                    if not c:
                         continue
-                    c = prod[k] if i % 2 == 0 else -prod[k]
-                    v = f.value(faces[i], multi[:i - 1] + (k,) + multi[i + 1:])
+                    if i % 2:
+                        c = -c
+                    off = base + k * low * mdim
                     for w in range(mdim):
-                        out[w] = out[w] + c * v[w]
+                        out[w] += c * vals[off + w]
             # i = n + 1: the last argument acts on the right
-            v = f.value(faces[n + 1], multi[:n])
+            off = faces[n + 1] * tree_size + r // ddim * mdim
             for u in range(mdim):
-                if v[u] != z:
-                    c = v[u] if n % 2 else -v[u]
+                c = vals[off + u]
+                if c:
+                    if not n % 2:
+                        c = -c
                     block = last[u][multi[n]]
                     for w in range(mdim):
-                        out[w] = out[w] + c * block[w]
-            coeffs.extend(out)
+                        out[w] += c * block[w]
+            coeffs.extend(map(reduce, out) if lifting else out)
     return Cochain(n + 1, d, rep, coeffs)
 
 

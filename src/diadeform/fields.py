@@ -10,6 +10,16 @@ code is written field-agnostically.  Divide only through ``field.inv(x)``:
 ``/`` on two ints gives a float.  ``Series`` scalars of the truncated
 power-series ring K[t]/(t^{N+1}) support the same except division, so
 products, axiom checks and matrix arithmetic also run over that ring.
+
+Each field descriptor also has ``lift(x)``, a scalar as a plain Python
+number, and ``reduce(n)``, such a number back as a field element, with
+``reduce(lift(x)) == x``.  The elementwise coboundary lifts its inputs
+once, sums and multiplies plain numbers, and reduces each result once, so
+over GF(p) it makes no ``GFElement`` per operation.  Over QQ both are
+``unchanged``, the identity, which the coboundary recognizes and skips, so
+its results hold the same objects as arithmetic on the scalars
+themselves.  ``SeriesRing`` has neither: no cochain over K[t]/(t^{N+1})
+reaches the coboundary.
 """
 
 import math
@@ -172,6 +182,11 @@ def canonical(x):
     return x
 
 
+def unchanged(x):
+    """QQ's lift and reduce: a rational scalar is a Python number already."""
+    return x
+
+
 class Rationals:
     """Field descriptor for exact rationals: an integral scalar is an int,
     any other a Fraction (or mpq)."""
@@ -189,6 +204,8 @@ class Rationals:
 
     def inv(self, x):
         return canonical(1 / _mpq(x))
+
+    lift = reduce = staticmethod(unchanged)
 
     def format(self, x):
         return str(x)
@@ -230,6 +247,11 @@ class PrimeField:
 
     def inv(self, x):
         return self.one / x
+
+    def lift(self, x):
+        return x.v
+
+    reduce = from_int
 
     def format(self, x):
         return str(x.v)

@@ -154,6 +154,19 @@ def test_trivialize_rejects_an_invalid_deformation(capsys, tmp_path):
                    " (11) != (6)\n"), cmd
 
 
+# a known defect: today this prints the order-1 values and exits 0
+@pytest.mark.xfail(strict=True, reason="infinitesimal does not validate"
+                   " its deformation: the check cost the deformation"
+                   " workload about a fifth of its median job time")
+def test_infinitesimal_rejects_an_invalid_deformation(capsys, tmp_path):
+    # the same deformation: its order-1 coefficient alone is a cocycle
+    path = _mult1_variant(tmp_path, "  order 1\n  fD 1 l 0 0 0 1\n",
+                          "  order 2\n  fD 1 l 0 0 0 1\n  fD 2 l 0 0 0 5\n")
+    assert run(capsys, "infinitesimal", path, "--deformation", "oneplus") == (
+        2, "", "error: axiom 2 for f_D at order 2, triple (0, 0, 0):"
+               " (11) != (6)\n")
+
+
 # a known defect: today these print HY^1 = -1 and HY^3 = -1, exit 0
 @pytest.mark.xfail(strict=True, reason="the axioms of the input are not"
                    " checked, so a dimension can come out negative")

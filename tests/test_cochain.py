@@ -11,7 +11,7 @@ from diadeform.cochain import (COORDINATE_BUDGET, Cochain, coboundary,
 from diadeform.dialgebra import (Dialgebra, DialgebraMorphism, adjoint_rep,
                                  check_dialgebra)
 from diadeform.errors import CapExceeded, ShapeMismatch
-from diadeform.fields import QQ
+from diadeform.fields import QQ, GFElement, PrimeField
 from diadeform.models import load_bundled_model
 from diadeform.morphism_complex import MorphismComplex
 from diadeform.trees import catalan
@@ -64,6 +64,53 @@ def test_elementwise_matches_matrix(rng, all_dialgebras, gf7_models):
             c = random_cochain(d, rep, n, rng)
             mat = coboundary_matrix(d, rep, n)
             assert mat.apply(c.coeffs) == coboundary(c).coeffs, (tag, n)
+
+
+@pytest.mark.parametrize("p", [2, 7, 32003])
+def test_coboundary_commutes_with_reduction_mod_p(p, bundled_models):
+    # delta over GF(p) of an integer cochain is the QQ delta of the same
+    # integers, reduced mod p: the bundled structure constants are integers
+    gf = PrimeField(p)
+    for name, model in bundled_models.items():
+        gf_model = load_bundled_model(name, field_override=gf)
+        for key, d in model.dialgebras.items():
+            dp = gf_model.dialgebras[key]
+            rep, rep_p = adjoint_rep(d), adjoint_rep(dp)
+            rng = random.Random(p)
+            for n in range(3):
+                ints = [rng.randint(-10 ** 5, 10 ** 5)
+                        for _ in range(cy_dim(d, rep, n))]
+                over_qq = coboundary(Cochain(n, d, rep, ints)).coeffs
+                over_gf = coboundary(Cochain(n, dp, rep_p,
+                                             map(gf.from_int, ints))).coeffs
+                assert all(type(x) is int for x in over_qq)
+                assert over_gf == tuple(map(gf.from_int, over_qq)), (key, n)
+
+
+def test_gf_coboundary_does_no_element_arithmetic(monkeypatch):
+    # the elementwise path sums lifted numbers: one GF(p) coboundary makes
+    # no GFElement sum, difference, product or negation
+    gf = PrimeField(32003)
+    d = load_bundled_model("dim2", field_override=gf).dialgebras["P2"]
+    rep = adjoint_rep(d)
+    c = random_cochain(d, rep, 2, random.Random(7))
+    expected = coboundary_matrix(d, rep, 2).apply(c.coeffs)
+    calls = []
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__neg__"):
+        monkeypatch.setattr(GFElement, name,
+                            counted(name, getattr(GFElement, name)))
+    got = coboundary(c)
+    monkeypatch.undo()
+    assert calls == []
+    assert got.coeffs == expected and not got.is_zero()
 
 
 def test_vec_unvec_roundtrip(rng):

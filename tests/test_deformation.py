@@ -254,6 +254,21 @@ def test_trivialize_rejects_an_invalid_deformation(ksetup):
         == "axiom 2 for f_D at order 2, triple (0, 0, 0): (11) != (6)"
 
 
+# a known defect: today this returns the order-1 coefficient
+@pytest.mark.xfail(strict=True, reason="infinitesimal does not validate"
+                   " its deformation: the check cost the deformation"
+                   " workload about a fifth of its median job time")
+def test_infinitesimal_rejects_an_invalid_deformation(ksetup):
+    # the same deformation: its order-1 coefficient alone is a cocycle
+    psi, _ = ksetup
+    th = int_deformation(psi, [[1, 1], [5, 0]], [[1, 1], [0, 0]],
+                         [[[0]], [[0]]])
+    with pytest.raises(InvalidDeformation) as caught:
+        infinitesimal(th)
+    assert str(caught.value) \
+        == "axiom 2 for f_D at order 2, triple (0, 0, 0): (11) != (6)"
+
+
 @pytest.mark.parametrize("target", [1, 2])
 def test_invalid_input_is_no_failed_reverification(zsetup, target):
     psi, _ = zsetup

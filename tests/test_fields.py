@@ -84,6 +84,33 @@ def test_gf_int_equality_agrees_with_hash(p):
             assert {x: True}.get(n, False) == (x == n)
 
 
+@pytest.mark.parametrize("field,values", [
+    (QQ, [0, 1, -7, 10 ** 40, Fraction(1, 2), Fraction(-22, 7)]),
+    (PrimeField(2), range(-3, 4)),
+    (PrimeField(7), range(-8, 15)),
+    (PrimeField(32003), [-1, 0, 1, 2, 16001, 32002, 32003, 10 ** 40]),
+])
+def test_lift_and_reduce_round_trip(field, values):
+    # reduce(lift(x)) gives x back, an element of the field; over QQ both
+    # are the identity, so a lifted computation keeps the scalar objects
+    for x in (field.from_int(v) if type(v) is int else v for v in values):
+        back = field.reduce(field.lift(x))
+        assert back == x and field.owns(back), (field, x)
+        if field == QQ:
+            assert field.lift(x) is x and back is x
+        else:
+            assert type(field.lift(x)) is int and 0 <= field.lift(x) < field.p
+
+
+@pytest.mark.parametrize("p", [2, 7, 32003])
+def test_reduce_gives_the_canonical_residue(p):
+    F = PrimeField(p)
+    for n in (-1, -p, p * p + 3, 10 ** 99 + 7, -(10 ** 99) - 7):
+        x = F.reduce(n)
+        assert 0 <= x.v < p and x.v == n % p and F.owns(x), n
+        assert x == F.from_int(n)
+
+
 def test_gf_element_is_immutable():
     a = PrimeField(5).from_int(3)
     for act in (lambda: setattr(a, "v", 1), lambda: delattr(a, "p")):

@@ -75,6 +75,27 @@ def test_elementwise_matches_matrix(rng, complexes, gf7_complexes):
                     == cx.vec(cx.coboundary(mc))), (tag, n)
 
 
+@pytest.mark.parametrize("p", [2, 7, 32003])
+def test_coboundary_commutes_with_reduction_mod_p(p, bundled_models):
+    # as for CY*(D,M): the GF(p) delta of an integer morphism cochain is
+    # the QQ delta reduced mod p (degree 0 is the zero module)
+    gf = PrimeField(p)
+    for name, model in bundled_models.items():
+        gf_model = load_bundled_model(name, field_override=gf)
+        for key, psi in model.morphisms.items():
+            cx = MorphismComplex(psi)
+            cx_p = MorphismComplex(gf_model.morphisms[key])
+            rng = random.Random(p)
+            for n in (1, 2):
+                ints = [rng.randint(-10 ** 5, 10 ** 5)
+                        for _ in range(cx.dim(n))]
+                over_qq = cx.vec(cx.coboundary(cx.unvec(n, ints)))
+                over_gf = cx_p.vec(cx_p.coboundary(
+                    cx_p.unvec(n, tuple(map(gf.from_int, ints)))))
+                assert all(type(x) is int for x in over_qq)
+                assert over_gf == tuple(map(gf.from_int, over_qq)), (key, n)
+
+
 def test_push_pull_match_matrices(rng, complexes):
     for tag, cx in complexes:
         for n in (1, 2):

@@ -149,6 +149,30 @@ def test_computations_ignore_the_scalar_type(name, monkeypatch):
         == _computations(as_fraction, True, 1)
 
 
+@pytest.mark.parametrize("name", sorted(set(MODELS) - set(bundled_model_names())))
+def test_lifted_coboundary_matches_the_matrix_on_rationals(name):
+    # on the non-integral models the elementwise path sums Fractions, the
+    # matrix path multiplies the same scalars: the two must agree
+    model = parse_model(MODELS[name])
+    rng = random.Random(3)
+
+    def coords(size):
+        return tuple(QQ.parse(rng.choice(TOKENS)) for _ in range(size))
+
+    for d in model.dialgebras.values():
+        rep = adjoint_rep(d)
+        for n in range(3):
+            c = Cochain(n, d, rep, coords(cy_dim(d, rep, n)))
+            assert (coboundary(c).coeffs
+                    == coboundary_matrix(d, rep, n).apply(c.coeffs)), n
+    for psi in model.morphisms.values():
+        cx = MorphismComplex(psi)
+        for n in (1, 2):
+            v = coords(cx.dim(n))
+            assert (cx.vec(cx.coboundary(cx.unvec(n, v)))
+                    == cx.matrix(n).apply(v)), n
+
+
 def _fraction_build(patch):
     """QQ building every scalar as a Fraction, integral or not."""
     patch.setattr(Rationals, "zero", Fraction(0))
