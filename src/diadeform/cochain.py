@@ -80,15 +80,6 @@ class Cochain:
         return cls(degree, dialgebra, rep,
                    (z,) * cy_dim(dialgebra, rep, degree))
 
-    @classmethod
-    def from_function(cls, degree, dialgebra, rep, fn):
-        """fn(tree, multi) must return an M coordinate tuple."""
-        coeffs = []
-        for tree in enumerate_trees(degree):
-            for multi in multi_indices(dialgebra.dim, degree):
-                coeffs.extend(fn(tree, multi))
-        return cls(degree, dialgebra, rep, coeffs)
-
     @property
     def field(self):
         return self.dialgebra.field
@@ -108,26 +99,6 @@ class Cochain:
                 v = self.value(tree.index, multi)
                 if any(x != z for x in v):
                     yield tree, multi, v
-
-    def evaluate(self, tree_index, vectors):
-        """Multilinear evaluation on arbitrary coordinate vectors."""
-        if len(vectors) != self.degree:
-            raise ShapeMismatch("expected %d arguments" % self.degree)
-        z = self.field.zero
-        m = self.rep.module_dim
-        out = [z] * m
-        for multi in multi_indices(self.dialgebra.dim, self.degree):
-            c = self.field.one
-            for vec, a in zip(vectors, multi):
-                c = c * vec[a]
-                if c == z:
-                    break
-            if c == z:
-                continue
-            v = self.value(tree_index, multi)
-            for w in range(m):
-                out[w] = out[w] + c * v[w]
-        return tuple(out)
 
     def _compat(self, other):
         if (self.degree != other.degree or self.dialgebra != other.dialgebra

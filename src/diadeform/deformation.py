@@ -18,7 +18,8 @@ isomorphism acts by conjugating the lifted products and morphism.
 import random
 from dataclasses import dataclass
 
-from .cochain import Cochain, product_cochain, random_scalar
+from .cochain import (Cochain, flat_offset, product_cochain,
+                      random_scalar)
 from .dialgebra import (AXIOMS, LEFT, Dialgebra, DialgebraMorphism,
                         adjoint_rep, check_dialgebra, check_morphism,
                         image_products)
@@ -127,9 +128,12 @@ class TruncatedDeformation:
 
     @classmethod
     def trivial(cls, psi, order=0):
-        base = cls(psi, [product_cochain(psi.source)],
-                   [product_cochain(psi.target)], [psi.matrix])
-        return cls.from_lift(psi, *base.lift(order))
+        d, e = psi.source, psi.target
+        zero_d, zero_e = (Cochain.zero(2, x, adjoint_rep(x)) for x in (d, e))
+        zero_psi = Matrix.zero(psi.field, e.dim, d.dim)
+        return cls(psi, [product_cochain(d)] + [zero_d] * order,
+                   [product_cochain(e)] + [zero_e] * order,
+                   [psi.matrix] + [zero_psi] * order)
 
     def lift(self, pad=0):
         """(D_t, E_t, psi_t) over K[t]/(t^{N+1+pad}), zero above order N."""
@@ -392,11 +396,12 @@ def obstruction(th):
     d_violations, e_violations, m_violations = _require_valid(th, 1)
 
     def cochain(degree, d, rep, diffs):
-        values = {key: tuple(x.c[n + 1] - y.c[n + 1] for x, y in zip(*sides))
-                  for key, sides in diffs}
-        zero = (d.field.zero,) * rep.module_dim
-        return Cochain.from_function(degree, d, rep, lambda tree, multi:
-                                     values.get((tree.index, multi), zero))
+        coeffs, m = list(Cochain.zero(degree, d, rep).coeffs), rep.module_dim
+        for (tree, multi), sides in diffs:
+            off = flat_offset(tree, multi, d.dim, m)
+            coeffs[off:off + m] = [x.c[n + 1] - y.c[n + 1]
+                                   for x, y in zip(*sides)]
+        return Cochain(degree, d, rep, coeffs)
 
     def axiom_block(d, vs):
         return cochain(3, d, adjoint_rep(d), [
@@ -570,12 +575,22 @@ def _trivialize(th):
 
 
 def rigidity_probe(psi, order=4):
-    """HY^2-based rigidity verdict, exercised on sampled deformations."""
+    """HY^2-based rigidity verdict, exercised on sampled deformations.
+
+    The source and target must satisfy the dialgebra axioms and psi must
+    be a morphism; else InvalidDeformation names the failing object.
+    """
     if order < 0:
         raise IndexOutOfRange("sample order must be >= 0, got %d" % order)
     _require_within_cap("sample", order)
-    report = check_morphism(psi)
-    if not report:
+    for role, d in (("source", psi.source), ("target", psi.target)):
+        report = check_dialgebra(d)
+        if not report:
+            num, i, j, k = report.violations[0][:4]
+            raise InvalidDeformation("%s %s is not a dialgebra: axiom %d"
+                                     " fails on triple %r"
+                                     % (role, d.name, num, (i, j, k)))
+    if not check_morphism(psi):
         raise InvalidDeformation("psi is not a dialgebra morphism")
     cx = complex_of(psi)
     hy2 = cx.cohomology_dim(2)

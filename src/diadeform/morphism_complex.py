@@ -10,6 +10,15 @@ with the two push-forwards defined coordinatewise.  Block vectors are laid
 out as (xi | pi | phi); degree 0 is the zero module and cohomology starts
 at degree 1.
 
+Like the coboundary of CY*(D,M), the third block is computed twice on
+purpose: elementwise (``push_forward``, ``pull_back``) and as assembled
+matrices (``push_matrix``, ``pull_matrix``).  The two paths keep their own
+loops and share their set-up, as the CY*(D,M) paths share
+``trees.tree_plan``: the complex reads psi once, into ``images``, the
+nonzero coordinates (w, c) of each psi(e_u).  The elementwise path sums
+products of those coordinates over the values of xi or pi; the matrix path
+writes the same products as entries.
+
 The complex is determined by psi, so the deformation calculus and the CLI
 take psi and get the complex from ``complex_of(psi)``.  psi keeps only a
 weak reference to it: callers share its matrices and factorizations while
@@ -88,6 +97,11 @@ class MorphismComplex:
         self.rep_d = adjoint_rep(self.D)
         self.rep_e = adjoint_rep(self.E)
         self.rep_de = pullback_rep(psi)
+        # images[u]: the nonzero coordinates (w, c) of psi(e_u), the one
+        # reading of psi behind both paths of the third block
+        z = psi.field.zero
+        self.images = [[(w, c) for w, c in enumerate(col) if c != z]
+                       for col in psi.matrix.transpose().dense_rows()]
         self._matrices = {}
 
     @property
@@ -132,47 +146,59 @@ class MorphismComplex:
 
     def push_forward(self, xi):
         """psi.xi in CY^n(D,E): apply psi to every value of xi."""
-        psi = self.psi
-        return Cochain.from_function(
-            xi.degree, self.D, self.rep_de,
-            lambda tree, multi: psi(xi.value(tree.index, multi)))
+        z, n = self.field.zero, xi.degree
+        ddim, edim = self.D.dim, self.E.dim
+        out = [z] * (len(enumerate_trees(n)) * ddim ** n * edim)
+        for i, x in enumerate(xi.coeffs):
+            if x != z:
+                s, u = divmod(i, ddim)
+                for w, c in self.images[u]:
+                    out[s * edim + w] = out[s * edim + w] + x * c
+        return Cochain(n, self.D, self.rep_de, out)
 
     def pull_back(self, pi):
-        """pi.psi in CY^n(D,E): evaluate pi on psi-images of the basis."""
-        images = self.psi.matrix.transpose().dense_rows()
-        return Cochain.from_function(
-            pi.degree, self.D, self.rep_de,
-            lambda tree, multi: pi.evaluate(tree.index,
-                                            [images[a] for a in multi]))
+        """pi.psi in CY^n(D,E): pi on the psi-images of the basis, one
+        product of their nonzero coordinates at a time."""
+        f, images, n, edim = self.field, self.images, pi.degree, self.E.dim
+        out = []
+        for t in range(len(enumerate_trees(n))):
+            for dmulti in multi_indices(self.D.dim, n):
+                v = [f.zero] * edim
+                for terms in itertools.product(*(images[a] for a in dmulti)):
+                    c, ei = f.one, t
+                    for s, x in terms:
+                        c, ei = c * x, ei * edim + s
+                    for w in range(edim):
+                        v[w] = v[w] + c * pi.coeffs[ei * edim + w]
+                out.extend(v)
+        return Cochain(n, self.D, self.rep_de, out)
 
     def push_matrix(self, n):
         """Matrix of xi |-> psi.xi from CY^n(D,D) to CY^n(D,E)."""
-        psi = self.psi.matrix.dense_rows()
         ddim, edim = self.D.dim, self.E.dim
         slots = len(enumerate_trees(n)) * ddim ** n
-        return Matrix.sparse(self.field, slots * edim, slots * ddim, {
-            s * edim + w: {s * ddim + u: c for u, c in enumerate(psi[w])}
-            for s in range(slots) for w in range(edim)})
+        data = {}
+        for s in range(slots):
+            for u, image in enumerate(self.images):
+                for w, c in image:
+                    data.setdefault(s * edim + w, {})[s * ddim + u] = c
+        return Matrix.sparse(self.field, slots * edim, slots * ddim, data)
 
     def pull_matrix(self, n):
         """Matrix of pi |-> pi.psi from CY^n(E,E) to CY^n(D,E)."""
-        f = self.field
+        f, images = self.field, self.images
         ddim, edim = self.D.dim, self.E.dim
-        # the nonzero coordinates (s, psi[s, i]) of each psi(e_i)
-        images = [[(s, c) for s, c in enumerate(col) if c != f.zero]
-                  for col in self.psi.matrix.transpose().dense_rows()]
         trees = len(enumerate_trees(n))
         data = {}
         for t in range(trees):
             for di, dmulti in enumerate(multi_indices(ddim, n)):
                 base_row = (t * ddim ** n + di) * edim
-                for terms in itertools.product(*(images[i] for i in dmulti)):
-                    c, ei = f.one, 0
+                for terms in itertools.product(*(images[a] for a in dmulti)):
+                    c, ei = f.one, t
                     for s, x in terms:
                         c, ei = c * x, ei * edim + s
-                    base_col = (t * edim ** n + ei) * edim
                     for w in range(edim):
-                        data.setdefault(base_row + w, {})[base_col + w] = c
+                        data.setdefault(base_row + w, {})[ei * edim + w] = c
         return Matrix.sparse(f, trees * ddim ** n * edim,
                              trees * edim ** n * edim, data)
 

@@ -202,6 +202,18 @@ def test_rigidity_probe_order_cap(capsys, model_path):
     assert err == "error: sample order 7 exceeds cap 6\n"
 
 
+def test_rigidity_probe_rejects_an_invalid_source(capsys, tmp_path):
+    # the golden bad_axiom dialgebra with its identity map
+    path = tmp_path / "bad.dl"
+    path.write_text("field rationals\ndialgebra B\n  dim 1\n"
+                    "  left 0 0 0 1\nend\nmorphism id\n  source B\n"
+                    "  target B\n  entry 0 0 1\nend\n")
+    result = run(capsys, "rigidity-probe", str(path))
+    assert is_input_error(*result)
+    assert result[2] == ("error: source B is not a dialgebra: axiom 2"
+                         " fails on triple (0, 0, 0)\n")
+
+
 def test_records_format(capsys, model_path):
     code, out, _ = run(capsys, "--format", "records", "check",
                        model_path("mult1"))

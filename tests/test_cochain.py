@@ -172,10 +172,9 @@ def test_cohomology_dim2_example():
 def test_product_cochain_values():
     d = mult_dialgebra()
     c = product_cochain(d)
-    e = (QQ.one,)
     # position 0 holds the left product, position 1 the right product
-    assert c.evaluate(0, (e, e)) == d.left[0][0]
-    assert c.evaluate(1, (e, e)) == d.right[0][0]
+    assert c.value(0, (0, 0)) == d.left[0][0]
+    assert c.value(1, (0, 0)) == d.right[0][0]
 
 
 def test_cochain_arithmetic(rng):

@@ -14,6 +14,7 @@ from diadeform.deformation import (FormalIso, TruncatedDeformation,
                                    random_deformation, random_formal_iso,
                                    rigidity_probe, trivialize_step,
                                    unipotent_inverse, verify_deformation)
+from diadeform.dialgebra import Dialgebra, DialgebraMorphism, check_morphism
 from diadeform.errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                               InvalidDeformation, NonIdentityConstantTerm,
                               NotACoboundary, OrderMismatch, OrderTooLow)
@@ -64,6 +65,17 @@ def test_trivial_deformation(zsetup):
     assert verify_deformation(th)
     for k in range(1, 4):
         assert th.theta(k).is_zero()
+
+
+def test_trivial_pads_the_lift_of_its_base(all_morphisms):
+    # trivial(psi, k) is the order-0 deformation lifted to order k
+    for tag, psi in all_morphisms:
+        for k in range(4):
+            th = TruncatedDeformation.trivial(psi, k)
+            lifted = TruncatedDeformation.from_lift(
+                psi, *TruncatedDeformation.trivial(psi).lift(k))
+            assert (th.fd, th.fe, th.psis) == (
+                lifted.fd, lifted.fe, lifted.psis), (tag, k)
 
 
 def test_base_mismatch_rejected(zsetup, ksetup):
@@ -488,6 +500,21 @@ def test_rigidity_probe_undecided(zsetup):
     report = rigidity_probe(psi, order=2)
     assert report.hy2_dim == 2
     assert "not decided" in report.verdict
+
+
+def test_rigidity_probe_checks_source_and_target():
+    # B fails axiom 2 (left 0 0 0 1, right 0); the zero map Z -> B is a
+    # morphism, so only the target's axioms can reject it
+    b = Dialgebra(1, QQ, left=[[[QQ.one]]], name="B")
+    z = Dialgebra(1, QQ, name="Z")
+    for psi, role in ((DialgebraMorphism.identity(b), "source"),
+                      (DialgebraMorphism(z, b, Matrix.zero(QQ, 1, 1)),
+                       "target")):
+        assert check_morphism(psi)
+        with pytest.raises(InvalidDeformation,
+                           match="^%s B is not a dialgebra: axiom 2 fails"
+                                 " on triple \\(0, 0, 0\\)$" % role):
+            rigidity_probe(psi)
 
 
 def test_sample_order_above_the_cap_raises(ksetup):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import weakref
 
@@ -8,13 +9,15 @@ from conftest import (change_basis, mirror, mult_dialgebra, randint_sequence,
 
 from diadeform.cochain import (coboundary, coboundary_matrix, cy_dim,
                                random_cochain)
-from diadeform.dialgebra import (DialgebraMorphism, adjoint_rep,
+from diadeform.dialgebra import (Dialgebra, DialgebraMorphism, adjoint_rep,
                                  check_morphism)
 from diadeform.errors import ShapeMismatch
 from diadeform.fields import QQ, PrimeField
+from diadeform.linalg import Matrix
 from diadeform.models import bundled_model_names, load_bundled_model
 from diadeform.morphism_complex import (MorphismCochain, MorphismComplex,
                                         complex_of)
+from diadeform.trees import enumerate_trees
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +108,65 @@ def test_push_pull_match_matrices(rng, complexes):
                     == cx.push_forward(xi).coeffs), tag
             assert (cx.pull_matrix(n).apply(pi.coeffs)
                     == cx.pull_back(pi).coeffs), tag
+
+
+def _push_reference(cx, xi):
+    """(psi.xi)(y; a) = psi(xi(y; a)), from the dense matrix of psi."""
+    f, psi = cx.field, cx.psi.matrix
+    out = []
+    for t in range(len(enumerate_trees(xi.degree))):
+        for a in itertools.product(range(cx.D.dim), repeat=xi.degree):
+            v = xi.value(t, a)
+            out += [sum((psi[w, u] * v[u] for u in range(cx.D.dim)), f.zero)
+                    for w in range(cx.E.dim)]
+    return out
+
+
+def _pull_reference(cx, pi):
+    """(pi.psi)(y; a_1..a_n) = sum over b of prod_i psi[b_i, a_i] pi(y; b)."""
+    f, psi, n = cx.field, cx.psi.matrix, pi.degree
+    out = []
+    for t in range(len(enumerate_trees(n))):
+        for a in itertools.product(range(cx.D.dim), repeat=n):
+            v = [f.zero] * cx.E.dim
+            for b in itertools.product(range(cx.E.dim), repeat=n):
+                c = f.one
+                for bi, ai in zip(b, a):
+                    c = c * psi[bi, ai]
+                v = [x + c * y for x, y in zip(v, pi.value(t, b))]
+            out += v
+    return out
+
+
+def _reference_complexes(all_morphisms):
+    """Every bundled morphism; a change of basis P2 -> P2' whose matrix
+    has no zero entry; Z2 -> Z2 by [[7, 1], [2, 7]] over QQ and GF(7),
+    where its diagonal vanishes."""
+    out = [(tag, MorphismComplex(psi)) for tag, psi in all_morphisms]
+    p2 = load_bundled_model("dim2").dialgebras["P2"]
+    p, p_inv = random_frame(QQ, 2, random.Random(3))
+    assert all(x != 0 for row in p.dense_rows() for x in row)
+    out.append(("P2 -> P2'", MorphismComplex(
+        DialgebraMorphism(p2, change_basis(p2, p, p_inv), p))))
+    for f in (QQ, PrimeField(7)):
+        z2 = Dialgebra(2, f, name="Z2")
+        m = Matrix(f, 2, 2, [[f.from_int(7), f.one], [f.from_int(2),
+                                                      f.from_int(7)]])
+        out.append(("Z2 %r" % f, MorphismComplex(
+            DialgebraMorphism(z2, z2, m))))
+    return out
+
+
+def test_push_pull_match_their_definitions(rng, all_morphisms):
+    for tag, cx in _reference_complexes(all_morphisms):
+        assert check_morphism(cx.psi), tag
+        for n in (1, 2, 3):
+            xi = random_cochain(cx.D, cx.rep_d, n, rng)
+            pi = random_cochain(cx.E, cx.rep_e, n, rng)
+            assert list(cx.push_forward(xi).coeffs) == _push_reference(
+                cx, xi), (tag, n)
+            assert list(cx.pull_back(pi).coeffs) == _pull_reference(
+                cx, pi), (tag, n)
 
 
 def test_vec_unvec_roundtrip(rng, complexes):
