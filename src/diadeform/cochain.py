@@ -8,12 +8,15 @@ the dialgebra basis (a_1 most significant), then the M-basis index.
 The coboundary is implemented twice on purpose: once elementwise from the
 defining alternating-sum formula (``coboundary``) and once as a directly
 assembled matrix in the canonical bases (``coboundary_matrix``).  The two
-paths are checked against each other in the test suite.  They share their
-set-up: both walk the cached ``trees.tree_plan`` (the face indices and
-slot labels of every tree) and index the slot tensors (the left action,
-the products, the right action) by basis index instead of multiplying
-basis vectors.  The elementwise path reads the values of f; the matrix
-path writes the same structure constants as column entries.
+paths are independent and are checked against each other in the test
+suite.  They share only their set-up: both walk the cached
+``trees.tree_plan`` (the face indices and slot labels of every tree) and
+index the slot tensors (the left action, the products, the right action)
+by basis index instead of multiplying basis vectors.  The elementwise path
+runs term by term: for each face term it adds, for every nonzero structure
+constant of the term's slot tensor, that multiple of f's values on the
+face tree into the output block.  The matrix path runs row by row and
+writes the same structure constants as column entries.
 
 Their arithmetic differs on purpose too.  The elementwise path lifts the
 values of f and the slot tensors to plain numbers once (``field.lift``),
@@ -151,13 +154,23 @@ def _slot_tensors(d, rep, labels):
             rep.act_ld if labels[-1] is LEFT else rep.act_rd)
 
 
-def _lifted(tensor, lift):
-    """A three-index slot tensor with every scalar lifted."""
-    return [[[lift(x) for x in row] for row in plane] for plane in tensor]
+def _entries(tensor, lift):
+    """(x, y, z, c) for every nonzero entry c = tensor[x][y][z] of a
+    three-index slot tensor, lifted, in index order."""
+    return [(x, y, z, lift(c))
+            for x, plane in enumerate(tensor)
+            for y, row in enumerate(plane)
+            for z, c in enumerate(row) if c]
 
 
 def coboundary(f):
     """delta f, computed elementwise from the alternating-sum formula.
+
+    The sum runs term by term: for each tree y and each face term i, every
+    nonzero structure constant of the slot tensor at i adds its multiple
+    of f's values on the tree d_i y into y's output block.  Each
+    coordinate sums its terms in the order of the formula, i = 0 to n + 1.
+    This path is independent of ``coboundary_matrix``, which checks it.
 
     The values of f and the slot tensors are lifted to plain numbers once,
     and each output coordinate is reduced back to a scalar once; over QQ,
@@ -171,58 +184,57 @@ def coboundary(f):
     lift, reduce = d.field.lift, d.field.reduce
     # over QQ both are the identity: the inputs are used as they are
     lifting = lift is not unchanged
-    vals, lifted = f.coeffs, None
-    if lifting:
-        vals = [lift(x) for x in f.coeffs]
-        lifted = {id(t): _lifted(t, lift) for t in (
-            d.left, d.right, rep.act_dl, rep.act_dr, rep.act_ld, rep.act_rd)}
+    vals = [lift(x) for x in f.coeffs] if lifting else f.coeffs
+    entries = {id(t): _entries(t, lift) for t in (
+        d.left, d.right, rep.act_dl, rep.act_dr, rep.act_ld, rep.act_rd)}
 
-    # each term's flat offset is read off the row's index r, the base-ddim
-    # number with digits multi: term 0 drops the first digit, term n + 1
-    # the last, and term i puts the merged index k for digits i - 1 and i
+    # f's values on one n-tree, and delta f's on one (n + 1)-tree, are a
+    # block of size ddim ** n * mdim, and ddim times that
     power = [ddim ** e for e in range(n + 2)]
-    tree_size = power[n] * mdim
+    size = power[n] * mdim
+    out_size = ddim * size
+    # the coordinates one structure constant of a term reaches, as offset
+    # pairs into delta f's block and f's: term 0 reads at the offsets it
+    # writes; term i reads, under each hi, a run of (lo; w) of length
+    # ddim ** (n - i) * mdim; term n + 1 writes with stride ddim * mdim
+    rests = range(0, size, mdim)
+    runs = []
+    for i in range(1, n + 1):
+        run = power[n - i] * mdim
+        his = zip(range(0, out_size, ddim * ddim * run),
+                  range(0, size, ddim * run))
+        runs.append((run, [(o + j, s + j) for o, s in his
+                           for j in range(run)]))
+    ends = list(zip(range(0, out_size, ddim * mdim), rests))
     coeffs = []
     for faces, labels in tree_plan(n + 1):
         first, products, last = _slot_tensors(d, rep, labels)
-        if lifting:
-            first, last = lifted[id(first)], lifted[id(last)]
-            products = [lifted[id(t)] for t in products]
-        for r, multi in enumerate(multi_indices(ddim, n + 1)):
-            out = [0] * mdim
-            # i = 0: the first argument acts on the left
-            off = faces[0] * tree_size + r % power[n] * mdim
-            for u, block in enumerate(first[multi[0]]):
-                c = vals[off + u]
-                if c:
-                    for w in range(mdim):
-                        out[w] += c * block[w]
-            # 1 <= i <= n: merge adjacent arguments with the slot product
-            for i in range(1, n + 1):
-                prod = products[i - 1][multi[i - 1]][multi[i]]
-                low = power[n - i]
-                base = faces[i] * tree_size + (
-                    r // power[n - i + 2] * power[n - i + 1] + r % low) * mdim
-                for k in range(ddim):
-                    c = prod[k]
-                    if not c:
-                        continue
-                    if i % 2:
-                        c = -c
-                    off = base + k * low * mdim
-                    for w in range(mdim):
-                        out[w] += c * vals[off + w]
-            # i = n + 1: the last argument acts on the right
-            off = faces[n + 1] * tree_size + r // ddim * mdim
-            for u in range(mdim):
-                c = vals[off + u]
-                if c:
-                    if not n % 2:
-                        c = -c
-                    block = last[u][multi[n]]
-                    for w in range(mdim):
-                        out[w] += c * block[w]
-            coeffs.extend(map(reduce, out) if lifting else out)
+        out = [0] * out_size
+        # i = 0: out(a, rest; w) += first[a][u][w] * f(d_0 y; rest; u)
+        src = faces[0] * size
+        for a, u, w, c in entries[id(first)]:
+            o, s = a * size + w, src + u
+            for r in rests:
+                out[o + r] += c * vals[s + r]
+        # 1 <= i <= n: out(hi, a, b, lo; w) += +-prod[a][b][k] *
+        # f(d_i y; hi, k, lo; w)
+        for i, (run, pairs) in enumerate(runs, 1):
+            src = faces[i] * size
+            for a, b, k, c in entries[id(products[i - 1])]:
+                if i % 2:
+                    c = -c
+                o, s = (a * ddim + b) * run, src + k * run
+                for oj, sj in pairs:
+                    out[o + oj] += c * vals[s + sj]
+        # i = n + 1: out(rest, b; w) += -+last[u][b][w] * f(d_n+1 y; rest; u)
+        src = faces[n + 1] * size
+        for u, b, w, c in entries[id(last)]:
+            if not n % 2:
+                c = -c
+            o, s = b * mdim + w, src + u
+            for oj, sj in ends:
+                out[o + oj] += c * vals[s + sj]
+        coeffs.extend(map(reduce, out) if lifting else out)
     return Cochain(n + 1, d, rep, coeffs)
 
 

@@ -9,7 +9,8 @@ from diadeform.cochain import (COORDINATE_BUDGET, Cochain, coboundary,
                                coboundary_matrix, cohomology_dim, cy_dim,
                                product_cochain, random_cochain)
 from diadeform.dialgebra import (Dialgebra, DialgebraMorphism, adjoint_rep,
-                                 check_dialgebra)
+                                 check_dialgebra, check_morphism,
+                                 pullback_rep)
 from diadeform.errors import CapExceeded, ShapeMismatch
 from diadeform.fields import QQ, GFElement, PrimeField
 from diadeform.models import load_bundled_model
@@ -55,12 +56,30 @@ def test_coboundary_squares_to_zero(rng, all_dialgebras):
             assert coboundary(coboundary(c)).is_zero(), (tag, n)
 
 
-def test_elementwise_matches_matrix(rng, all_dialgebras, gf7_models):
+def test_elementwise_matches_matrix(rng, bundled_models, gf7_models):
     # the hand-rolled elementwise formula and the assembled matrix are
-    # independent implementations; they must agree on random input
-    for tag, d in all_dialgebras + tagged(gf7_models, "dialgebras"):
-        rep = adjoint_rep(d)
-        for n in range(0, 3):
+    # independent implementations; they must agree on random input, over
+    # QQ and GF(7), on the adjoint representations and on the pullback
+    # representations, whose dialgebra and module dims differ (emb: 1 and
+    # 2, proj: 2 and 1).  proj's actions are zero, so one more case has
+    # every action constant nonzero: P2 in the basis e, e + f, where
+    # x -| y = s(y) x and x |- y = s(x) y, pulled back to K along the sum
+    # of coordinates s
+    cases = []
+    for models in (bundled_models, gf7_models):
+        cases += [(tag, d, adjoint_rep(d))
+                  for tag, d in tagged(models, "dialgebras")]
+        cases += [(tag + "*", psi.source, pullback_rep(psi))
+                  for tag, psi in tagged(models, "morphisms")]
+        k = models["dim2"].dialgebras["K"]
+        one, zero = k.field.one, k.field.zero
+        unit = [[one, zero], [zero, one]]
+        d = Dialgebra(2, k.field, [[row, row] for row in unit], [unit, unit])
+        s = DialgebraMorphism(d, k, [[one, one]])
+        assert check_dialgebra(d) and check_morphism(s)
+        cases.append(("sum*", d, pullback_rep(s)))
+    for tag, d, rep in cases:
+        for n in range(0, 5):
             c = random_cochain(d, rep, n, rng)
             mat = coboundary_matrix(d, rep, n)
             assert mat.apply(c.coeffs) == coboundary(c).coeffs, (tag, n)
@@ -88,13 +107,17 @@ def test_coboundary_commutes_with_reduction_mod_p(p, bundled_models):
 
 
 def test_gf_coboundary_does_no_element_arithmetic(monkeypatch):
-    # the elementwise path sums lifted numbers: one GF(p) coboundary makes
-    # no GFElement sum, difference, product or negation
+    # the elementwise path sums lifted numbers: a GF(p) coboundary makes no
+    # GFElement sum, difference, product or negation, also on emb's
+    # pullback representation, whose action tensors are not D's products
     gf = PrimeField(32003)
-    d = load_bundled_model("dim2", field_override=gf).dialgebras["P2"]
-    rep = adjoint_rep(d)
-    c = random_cochain(d, rep, 2, random.Random(7))
-    expected = coboundary_matrix(d, rep, 2).apply(c.coeffs)
+    model = load_bundled_model("dim2", field_override=gf)
+    d, emb = model.dialgebras["P2"], model.morphisms["emb"]
+    rng = random.Random(7)
+    cochains = [random_cochain(d, adjoint_rep(d), 2, rng),
+                random_cochain(emb.source, pullback_rep(emb), 3, rng)]
+    expected = [coboundary_matrix(c.dialgebra, c.rep, c.degree).apply(c.coeffs)
+                for c in cochains]
     calls = []
 
     def counted(name, method):
@@ -107,10 +130,11 @@ def test_gf_coboundary_does_no_element_arithmetic(monkeypatch):
                  "__rmul__", "__neg__"):
         monkeypatch.setattr(GFElement, name,
                             counted(name, getattr(GFElement, name)))
-    got = coboundary(c)
+    got = [coboundary(c) for c in cochains]
     monkeypatch.undo()
     assert calls == []
-    assert got.coeffs == expected and not got.is_zero()
+    for g, coeffs in zip(got, expected):
+        assert g.coeffs == coeffs and not g.is_zero()
 
 
 def test_vec_unvec_roundtrip(rng):

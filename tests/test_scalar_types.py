@@ -161,7 +161,7 @@ def test_lifted_coboundary_matches_the_matrix_on_rationals(name):
 
     for d in model.dialgebras.values():
         rep = adjoint_rep(d)
-        for n in range(3):
+        for n in range(4):
             c = Cochain(n, d, rep, coords(cy_dim(d, rep, n)))
             assert (coboundary(c).coeffs
                     == coboundary_matrix(d, rep, n).apply(c.coeffs)), n
