@@ -5,20 +5,20 @@ an element of the coefficient module M.  Coefficients are stored flat in
 a fixed order: tree index major, then the lexicographic multi-index over
 the dialgebra basis (a_1 most significant), then the M-basis index.
 
-The coboundary is implemented twice on purpose: once elementwise from the
-defining alternating-sum formula (``coboundary``) and once as a directly
-assembled matrix in the canonical bases (``coboundary_matrix``).  The two
-paths are independent and are checked against each other in the test
-suite.  They share only their set-up: both walk the cached
-``trees.tree_plan`` (the face indices and slot labels of every tree) and
-index the slot tensors (the left action, the products, the right action)
-by basis index instead of multiplying basis vectors.  The elementwise path
-runs term by term: for each face term it adds, for every nonzero structure
-constant of the term's slot tensor, that multiple of f's values on the
-face tree into the output block.  The matrix path runs row by row and
-writes the same structure constants as column entries.
+The coboundary is implemented twice: once elementwise from the defining
+alternating-sum formula (``coboundary``) and once as a matrix in the
+canonical bases (``coboundary_matrix``).  Both read one term plan
+(``_term_plan``): per tree and face term of the formula, the nonzero
+structure constants of the term's slot tensor (the left action, the
+products, the right action), indexed by basis index, and the offset pairs
+of the coordinates that each constant reaches.  Both run term by term
+over it: the elementwise path sums values, each constant times f's values
+on the face tree, and the matrix path writes entries, each constant at
+the (row, column) pairs.  The test suite checks the two paths against
+each other, and the matrix against a reference that computes every
+offset from the multi-index.
 
-Their arithmetic differs on purpose too.  The elementwise path lifts the
+Their arithmetic differs on purpose.  The elementwise path lifts the
 values of f and the slot tensors to plain numbers once (``field.lift``),
 sums on those, and reduces each output coordinate once
 (``field.reduce``), so over GF(p) its loop makes no ``GFElement``; over
@@ -27,6 +27,7 @@ scalars, so the cross-check also tests the lifted arithmetic.
 """
 
 import itertools
+from functools import lru_cache
 
 from .errors import CapExceeded, IndexOutOfRange, ShapeMismatch
 from .fields import unchanged
@@ -146,35 +147,66 @@ def flat_offset(tree_index, multi, ddim, mdim):
     return pos * mdim
 
 
-def _slot_tensors(d, rep, labels):
-    """The tensors read at the slots of one tree: the left action at slot
-    0, the products at slots 1..n and the right action at slot n+1."""
-    return (rep.act_dl if labels[0] is LEFT else rep.act_dr,
-            [d.tensor(label) for label in labels[1:-1]],
-            rep.act_ld if labels[-1] is LEFT else rep.act_rd)
+@lru_cache(maxsize=None)
+def _role_plan(m):
+    """``trees.tree_plan(m)`` with each slot label replaced by its role:
+    the index, in ``_term_plan``'s six slot tensors, of the tensor that it
+    picks; and the sorted roles used."""
+    plan = tuple((faces, tuple(2 * (0 if k == 0 else 1 if k < m else 2)
+                               + (label is not LEFT)
+                               for k, label in enumerate(labels)))
+                 for faces, labels in tree_plan(m))
+    return plan, sorted({r for _, roles in plan for r in roles})
 
 
-def _entries(tensor, lift):
-    """(x, y, z, c) for every nonzero entry c = tensor[x][y][z] of a
-    three-index slot tensor, lifted, in index order."""
-    return [(x, y, z, lift(c))
-            for x, plane in enumerate(tensor)
-            for y, row in enumerate(plane)
-            for z, c in enumerate(row) if c]
+def _term_plan(d, rep, n, lift):
+    """The set-up of both paths: (size, rests, runs, ends, trees, slots).
+
+    f's values on one n-tree are a block of ``size`` coordinates, and
+    delta f's on one (n + 1)-tree a block of ddim * size.  The coordinates
+    one structure constant reaches are offset pairs into the two blocks:
+    term 0 reads at the offsets ``rests`` it writes; term i reads, under
+    each hi, a run of (lo; w), ``runs[i - 1]`` = (run length, pairs); term
+    n + 1 writes with stride ddim * mdim, ``ends``.  ``trees`` is
+    ``_role_plan(n + 1)``; ``slots[r]`` lists the nonzero entries (x, y,
+    z, c) of the slot tensor of role r, lifted, for the roles used."""
+    ddim, mdim = d.dim, rep.module_dim
+    size = ddim ** n * mdim
+    out_size = ddim * size
+    rests = range(0, size, mdim)
+    runs = []
+    for i in range(1, n + 1):
+        run = ddim ** (n - i) * mdim
+        his = zip(range(0, out_size, ddim * ddim * run),
+                  range(0, size, ddim * run))
+        runs.append((run, [(o + j, s + j) for o, s in his
+                           for j in range(run)]))
+    ends = list(zip(range(0, out_size, ddim * mdim), rests))
+    trees, used = _role_plan(n + 1)
+    tensors = (rep.act_dl, rep.act_dr, d.left, d.right, rep.act_ld,
+               rep.act_rd)
+    slots, lists = [None] * 6, {}
+    for r in used:
+        t = tensors[r]
+        key = id(t)
+        if key not in lists:
+            lists[key] = [(x, y, z, lift(c))
+                          for x, plane in enumerate(t)
+                          for y, row in enumerate(plane)
+                          for z, c in enumerate(row) if c]
+        slots[r] = lists[key]
+    return size, rests, runs, ends, trees, slots
 
 
 def coboundary(f):
     """delta f, computed elementwise from the alternating-sum formula.
 
-    The sum runs term by term: for each tree y and each face term i, every
-    nonzero structure constant of the slot tensor at i adds its multiple
-    of f's values on the tree d_i y into y's output block.  Each
-    coordinate sums its terms in the order of the formula, i = 0 to n + 1.
-    This path is independent of ``coboundary_matrix``, which checks it.
-
-    The values of f and the slot tensors are lifted to plain numbers once,
-    and each output coordinate is reduced back to a scalar once; over QQ,
-    whose scalars are plain numbers already, neither step runs."""
+    For each tree y and each face term i, every nonzero structure constant
+    of the slot tensor at i adds its multiple of f's values on the tree
+    d_i y into y's block, so each coordinate sums its terms in the order
+    of the formula.  The values of f and the slot tensors are lifted to
+    plain numbers once, and each output coordinate is reduced back to a
+    scalar once; over QQ neither step runs."""
     n = f.degree
     if n + 1 > TREE_CAP:
         raise CapExceeded("coboundary would exceed tree cap %d" % TREE_CAP)
@@ -185,34 +217,13 @@ def coboundary(f):
     # over QQ both are the identity: the inputs are used as they are
     lifting = lift is not unchanged
     vals = [lift(x) for x in f.coeffs] if lifting else f.coeffs
-    entries = {id(t): _entries(t, lift) for t in (
-        d.left, d.right, rep.act_dl, rep.act_dr, rep.act_ld, rep.act_rd)}
-
-    # f's values on one n-tree, and delta f's on one (n + 1)-tree, are a
-    # block of size ddim ** n * mdim, and ddim times that
-    power = [ddim ** e for e in range(n + 2)]
-    size = power[n] * mdim
-    out_size = ddim * size
-    # the coordinates one structure constant of a term reaches, as offset
-    # pairs into delta f's block and f's: term 0 reads at the offsets it
-    # writes; term i reads, under each hi, a run of (lo; w) of length
-    # ddim ** (n - i) * mdim; term n + 1 writes with stride ddim * mdim
-    rests = range(0, size, mdim)
-    runs = []
-    for i in range(1, n + 1):
-        run = power[n - i] * mdim
-        his = zip(range(0, out_size, ddim * ddim * run),
-                  range(0, size, ddim * run))
-        runs.append((run, [(o + j, s + j) for o, s in his
-                           for j in range(run)]))
-    ends = list(zip(range(0, out_size, ddim * mdim), rests))
+    size, rests, runs, ends, trees, slots = _term_plan(d, rep, n, lift)
     coeffs = []
-    for faces, labels in tree_plan(n + 1):
-        first, products, last = _slot_tensors(d, rep, labels)
-        out = [0] * out_size
+    for faces, roles in trees:
+        out = [0] * (ddim * size)
         # i = 0: out(a, rest; w) += first[a][u][w] * f(d_0 y; rest; u)
         src = faces[0] * size
-        for a, u, w, c in entries[id(first)]:
+        for a, u, w, c in slots[roles[0]]:
             o, s = a * size + w, src + u
             for r in rests:
                 out[o + r] += c * vals[s + r]
@@ -220,7 +231,7 @@ def coboundary(f):
         # f(d_i y; hi, k, lo; w)
         for i, (run, pairs) in enumerate(runs, 1):
             src = faces[i] * size
-            for a, b, k, c in entries[id(products[i - 1])]:
+            for a, b, k, c in slots[roles[i]]:
                 if i % 2:
                     c = -c
                 o, s = (a * ddim + b) * run, src + k * run
@@ -228,7 +239,7 @@ def coboundary(f):
                     out[o + oj] += c * vals[s + sj]
         # i = n + 1: out(rest, b; w) += -+last[u][b][w] * f(d_n+1 y; rest; u)
         src = faces[n + 1] * size
-        for u, b, w, c in entries[id(last)]:
+        for u, b, w, c in slots[roles[n + 1]]:
             if not n % 2:
                 c = -c
             o, s = b * mdim + w, src + u
@@ -239,57 +250,45 @@ def coboundary(f):
 
 
 def coboundary_matrix(d, rep, n):
-    """Matrix of delta: CY^n -> CY^{n+1}, assembled row by row.
+    """Matrix of delta: CY^n -> CY^{n+1}, assembled term by term.
 
     Rows are indexed by the CY^{n+1} basis and columns by the CY^n basis,
-    both in the canonical flat order.  This is an independent code path
-    from ``coboundary``; it writes structure constants as column entries.
-    """
+    both in the canonical flat order.  Each structure constant of a term
+    is written at the (row, column) pairs where ``coboundary`` multiplies
+    it into a sum; entries that cancel are dropped."""
     if n + 1 > TREE_CAP:
         raise CapExceeded("coboundary matrix would exceed tree cap %d"
                           % TREE_CAP)
     _check_budget(d, rep, n + 1)
-    z = d.field.zero
-    mdim, ddim = rep.module_dim, d.dim
-    data = {}
-    row = 0
-    for faces, labels in tree_plan(n + 1):
-        first, products, last = _slot_tensors(d, rep, labels)
-        for multi in multi_indices(ddim, n + 1):
-            # i = 0 term
-            col = flat_offset(faces[0], multi[1:], ddim, mdim)
-            for u, block in enumerate(first[multi[0]]):
-                for w in range(mdim):
-                    if block[w] != z:
-                        _add(data, row + w, col + u, block[w])
-            # middle terms
-            for i in range(1, n + 1):
-                prod = products[i - 1][multi[i - 1]][multi[i]]
-                for k in range(ddim):
-                    if prod[k] == z:
-                        continue
-                    col = flat_offset(faces[i],
-                                      multi[:i - 1] + (k,) + multi[i + 1:],
-                                      ddim, mdim)
-                    c = prod[k] if i % 2 == 0 else -prod[k]
-                    for w in range(mdim):
-                        _add(data, row + w, col + w, c)
-            # i = n + 1 term
-            col = flat_offset(faces[n + 1], multi[:n], ddim, mdim)
-            for u in range(mdim):
-                block = last[u][multi[n]]
-                for w in range(mdim):
-                    if block[w] != z:
-                        _add(data, row + w, col + u,
-                             block[w] if n % 2 else -block[w])
-            row += mdim
-    return Matrix.sparse(d.field, cy_dim(d, rep, n + 1), cy_dim(d, rep, n),
-                         data)
-
-
-def _add(data, i, j, val):
-    row = data.setdefault(i, {})
-    row[j] = row[j] + val if j in row else val
+    ddim, mdim = d.dim, rep.module_dim
+    size, rests, runs, ends, trees, slots = _term_plan(d, rep, n, unchanged)
+    rows = [{} for _ in range(cy_dim(d, rep, n + 1))]
+    for base, (faces, roles) in zip(itertools.count(0, ddim * size), trees):
+        src = faces[0] * size
+        for a, u, w, c in slots[roles[0]]:
+            o, s = base + a * size + w, src + u
+            for r in rests:
+                row, j = rows[o + r], s + r
+                row[j] = row[j] + c if j in row else c
+        for i, (run, pairs) in enumerate(runs, 1):
+            src = faces[i] * size
+            for a, b, k, c in slots[roles[i]]:
+                if i % 2:
+                    c = -c
+                o, s = base + (a * ddim + b) * run, src + k * run
+                for oj, sj in pairs:
+                    row, j = rows[o + oj], s + sj
+                    row[j] = row[j] + c if j in row else c
+        src = faces[n + 1] * size
+        for u, b, w, c in slots[roles[n + 1]]:
+            if not n % 2:
+                c = -c
+            o, s = base + b * mdim + w, src + u
+            for oj, sj in ends:
+                row, j = rows[o + oj], s + sj
+                row[j] = row[j] + c if j in row else c
+    return Matrix.sparse(d.field, len(rows), cy_dim(d, rep, n),
+                         {i: row for i, row in enumerate(rows) if row})
 
 
 def cohomology_dim(d, rep, n):

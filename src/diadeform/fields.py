@@ -203,6 +203,9 @@ class Rationals:
         return p if q == 1 else _mpq(p, q)
 
     def inv(self, x):
+        # a unit is its own inverse: no rational is made for a +-1 pivot
+        if type(x) is int and (x == 1 or x == -1):
+            return x
         return canonical(1 / _mpq(x))
 
     lift = reduce = staticmethod(unchanged)

@@ -2,12 +2,15 @@
 
 A matrix keeps only its nonzero entries, as a dict of rows {i: {j: x}};
 absent entries read as the field's zero.  Matrices are immutable.  The
-first rank, kernel or solve query eliminates a matrix once, to its unique
-reduced row echelon form, and records every row operation; later queries
-reuse that memoized factorization, and ``solve(b)`` replays the recorded
-operations on b instead of eliminating [M | b].  Everything is exact, so
-the identities asserted elsewhere (delta^2 = 0 and friends) hold with zero
-tolerance, and no result depends on the order of elimination.
+first rank, kernel or solve query eliminates a matrix forward once, to a
+row echelon form, and records every row operation.  Rank reads the pivots
+of that form and does not back-reduce; the first kernel or solve query
+back-reduces the memoized form once, to the unique reduced row echelon
+form.  Later queries reuse what is memoized, so no matrix is eliminated
+twice, and ``solve(b)`` replays the recorded operations on b instead of
+eliminating [M | b].  Everything is exact, so the identities asserted
+elsewhere (delta^2 = 0 and friends) hold with zero tolerance, and no
+result depends on the order of elimination.
 """
 
 from .errors import MixedFields, ShapeMismatch
@@ -176,19 +179,20 @@ class Matrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _factor(self):
-        """(pivots, forward, back), memoized: ``pivots`` maps each pivot
-        column c to its RREF row; per row i, ``forward`` holds (i, ops, c,
-        inv): row i minus f * (pivot row j) for (j, f) in ops, times inv,
-        is the echelon row of pivot c, or 0 if c is None; ``back`` holds
-        (c, ops), the back-reduction of pivot row c, largest c first."""
+    def _forward(self):
+        """(pivots, forward, back), memoized, after forward elimination
+        only: ``pivots`` maps each pivot column c to its echelon row, 1 at
+        c; per nonzero row i, ``forward`` holds (i, ops, c, inv): row i
+        minus f * (pivot row j) for (j, f) in ops, times inv, is the echelon
+        row of pivot c, or 0 if c is None; ``back`` is None until
+        ``_factor`` has back-reduced the pivot rows."""
         if self._fact is not None:
             return self._fact
-        pivots, forward, back = {}, [], []
-        # short rows first: short pivot rows cause less fill-in
-        for i in sorted(range(self.rows),
-                        key=lambda i: len(self._rows.get(i, _EMPTY))):
-            row, ops = dict(self._rows.get(i, _EMPTY)), []
+        pivots, forward, rows = {}, [], self._rows
+        # short rows first, ties in row order: short pivot rows cause less
+        # fill-in; zero rows make no pivot and are skipped
+        for i in sorted(sorted(rows), key=lambda i: len(rows[i])):
+            row, ops = dict(rows[i]), []
             while row:
                 c = min(row)
                 if c not in pivots:
@@ -201,6 +205,18 @@ class Matrix:
             inv = self.field.inv(row[c])
             pivots[c] = {j: canonical(x * inv) for j, x in row.items()}
             forward.append((i, ops, c, inv))
+        object.__setattr__(self, "_fact", (pivots, forward, None))
+        return self._fact
+
+    def _factor(self):
+        """(pivots, forward, back), memoized, with ``pivots`` back-reduced
+        to the unique reduced row echelon form: ``back`` holds (c, ops),
+        the back-reduction of pivot row c, largest c first.  Reuses the
+        forward elimination of ``_forward``."""
+        pivots, forward, back = self._forward()
+        if back is not None:
+            return self._fact
+        back = []
         # rows of larger pivots are reduced first, so one pass over a row
         # clears its other pivot columns without creating new ones
         for c in sorted(pivots, reverse=True):
@@ -215,7 +231,8 @@ class Matrix:
         return self._fact
 
     def rank(self):
-        return len(self._factor()[0])
+        """The number of pivots; needs no back-reduction."""
+        return len(self._forward()[0])
 
     def kernel_basis(self):
         """A basis of ker(self), as a list of tuples; exact: per free column
@@ -237,6 +254,10 @@ class Matrix:
             raise ShapeMismatch("rhs length %d, expected %d"
                                 % (len(b), self.rows))
         b = [_coerce(self.field, x) for x in b]
+        # a zero row of self needs a zero entry of b
+        if any(x != self._zero for i, x in enumerate(b)
+               if i not in self._rows):
+            return None
         pivots, forward, back = self._factor()
         value = {}
         for i, ops, c, inv in forward:

@@ -14,7 +14,7 @@ Like the coboundary of CY*(D,M), the third block is computed twice on
 purpose: elementwise (``push_forward``, ``pull_back``) and as assembled
 matrices (``push_matrix``, ``pull_matrix``).  The two paths keep their own
 loops and share their set-up, as the CY*(D,M) paths share
-``trees.tree_plan``: the complex reads psi once, into ``images``, the
+``cochain._term_plan``: the complex reads psi once, into ``images``, the
 nonzero coordinates (w, c) of each psi(e_u).  The elementwise path sums
 products of those coordinates over the values of xi or pi; the matrix path
 writes the same products as entries.

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,15 +8,18 @@ from conftest import (change_basis, mirror, mult_dialgebra, random_frame,
 
 from diadeform.cochain import (COORDINATE_BUDGET, Cochain, coboundary,
                                coboundary_matrix, cohomology_dim, cy_dim,
-                               product_cochain, random_cochain)
+                               flat_offset, product_cochain, random_cochain)
 from diadeform.dialgebra import (Dialgebra, DialgebraMorphism, adjoint_rep,
                                  check_dialgebra, check_morphism,
                                  pullback_rep)
 from diadeform.errors import CapExceeded, ShapeMismatch
 from diadeform.fields import QQ, GFElement, PrimeField
+from diadeform.linalg import Matrix
 from diadeform.models import load_bundled_model
 from diadeform.morphism_complex import MorphismComplex
-from diadeform.trees import catalan
+from diadeform.trees import ProductLabel, catalan, tree_plan
+
+LEFT = ProductLabel.LEFT
 
 
 def test_cy_dim():
@@ -56,15 +60,13 @@ def test_coboundary_squares_to_zero(rng, all_dialgebras):
             assert coboundary(coboundary(c)).is_zero(), (tag, n)
 
 
-def test_elementwise_matches_matrix(rng, bundled_models, gf7_models):
-    # the hand-rolled elementwise formula and the assembled matrix are
-    # independent implementations; they must agree on random input, over
-    # QQ and GF(7), on the adjoint representations and on the pullback
-    # representations, whose dialgebra and module dims differ (emb: 1 and
-    # 2, proj: 2 and 1).  proj's actions are zero, so one more case has
-    # every action constant nonzero: P2 in the basis e, e + f, where
-    # x -| y = s(y) x and x |- y = s(x) y, pulled back to K along the sum
-    # of coordinates s
+def coboundary_cases(bundled_models, gf7_models):
+    """(tag, D, M) over QQ and GF(7): every bundled dialgebra's adjoint
+    representation and every bundled morphism's pullback representation,
+    whose dialgebra and module dims differ (emb: 1 and 2, proj: 2 and 1).
+    proj's actions are zero, so one more case has every action constant
+    nonzero: P2 in the basis e, e + f, where x -| y = s(y) x and
+    x |- y = s(x) y, pulled back to K along the sum of coordinates s."""
     cases = []
     for models in (bundled_models, gf7_models):
         cases += [(tag, d, adjoint_rep(d))
@@ -78,11 +80,75 @@ def test_elementwise_matches_matrix(rng, bundled_models, gf7_models):
         s = DialgebraMorphism(d, k, [[one, one]])
         assert check_dialgebra(d) and check_morphism(s)
         cases.append(("sum*", d, pullback_rep(s)))
-    for tag, d, rep in cases:
+    return cases
+
+
+def test_elementwise_matches_matrix(rng, bundled_models, gf7_models):
+    # the elementwise formula and the assembled matrix sum and write the
+    # same terms in different arithmetic; they must agree on random input
+    for tag, d, rep in coboundary_cases(bundled_models, gf7_models):
         for n in range(0, 5):
             c = random_cochain(d, rep, n, rng)
             mat = coboundary_matrix(d, rep, n)
             assert mat.apply(c.coeffs) == coboundary(c).coeffs, (tag, n)
+
+
+def reference_coboundary_matrix(d, rep, n):
+    """The matrix of delta assembled row by row, one row block per tree
+    and multi-index, with every column offset computed by ``flat_offset``
+    from the multi-index: an index computation independent of the term
+    plan that both coboundary paths read."""
+    z = d.field.zero
+    mdim, ddim = rep.module_dim, d.dim
+    data = {}
+    row = 0
+
+    def add(i, j, val):
+        r = data.setdefault(i, {})
+        r[j] = r[j] + val if j in r else val
+
+    for faces, labels in tree_plan(n + 1):
+        first = rep.act_dl if labels[0] is LEFT else rep.act_dr
+        products = [d.tensor(label) for label in labels[1:-1]]
+        last = rep.act_ld if labels[-1] is LEFT else rep.act_rd
+        for multi in itertools.product(range(ddim), repeat=n + 1):
+            col = flat_offset(faces[0], multi[1:], ddim, mdim)
+            for u, block in enumerate(first[multi[0]]):
+                for w in range(mdim):
+                    if block[w] != z:
+                        add(row + w, col + u, block[w])
+            for i in range(1, n + 1):
+                prod = products[i - 1][multi[i - 1]][multi[i]]
+                for k in range(ddim):
+                    if prod[k] == z:
+                        continue
+                    col = flat_offset(faces[i],
+                                      multi[:i - 1] + (k,) + multi[i + 1:],
+                                      ddim, mdim)
+                    c = prod[k] if i % 2 == 0 else -prod[k]
+                    for w in range(mdim):
+                        add(row + w, col + w, c)
+            col = flat_offset(faces[n + 1], multi[:n], ddim, mdim)
+            for u in range(mdim):
+                block = last[u][multi[n]]
+                for w in range(mdim):
+                    if block[w] != z:
+                        add(row + w, col + u,
+                            block[w] if n % 2 else -block[w])
+            row += mdim
+    return Matrix.sparse(d.field, cy_dim(d, rep, n + 1), cy_dim(d, rep, n),
+                         data)
+
+
+def test_matrix_matches_row_by_row_reference(bundled_models, gf7_models):
+    # the term plan's offset tables against a second derivation of every
+    # index, in degrees 0-4 within the coordinate budget
+    for tag, d, rep in coboundary_cases(bundled_models, gf7_models):
+        for n in range(0, 5):
+            if cy_dim(d, rep, n + 1) > COORDINATE_BUDGET:
+                continue
+            assert (coboundary_matrix(d, rep, n)
+                    == reference_coboundary_matrix(d, rep, n)), (tag, n)
 
 
 @pytest.mark.parametrize("p", [2, 7, 32003])

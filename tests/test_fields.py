@@ -20,6 +20,17 @@ def test_rationals_basics():
     assert QQ.owns(1) and not QQ.owns(True) and not QQ.owns(0.5)
 
 
+def test_rationals_inverse_returns_units_as_they_are():
+    # a +-1 pivot is its own inverse and stays an int; other inverses are
+    # canonical: an integral one is an int, any other a rational
+    for x in (1, -1):
+        assert type(QQ.inv(x)) is int and QQ.inv(x) == x
+    assert QQ.inv(2) == Fraction(1, 2) and QQ.inv(-3) == Fraction(-1, 3)
+    assert type(QQ.inv(Fraction(1, 2))) is int and QQ.inv(Fraction(1, 2)) == 2
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
 def test_rationals_bad_scalar():
     # the messages are the workbench's own, whatever the rational type;
     # a scalar is "p" or "p/q", so decimal, exponent and underscore forms

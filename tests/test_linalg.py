@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +75,14 @@ def test_solve_exact():
 def test_solve_inconsistent():
     m = qmat([[1, 1], [1, 1]])
     assert m.solve((Fraction(0), Fraction(1))) is None
+    # a zero row makes no pivot and elimination skips it; b must still
+    # vanish there, before and after a rank query
+    for ranked in (False, True):
+        m = qmat([[1, 0], [0, 0], [1, 1]])
+        if ranked:
+            assert m.rank() == 2
+        assert m.solve((1, 1, 1)) is None
+        assert m.solve((1, 0, 3)) == (1, 2)
 
 
 def test_solve_underdetermined():
@@ -197,3 +206,33 @@ def test_elimination_matches_dense_reference(field, r, c, data):
     assert m.kernel_basis() == dense_kernel(field, rows, c)
     for b in rhs:
         assert m.solve(b) == dense_solve(field, rows, c, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, F7]), st.integers(0, 6), st.integers(0, 6),
+       st.data())
+def test_rank_and_solve_agree_in_either_order(field, r, c, data):
+    # rank does not back-reduce and solve does; in either order the
+    # answers are the reference's, and the forward elimination runs once:
+    # it inverts each pivot once, and nothing else inverts
+    ints = data.draw(st.lists(st.lists(sparse_small, min_size=c, max_size=c),
+                              min_size=r, max_size=r))
+    rows = [[field.from_int(x) for x in row] for row in ints]
+    b = tuple(field.from_int(v) for v in data.draw(
+        st.lists(sparse_small, min_size=r, max_size=r)))
+    expected = {"rank": len(dense_rref(field, rows, c)[1]),
+                "solve": dense_solve(field, rows, c, b)}
+    inv, calls = type(field).inv, []
+
+    def counted(self, x):
+        calls.append(x)
+        return inv(self, x)
+
+    for order in (("rank", "solve"), ("solve", "rank")):
+        m, calls[:] = Matrix(field, r, c, rows), []
+        with mock.patch.object(type(field), "inv", counted):
+            for query in order + order:
+                got = m.rank() if query == "rank" else m.solve(b)
+                assert got == expected[query], (order, query)
+        assert len(calls) == expected["rank"], order
+
