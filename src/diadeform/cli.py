@@ -12,10 +12,10 @@ import functools
 import json
 import sys
 
-from .deformation import (cocycle_check, extend_to_order, infinitesimal,
-                          obstruction, rigidity_probe, trivialize_step,
+from .deformation import (_require_morphism, cocycle_check,
+                          extend_to_order, infinitesimal, obstruction,
+                          rigidity_probe, trivialize_step,
                           verify_deformation)
-from .dialgebra import adjoint_rep
 from .errors import NotACoboundary, WorkbenchError
 from .fields import format_scalars, parse_field
 from .cochain import cohomology_dim
@@ -114,7 +114,7 @@ def cmd_trees(args, emit, _):
 
 def cmd_cohomology(args, emit, d):
     n = args.degree
-    dim = cohomology_dim(d, adjoint_rep(d), n)
+    dim = cohomology_dim(d, d, n)
     emit.line("HY^%d(%s,%s) = %d" % (n, d.name, d.name, dim),
               object=d.name, degree=n, dim=dim)
     return 0
@@ -122,6 +122,7 @@ def cmd_cohomology(args, emit, d):
 
 def cmd_mor_cohomology(args, emit, psi):
     n = args.degree
+    _require_morphism(psi)
     dim = complex_of(psi).cohomology_dim(n)
     emit.line("HY^%d(%s,%s) = %d" % (n, psi.name, psi.name, dim),
               morphism=psi.name, degree=n, dim=dim)

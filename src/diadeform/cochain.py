@@ -169,7 +169,9 @@ def _term_plan(d, rep, n, lift):
     each hi, a run of (lo; w), ``runs[i - 1]`` = (run length, pairs); term
     n + 1 writes with stride ddim * mdim, ``ends``.  ``trees`` is
     ``_role_plan(n + 1)``; ``slots[r]`` lists the nonzero entries (x, y,
-    z, c) of the slot tensor of role r, lifted, for the roles used."""
+    z, c) of the slot tensor of role r, lifted, for the roles used; roles
+    that read one tensor share its list, so over CY*(D,D), where D is its
+    own module, there is one list per product."""
     ddim, mdim = d.dim, rep.module_dim
     size = ddim ** n * mdim
     out_size = ddim * size
@@ -316,10 +318,10 @@ def random_cochain(d, rep, n, rng):
 
 
 def product_cochain(d):
-    """The 2-cochain with [21] |-> -| and [12] |-> |-, the products of D."""
-    from .dialgebra import adjoint_rep
+    """The 2-cochain with [21] |-> -| and [12] |-> |-, the products of D,
+    in CY^2(D,D)."""
     coeffs = []
     for tensor in (d.left, d.right):
         for i, j in multi_indices(d.dim, 2):
             coeffs.extend(tensor[i][j])
-    return Cochain(2, d, adjoint_rep(d), coeffs)
+    return Cochain(2, d, d, coeffs)

@@ -12,7 +12,9 @@ lift: the dialgebras D_t, E_t and the morphism psi_t over the truncated
 series ring K[t]/(t^{N+1}).  Validity is the ordinary axiom and morphism
 checks over that ring, the obstruction is the t^{N+1} coefficient of the
 same residuals on the lift padded by one zero order, and a formal
-isomorphism acts by conjugating the lifted products and morphism.
+isomorphism acts by conjugating the lifted products and morphism.  A
+deformation computes those residuals once, on the padded lift, and both
+validity and the obstruction read them.
 """
 
 import random
@@ -21,8 +23,7 @@ from dataclasses import dataclass
 from .cochain import (Cochain, flat_offset, product_cochain,
                       random_scalar)
 from .dialgebra import (AXIOMS, LEFT, Dialgebra, DialgebraMorphism,
-                        adjoint_rep, check_dialgebra, check_morphism,
-                        image_products)
+                        check_dialgebra, check_morphism, image_products)
 from .errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                      InvalidDeformation, NonIdentityConstantTerm,
                      NotACoboundary, OrderMismatch, OrderTooLow,
@@ -87,7 +88,7 @@ class TruncatedDeformation:
     the deformed morphism as a target x source matrix (order 0 being psi).
     """
 
-    __slots__ = ("psi", "fd", "fe", "psis")
+    __slots__ = ("psi", "fd", "fe", "psis", "_residuals")
 
     def __init__(self, psi, fd, fe, psis):
         fd, fe, psis = tuple(fd), tuple(fe), tuple(psis)
@@ -114,9 +115,17 @@ class TruncatedDeformation:
         object.__setattr__(self, "fd", fd)
         object.__setattr__(self, "fe", fe)
         object.__setattr__(self, "psis", psis)
+        object.__setattr__(self, "_residuals", None)  # see residuals
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedDeformation is immutable")
+
+    def residuals(self):
+        """The violations of D_t, E_t and psi_t on the lift padded by one
+        order, computed by the first call (``_residuals``) and kept."""
+        if self._residuals is None:
+            object.__setattr__(self, "_residuals", _residuals(self))
+        return self._residuals
 
     @property
     def order(self):
@@ -129,7 +138,7 @@ class TruncatedDeformation:
     @classmethod
     def trivial(cls, psi, order=0):
         d, e = psi.source, psi.target
-        zero_d, zero_e = (Cochain.zero(2, x, adjoint_rep(x)) for x in (d, e))
+        zero_d, zero_e = (Cochain.zero(2, x, x) for x in (d, e))
         zero_psi = Matrix.zero(psi.field, e.dim, d.dim)
         return cls(psi, [product_cochain(d)] + [zero_d] * order,
                    [product_cochain(e)] + [zero_e] * order,
@@ -151,9 +160,9 @@ class TruncatedDeformation:
         m = sum(psi_t.matrix.dense_rows(), ())
         orders = range(d_t.field.order + 1)
         return cls(psi,
-                   [Cochain(2, d, adjoint_rep(d), _coefficients(fd, n))
+                   [Cochain(2, d, d, _coefficients(fd, n))
                     for n in orders],
-                   [Cochain(2, e, adjoint_rep(e), _coefficients(fe, n))
+                   [Cochain(2, e, e, _coefficients(fe, n))
                     for n in orders],
                    [Matrix(psi.field, e.dim, d.dim,
                            _rows(_coefficients(m, n), d.dim))
@@ -221,8 +230,8 @@ class FormalIso:
         """The order-k coefficients as the morphism 1-cochain (xi; pi; 0)."""
         cx = complex_of(self.psi)
         return MorphismCochain(
-            matrix_to_cochain1(self.phi_d[k], cx.D, cx.rep_d),
-            matrix_to_cochain1(self.phi_e[k], cx.E, cx.rep_e),
+            matrix_to_cochain1(self.phi_d[k], cx.D, cx.D),
+            matrix_to_cochain1(self.phi_e[k], cx.E, cx.E),
             Cochain.zero(0, cx.D, cx.rep_de))
 
 
@@ -296,10 +305,12 @@ class RigidityReport:
 # -- validity ----------------------------------------------------------
 
 
-def _residuals(th, pad):
-    """The violations of D_t, E_t and psi_t on the lift padded by ``pad``
-    zero orders: one pass of the axiom and morphism checkers."""
-    d_t, e_t, psi_t = th.lift(pad)
+def _residuals(th):
+    """The violations of D_t, E_t and psi_t on the lift padded by one zero
+    order: one pass of the axiom and morphism checkers.  Their coefficients
+    t^0..t^N are those of the unpadded lift and decide validity; t^{N+1}
+    is the obstruction."""
+    d_t, e_t, psi_t = th.lift(1)
     return (check_dialgebra(d_t).violations, check_dialgebra(e_t).violations,
             check_morphism(psi_t).violations)
 
@@ -316,7 +327,7 @@ def _first_failure(th, d_violations, e_violations, m_violations):
                  for label, a, b, lv, rv in m_violations]
     orders = [min(n for a, b in zip(lv, rv)
                   for n, (x, y) in enumerate(zip(a.c, b.c)) if x != y)
-              for _, _, _, lv, rv in failures]
+              for _, _, _, lv, rv in failures]  # N + 1 if only Ob differs
     nu = min(orders, default=th.order + 1)
     if nu > th.order:
         return DeformationReport(True)
@@ -335,16 +346,16 @@ def verify_deformation(th):
     equations of psi_t over K[t]/(t^{N+1}); a failure's order is the lowest
     t-degree at which its two sides differ.
     """
-    return _first_failure(th, *_residuals(th, 0))
+    return _first_failure(th, *th.residuals())
 
 
 _REVERIFY = "solved extension failed re-verification: %s"
 
 
-def _require_valid(th, pad=0):
-    """The residuals on the lift padded by ``pad`` zero orders, once they
-    vanish through order N; else InvalidDeformation at the first failure."""
-    violations = _residuals(th, pad)
+def _require_valid(th):
+    """th's residuals, once they vanish through order N; else
+    InvalidDeformation at the first failure."""
+    violations = th.residuals()
     report = _first_failure(th, *violations)
     if not report:
         raise InvalidDeformation(report.failing_identity)
@@ -393,7 +404,7 @@ def obstruction(th):
     n = th.order
     if n < 1:
         raise OrderTooLow("obstruction needs order >= 1")
-    d_violations, e_violations, m_violations = _require_valid(th, 1)
+    d_violations, e_violations, m_violations = _require_valid(th)
 
     def cochain(degree, d, rep, diffs):
         coeffs, m = list(Cochain.zero(degree, d, rep).coeffs), rep.module_dim
@@ -404,7 +415,7 @@ def obstruction(th):
         return Cochain(degree, d, rep, coeffs)
 
     def axiom_block(d, vs):
-        return cochain(3, d, adjoint_rep(d), [
+        return cochain(3, d, d, [
             ((num - 1, (i, j, k)),
              (lv, rv) if AXIOMS[num - 1][0][0] == "L" else (rv, lv))
             for num, i, j, k, lv, rv in vs])
@@ -435,8 +446,8 @@ def _extend(th, cx, rng=None):
     """One order of extension by a solution of delta theta = Ob: (the
     extension, None), or (None, Ob) if Ob is no coboundary.  With an rng,
     the solution is shifted by a random 2-cocycle.  Computing Ob validates
-    th; the extension is not checked here, so that the caller checks it
-    exactly once."""
+    th; the extension is left to the caller to check, and its residuals,
+    once computed, also give its own obstruction."""
     ob = obstruction(th)
     theta, _ = _solve(cx, 2, ob.cochain, "Ob")
     if theta is None:
@@ -486,9 +497,9 @@ def extend_to_order(th, target):
     cx = complex_of(th.psi)
     _require_valid(th)
     hy3 = cx.cohomology_dim(3)
-    # a solved extension is checked once: by the next step's obstruction,
-    # or at the end if it is the last one
-    current, solved, certificate = th, False, None
+    # each extension is checked once: by the next step's obstruction, or
+    # at the end if it is the last one
+    current, certificate = th, None
     try:
         while current.order < target:
             if current.order < 1:
@@ -499,9 +510,8 @@ def extend_to_order(th, target):
             if nxt is None:
                 certificate = obstruction_certificate(ob, cx)
                 break
-            current, solved = nxt, True
-        if solved and certificate is None:
-            _require_valid(current)
+            current = nxt
+        _require_valid(current)
     except InvalidDeformation as exc:  # th itself passed the check above
         raise InvalidDeformation(_REVERIFY % exc) from None
     return ExtensionReport(current.order, target, current, hy3,
@@ -514,8 +524,7 @@ def extend_to_order(th, target):
 def _conjugate(d_t, phi, inv):
     """The lifted dialgebra with products phi f(inv x, inv y)."""
     left, right = ([[phi.apply(v) for v in row] for row in table]
-                   for table in image_products(
-                       DialgebraMorphism(d_t, d_t, inv)))
+                   for table in image_products(d_t, inv))
     return Dialgebra(d_t.dim, d_t.field, left, right,
                      basis_names=d_t.basis_names, name=d_t.name)
 
@@ -574,15 +583,9 @@ def _trivialize(th):
     return iso, apply_formal_iso(th, iso)
 
 
-def rigidity_probe(psi, order=4):
-    """HY^2-based rigidity verdict, exercised on sampled deformations.
-
-    The source and target must satisfy the dialgebra axioms and psi must
-    be a morphism; else InvalidDeformation names the failing object.
-    """
-    if order < 0:
-        raise IndexOutOfRange("sample order must be >= 0, got %d" % order)
-    _require_within_cap("sample", order)
+def _require_morphism(psi):
+    """InvalidDeformation naming the failing object, unless psi's source
+    and target satisfy the dialgebra axioms and psi is a morphism."""
     for role, d in (("source", psi.source), ("target", psi.target)):
         report = check_dialgebra(d)
         if not report:
@@ -592,6 +595,18 @@ def rigidity_probe(psi, order=4):
                                      % (role, d.name, num, (i, j, k)))
     if not check_morphism(psi):
         raise InvalidDeformation("psi is not a dialgebra morphism")
+
+
+def rigidity_probe(psi, order=4):
+    """HY^2-based rigidity verdict, exercised on sampled deformations.
+
+    The source and target must satisfy the dialgebra axioms and psi must
+    be a morphism; else InvalidDeformation names the failing object.
+    """
+    if order < 0:
+        raise IndexOutOfRange("sample order must be >= 0, got %d" % order)
+    _require_within_cap("sample", order)
+    _require_morphism(psi)
     cx = complex_of(psi)
     hy2 = cx.cohomology_dim(2)
     if hy2 != 0:

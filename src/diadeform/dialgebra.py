@@ -75,7 +75,8 @@ class Dialgebra:
     """A dialgebra given by left/right structure tensors on a fixed basis.
 
     left[i][j][k] is the coefficient of e_k in e_i -| e_j, and right the
-    same for |-.
+    same for |-.  It is also D as a representation of itself, so CY*(D,D)
+    takes D for both arguments.
     """
 
     __slots__ = ("name", "dim", "field", "left", "right", "basis_names")
@@ -115,6 +116,13 @@ class Dialgebra:
 
     def tensor(self, label):
         return self.left if label is LEFT else self.right
+
+    # D is its own adjoint representation: the module is D, and the actions
+    # a o m and m o a are D's products, read as the Representation fields
+    dialgebra = property(lambda self: self)
+    module_dim = property(lambda self: self.dim)
+    act_dl = act_ld = property(lambda self: self.left)
+    act_dr = act_rd = property(lambda self: self.right)
 
 
 @dataclass(frozen=True)
@@ -246,7 +254,7 @@ def check_morphism(psi):
     if d.field != e.field:
         raise FieldMismatch("source and target fields differ")
     violations = []
-    for label, table in zip((LEFT, RIGHT), image_products(psi)):
+    for label, table in zip((LEFT, RIGHT), image_products(e, psi.matrix)):
         for i in range(d.dim):
             for j in range(d.dim):
                 lhs = psi(d.tensor(label)[i][j])
@@ -256,8 +264,8 @@ def check_morphism(psi):
 
 
 def adjoint_rep(d):
-    """D as a representation of itself: all four actions are the products."""
-    return Representation(d, d.dim, d.left, d.right, d.left, d.right)
+    """D as a representation of itself, which is D."""
+    return d
 
 
 def _on_left(t, cols, z):
@@ -284,12 +292,13 @@ def pullback_rep(psi):
                           on_right(e.right))
 
 
-def image_products(psi):
-    """The tables psi(e_i) o psi(e_j) for -| and for |-, contracting the
-    pulled-back action psi(e_i) o m with the column psi(e_j).  Only the
-    two left actions are read, so no representation is built."""
-    z = psi.field.zero
-    cols = psi.matrix.transpose().dense_rows()
+def image_products(e, matrix):
+    """The tables psi(e_i) o psi(e_j) of E, for -| and for |-, where the
+    linear map psi into E is given by its matrix: the pulled-back action
+    psi(e_i) o m contracted with the column psi(e_j).  Only the two left
+    actions are read, so no representation is built."""
+    z = e.field.zero
+    cols = matrix.transpose().dense_rows()
     return tuple([[_combine(z, cj, block) for cj in cols]
                   for block in _on_left(t, cols, z)]
-                 for t in (psi.target.left, psi.target.right))
+                 for t in (e.left, e.right))

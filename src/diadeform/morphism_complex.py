@@ -31,7 +31,7 @@ import weakref
 
 from .cochain import (Cochain, coboundary, coboundary_matrix, cy_dim,
                       multi_indices, random_cochain)
-from .dialgebra import adjoint_rep, pullback_rep
+from .dialgebra import pullback_rep
 from .errors import ShapeMismatch
 from .linalg import Matrix
 from .trees import enumerate_trees
@@ -88,14 +88,13 @@ class MorphismCochain:
 
 
 class MorphismComplex:
-    """CY*(psi,psi) for a fixed morphism, with cached representations."""
+    """CY*(psi,psi) for a fixed morphism.  D and E are their own adjoint
+    representations; rep_de is E pulled back along psi."""
 
     def __init__(self, psi):
         self.psi = psi
         self.D = psi.source
         self.E = psi.target
-        self.rep_d = adjoint_rep(self.D)
-        self.rep_e = adjoint_rep(self.E)
         self.rep_de = pullback_rep(psi)
         # images[u]: the nonzero coordinates (w, c) of psi(e_u), the one
         # reading of psi behind both paths of the third block
@@ -113,33 +112,33 @@ class MorphismComplex:
     def dim(self, n):
         if n <= 0:
             return 0
-        return (cy_dim(self.D, self.rep_d, n)
-                + cy_dim(self.E, self.rep_e, n)
+        return (cy_dim(self.D, self.D, n)
+                + cy_dim(self.E, self.E, n)
                 + cy_dim(self.D, self.rep_de, n - 1))
 
     def zero(self, n):
-        return MorphismCochain(Cochain.zero(n, self.D, self.rep_d),
-                               Cochain.zero(n, self.E, self.rep_e),
+        return MorphismCochain(Cochain.zero(n, self.D, self.D),
+                               Cochain.zero(n, self.E, self.E),
                                Cochain.zero(n - 1, self.D, self.rep_de))
 
     def random_cochain(self, n, rng):
         """A random element of CY^n(psi,psi): xi, then pi, then phi."""
-        return MorphismCochain(random_cochain(self.D, self.rep_d, n, rng),
-                               random_cochain(self.E, self.rep_e, n, rng),
+        return MorphismCochain(random_cochain(self.D, self.D, n, rng),
+                               random_cochain(self.E, self.E, n, rng),
                                random_cochain(self.D, self.rep_de, n - 1, rng))
 
     def vec(self, mc):
         return mc.xi.coeffs + mc.pi.coeffs + mc.phi.coeffs
 
     def unvec(self, n, coords):
-        d1 = cy_dim(self.D, self.rep_d, n)
-        d2 = cy_dim(self.E, self.rep_e, n)
+        d1 = cy_dim(self.D, self.D, n)
+        d2 = cy_dim(self.E, self.E, n)
         d3 = cy_dim(self.D, self.rep_de, n - 1)
         if len(coords) != d1 + d2 + d3:
             raise ShapeMismatch("block vector has wrong length")
         return MorphismCochain(
-            Cochain(n, self.D, self.rep_d, coords[:d1]),
-            Cochain(n, self.E, self.rep_e, coords[d1:d1 + d2]),
+            Cochain(n, self.D, self.D, coords[:d1]),
+            Cochain(n, self.E, self.E, coords[d1:d1 + d2]),
             Cochain(n - 1, self.D, self.rep_de, coords[d1 + d2:]))
 
     # -- push-forwards --------------------------------------------------
@@ -217,8 +216,10 @@ class MorphismComplex:
         if n <= 0:
             out = Matrix.zero(self.field, self.dim(1), 0)
         else:
-            dd = coboundary_matrix(self.D, self.rep_d, n)
-            de = coboundary_matrix(self.E, self.rep_e, n)
+            dd = coboundary_matrix(self.D, self.D, n)
+            # CY(D,D) is assembled once for an endomorphism of D
+            de = (dd if self.E is self.D
+                  else coboundary_matrix(self.E, self.E, n))
             dde = coboundary_matrix(self.D, self.rep_de, n - 1)
             r2, c2 = dd.rows + de.rows, dd.cols + de.cols
             out = Matrix.block(self.field, r2 + dde.rows, c2 + dde.cols, [
@@ -246,7 +247,7 @@ class MorphismComplex:
         """
         if mc.degree != 1:
             raise ShapeMismatch("normalize_1cochain needs degree 1")
-        phi_e = Cochain(0, self.E, self.rep_e, mc.phi.coeffs)
+        phi_e = Cochain(0, self.E, self.E, mc.phi.coeffs)
         return MorphismCochain(mc.xi, mc.pi + coboundary(phi_e),
                                Cochain.zero(0, self.D, self.rep_de))
 

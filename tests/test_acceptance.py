@@ -167,8 +167,8 @@ def test_criterion_8_vanishing_transfers_to_the_morphism(complexes):
     ok = True
     for tag, cx in complexes:
         for n in (2, 3):
-            hy_d = cohomology_dim(cx.D, cx.rep_d, n)
-            hy_e = cohomology_dim(cx.E, cx.rep_e, n)
+            hy_d = cohomology_dim(cx.D, cx.D, n)
+            hy_e = cohomology_dim(cx.E, cx.E, n)
             hy_de = cohomology_dim(cx.D, cx.rep_de, n - 1)
             if hy_d == hy_e == hy_de == 0:
                 ok = ok and cx.cohomology_dim(n) == 0

@@ -167,12 +167,16 @@ def test_infinitesimal_rejects_an_invalid_deformation(capsys, tmp_path):
                " (11) != (6)\n")
 
 
-# a known defect: today these print HY^1 = -1 and HY^3 = -1, exit 0
-@pytest.mark.xfail(strict=True, reason="the axioms of the input are not"
-                   " checked, so a dimension can come out negative")
 @pytest.mark.parametrize("argv,old,new", [
-    (["cohomology", "--object", "K", "--degree", "1"],
-     "  right 0 0 0 1\n", ""),
+    # a known defect: today this prints HY^1 = -1 and exits 0
+    pytest.param(["cohomology", "--object", "K", "--degree", "1"],
+                 "  right 0 0 0 1\n", "",
+                 marks=pytest.mark.xfail(
+                     strict=True, reason="cohomology does not check the"
+                     " axioms of its input, so a dimension can come out"
+                     " negative: with today's axiom checker the guard cost"
+                     " the cohomology workload +28 % batch_s and +42 %"
+                     " job_ms_p50")),
     (["mor-cohomology", "--morphism", "id", "--degree", "3"],
      "  entry 0 0 1\n", "  entry 0 0 2\n"),
 ])

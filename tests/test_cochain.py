@@ -9,7 +9,8 @@ from conftest import (change_basis, mirror, mult_dialgebra, random_frame,
 from diadeform.cochain import (COORDINATE_BUDGET, Cochain, coboundary,
                                coboundary_matrix, cohomology_dim, cy_dim,
                                flat_offset, product_cochain, random_cochain)
-from diadeform.dialgebra import (Dialgebra, DialgebraMorphism, adjoint_rep,
+from diadeform.dialgebra import (Dialgebra, DialgebraMorphism,
+                                 Representation, adjoint_rep,
                                  check_dialgebra, check_morphism,
                                  pullback_rep)
 from diadeform.errors import CapExceeded, ShapeMismatch
@@ -58,6 +59,24 @@ def test_coboundary_squares_to_zero(rng, all_dialgebras):
         for n in range(0, 3):
             c = random_cochain(d, rep, n, rng)
             assert coboundary(coboundary(c)).is_zero(), (tag, n)
+
+
+def test_adjoint_complex_matches_an_explicit_representation(
+        bundled_models, gf7_models):
+    # CY*(D,D) with D as its own module against a Representation that
+    # holds D's products as four separately coerced action tensors
+    rng = random.Random(16)
+    for models in (bundled_models, gf7_models):
+        for tag, d in tagged(models, "dialgebras"):
+            rep = Representation(d, d.dim, d.left, d.right, d.left, d.right)
+            for n in range(4):
+                c = random_cochain(d, d, n, rng)
+                assert coboundary(c).coeffs == coboundary(
+                    Cochain(n, d, rep, c.coeffs)).coeffs, (tag, n)
+                assert coboundary_matrix(d, d, n) \
+                    == coboundary_matrix(d, rep, n), (tag, n)
+                assert cohomology_dim(d, d, n) \
+                    == cohomology_dim(d, rep, n), (tag, n)
 
 
 def coboundary_cases(bundled_models, gf7_models):
@@ -306,8 +325,8 @@ def test_coboundary_respects_cap(rng):
     with pytest.raises(CapExceeded, match="matrix would exceed tree cap 5"):
         coboundary_matrix(k, rep, 5)
     cx = MorphismComplex(DialgebraMorphism.identity(k))
-    xi = random_cochain(k, cx.rep_d, 6, rng)
-    pi = random_cochain(k, cx.rep_e, 6, rng)
+    xi = random_cochain(k, cx.D, 6, rng)
+    pi = random_cochain(k, cx.E, 6, rng)
     for over_cap in (lambda: cx.push_matrix(6),
                      lambda: cx.pull_matrix(6),
                      lambda: cx.push_forward(xi),

@@ -14,7 +14,8 @@ from diadeform.deformation import (FormalIso, TruncatedDeformation,
                                    random_deformation, random_formal_iso,
                                    rigidity_probe, trivialize_step,
                                    unipotent_inverse, verify_deformation)
-from diadeform.dialgebra import Dialgebra, DialgebraMorphism, check_morphism
+from diadeform.dialgebra import (Dialgebra, DialgebraMorphism,
+                                 check_dialgebra, check_morphism)
 from diadeform.errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                               InvalidDeformation, NonIdentityConstantTerm,
                               NotACoboundary, OrderMismatch, OrderTooLow)
@@ -81,7 +82,7 @@ def test_trivial_pads_the_lift_of_its_base(all_morphisms):
 def test_base_mismatch_rejected(zsetup, ksetup):
     psi, cx = zsetup
     d = psi.source
-    wrong = Cochain(2, d, cx.rep_d, [QQ.one, QQ.one])
+    wrong = Cochain(2, d, cx.D, [QQ.one, QQ.one])
     with pytest.raises(BaseMismatch):
         TruncatedDeformation(psi, [wrong], [product_cochain(psi.target)],
                              [psi.matrix])
@@ -166,9 +167,10 @@ def test_extend_to_order(zsetup):
     assert "[213]" in blocked.certificate and "[312]" in blocked.certificate
 
 
-def test_blocked_extension_computes_its_obstruction_once(bundled_models,
-                                                          monkeypatch):
-    th = bundled_models["zero1"].deformations["theta_blocked"]
+def test_blocked_extension_computes_its_obstruction_once(monkeypatch):
+    # a deformation keeps its residuals, so the counting tests parse their
+    # own model: one from the shared fixture may have been checked already
+    th = load_bundled_model("zero1").deformations["theta_blocked"]
     passes = []
     residuals = deformation._residuals
     monkeypatch.setattr(deformation, "_residuals",
@@ -176,21 +178,21 @@ def test_blocked_extension_computes_its_obstruction_once(bundled_models,
     report = extend_to_order(th, 2)
     assert not report.succeeded
     assert "not a coboundary" in report.certificate
-    assert len(passes) == 2  # verify, then the one obstruction
+    assert len(passes) == 1  # verify and the obstruction read one pass
 
 
-def test_extension_is_verified_once(bundled_models, monkeypatch):
-    th = bundled_models["zero1"].deformations["theta_eq"]
+def test_extension_is_verified_once(monkeypatch):
+    th = load_bundled_model("zero1").deformations["theta_eq"]
     passes = []
     residuals = deformation._residuals
     monkeypatch.setattr(deformation, "_residuals",
                         lambda *args: passes.append(args) or residuals(*args))
     report = extend_to_order(th, 4)
     assert report.succeeded and report.reached == 4
-    # verify th, one obstruction per step (each validating the deformation
-    # it extends), then one check of the last extension
-    assert [(t.order, pad) for t, pad in passes] \
-        == [(1, 0), (1, 1), (2, 1), (3, 1), (4, 0)]
+    # one pass per deformation: th's serves its check and its obstruction,
+    # each extension's its obstruction (validating it), the last one's
+    # the final check
+    assert [t.order for (t,) in passes] == [1, 2, 3, 4]
 
 
 def test_blocked_extension_reports_its_own_hy3(bundled_models):
@@ -203,11 +205,14 @@ def test_blocked_extension_reports_its_own_hy3(bundled_models):
 
 @pytest.mark.parametrize("name, run", [
     ("zero1", lambda m: extend_to_order(m.deformations["theta_eq"], 4)),
-    ("mult1", lambda m: rigidity_probe(m.morphisms["id"], order=3))])
+    ("mult1", lambda m: rigidity_probe(m.morphisms["id"], order=3)),
+    ("dim2", lambda m: rigidity_probe(m.morphisms["emb"], order=2))])
 def test_delta_blocks_are_assembled_once_per_call(monkeypatch, name, run):
     # every step of one call reads the same complex, so each block of the
-    # two delta matrices it needs is assembled once; a freshly parsed model
-    # shares no complex with other tests
+    # two delta matrices it needs is assembled once, and an identity
+    # morphism assembles CY(D,D) once for its D and E blocks: 4 blocks,
+    # against 6 for dim2's emb; a freshly parsed model shares no complex
+    # with other tests
     model = load_bundled_model(name)
     built = []
     assemble = morphism_complex.coboundary_matrix
@@ -215,7 +220,7 @@ def test_delta_blocks_are_assembled_once_per_call(monkeypatch, name, run):
                         lambda d, rep, n: built.append((d, rep, n))
                         or assemble(d, rep, n))
     run(model)
-    assert len(built) == 6
+    assert len(built) == (6 if name == "dim2" else 4)
     keys = [(id(d), id(rep), n) for d, rep, n in built]
     assert len(set(keys)) == len(keys)
 
@@ -323,10 +328,34 @@ def test_extension_guaranteed_flag(ksetup):
     assert report.reached == 3
 
 
+def _unpadded_report(th):
+    """The report on the residuals of the unpadded lift, computed here."""
+    d_t, e_t, psi_t = th.lift(0)
+    return deformation._first_failure(
+        th, check_dialgebra(d_t).violations,
+        check_dialgebra(e_t).violations, check_morphism(psi_t).violations)
+
+
 def _golden(th):
     report = verify_deformation(th)
     assert not report
+    assert report == _unpadded_report(th)
     return report.first_failing_order, report.failing_identity
+
+
+def test_verify_reports_as_on_the_unpadded_lift(bundled_models, gf7_models,
+                                                zsetup, ksetup):
+    # verify_deformation reads the residuals of the lift padded by one
+    # order; their coefficients through order N are the unpadded lift's
+    cases = [th for models in (bundled_models, gf7_models)
+             for model in models.values()
+             for th in model.deformations.values()]
+    cases += [z_family(zsetup[0], 1, -1, 1, 0, 2),
+              int_deformation(ksetup[0], [[1, 1], [5, 0]], [[1, 1], [0, 0]],
+                              [[[0]], [[0]]])]
+    assert any(not verify_deformation(th) for th in cases)
+    for th in cases:
+        assert verify_deformation(th) == _unpadded_report(th), th
 
 
 def q(*values):

@@ -61,6 +61,14 @@ def test_dim1_grid_matches_brute_force():
         assert check_dialgebra(d).valid == _brute_force_valid(l, r)
 
 
+def test_a_dialgebra_is_its_own_adjoint_representation(all_dialgebras):
+    for tag, d in all_dialgebras:
+        assert adjoint_rep(d) is d, tag
+        assert d.dialgebra is d and d.module_dim == d.dim, tag
+        assert d.act_dl is d.act_ld is d.left, tag
+        assert d.act_dr is d.act_rd is d.right, tag
+
+
 def test_adjoint_rep_valid(all_dialgebras):
     for tag, d in all_dialgebras:
         rep = adjoint_rep(d)

@@ -45,8 +45,8 @@ def test_dims(complexes):
     for tag, cx in complexes:
         assert cx.dim(0) == 0, tag
         for n in (1, 2, 3):
-            expected = (cy_dim(cx.D, cx.rep_d, n)
-                        + cy_dim(cx.E, cx.rep_e, n)
+            expected = (cy_dim(cx.D, cx.D, n)
+                        + cy_dim(cx.E, cx.E, n)
                         + cy_dim(cx.D, cx.rep_de, n - 1))
             assert cx.dim(n) == expected, tag
 
@@ -102,8 +102,8 @@ def test_coboundary_commutes_with_reduction_mod_p(p, bundled_models):
 def test_push_pull_match_matrices(rng, complexes):
     for tag, cx in complexes:
         for n in (1, 2):
-            xi = random_cochain(cx.D, cx.rep_d, n, rng)
-            pi = random_cochain(cx.E, cx.rep_e, n, rng)
+            xi = random_cochain(cx.D, cx.D, n, rng)
+            pi = random_cochain(cx.E, cx.E, n, rng)
             assert (cx.push_matrix(n).apply(xi.coeffs)
                     == cx.push_forward(xi).coeffs), tag
             assert (cx.pull_matrix(n).apply(pi.coeffs)
@@ -161,8 +161,8 @@ def test_push_pull_match_their_definitions(rng, all_morphisms):
     for tag, cx in _reference_complexes(all_morphisms):
         assert check_morphism(cx.psi), tag
         for n in (1, 2, 3):
-            xi = random_cochain(cx.D, cx.rep_d, n, rng)
-            pi = random_cochain(cx.E, cx.rep_e, n, rng)
+            xi = random_cochain(cx.D, cx.D, n, rng)
+            pi = random_cochain(cx.E, cx.E, n, rng)
             assert list(cx.push_forward(xi).coeffs) == _push_reference(
                 cx, xi), (tag, n)
             assert list(cx.pull_back(pi).coeffs) == _pull_reference(
@@ -229,8 +229,8 @@ def test_normalize_1cochain(rng, complexes):
 def test_cochain_block_shape_checked(rng, complexes):
     tag, cx = complexes[0]
     with pytest.raises(ShapeMismatch):
-        MorphismCochain(random_cochain(cx.D, cx.rep_d, 1, rng),
-                        random_cochain(cx.E, cx.rep_e, 2, rng),
+        MorphismCochain(random_cochain(cx.D, cx.D, 1, rng),
+                        random_cochain(cx.E, cx.E, 2, rng),
                         random_cochain(cx.D, cx.rep_de, 0, rng))
 
 
