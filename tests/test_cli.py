@@ -175,8 +175,8 @@ def test_infinitesimal_rejects_an_invalid_deformation(capsys, tmp_path):
                      strict=True, reason="cohomology does not check the"
                      " axioms of its input, so a dimension can come out"
                      " negative: with today's axiom checker the guard cost"
-                     " the cohomology workload +28 % batch_s and +42 %"
-                     " job_ms_p50")),
+                     " the cohomology workload +13 % batch_s and +39 %"
+                     " job_ms_p50, past its 24 % bound")),
     (["mor-cohomology", "--morphism", "id", "--degree", "3"],
      "  entry 0 0 1\n", "  entry 0 0 2\n"),
 ])
