@@ -29,6 +29,7 @@ scalars, so the cross-check also tests the lifted arithmetic.
 import itertools
 from functools import lru_cache
 
+from .dialgebra import flat_products
 from .errors import CapExceeded, IndexOutOfRange, ShapeMismatch
 from .fields import unchanged
 from .linalg import Matrix
@@ -320,8 +321,4 @@ def random_cochain(d, rep, n, rng):
 def product_cochain(d):
     """The 2-cochain with [21] |-> -| and [12] |-> |-, the products of D,
     in CY^2(D,D)."""
-    coeffs = []
-    for tensor in (d.left, d.right):
-        for i, j in multi_indices(d.dim, 2):
-            coeffs.extend(tensor[i][j])
-    return Cochain(2, d, d, coeffs)
+    return Cochain(2, d, d, flat_products(d))

@@ -7,28 +7,33 @@ this module implements validity checking, infinitesimals, obstruction
 classes, one-step and iterated extension, transport along formal
 isomorphisms, trivialization, and rigidity probing.
 
-The coefficients are stored order by order, but the calculus runs on the
-lift: the dialgebras D_t, E_t and the morphism psi_t over the truncated
-series ring K[t]/(t^{N+1}).  Validity is the ordinary axiom and morphism
-checks over that ring, the obstruction is the t^{N+1} coefficient of the
-same residuals on the lift padded by one zero order, and a formal
-isomorphism acts by conjugating the lifted products and morphism.  A
-deformation computes those residuals once, on the padded lift, and both
-validity and the obstruction read them.
+The coefficients are stored order by order, and validity and the
+obstruction read them so, over K.  The residuals of the five axioms of
+D_t and of E_t and of the morphism equations of psi_t, the dialgebras and
+the morphism over the truncated series ring, are computed order by order
+through t^{N+1}: the axioms by the graded contraction of
+``dialgebra.axiom_violations``, the morphism equations through the
+nonzero images of psi's coefficients.  Their coefficients t^0..t^N decide
+validity, and t^{N+1} is the obstruction.  A deformation computes them
+once, and both validity and the obstruction read them.  Only a formal
+isomorphism acts on the lift over K[t]/(t^{N+1}), by conjugating the
+lifted products and morphism.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from .cochain import (Cochain, flat_offset, product_cochain,
                       random_scalar)
-from .dialgebra import (AXIOMS, LEFT, Dialgebra, DialgebraMorphism,
-                        check_dialgebra, check_morphism, image_products)
+from .dialgebra import (AXIOMS, LEFT, RIGHT, Dialgebra, DialgebraMorphism,
+                        _vector, axiom_violations, check_dialgebra,
+                        check_morphism, flat_products, image_products)
 from .errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                      InvalidDeformation, NonIdentityConstantTerm,
                      NotACoboundary, OrderMismatch, OrderTooLow,
                      ShapeMismatch)
-from .fields import Series, SeriesRing, format_scalars
+from .fields import Series, SeriesRing, format_scalars, unchanged
 from .linalg import Matrix
 from .morphism_complex import MorphismCochain, complex_of
 
@@ -105,9 +110,9 @@ class TruncatedDeformation:
             if (m.rows, m.cols) != (e.dim, d.dim):
                 raise ShapeMismatch("psi coefficients must be %dx%d"
                                     % (e.dim, d.dim))
-        if fd[0] != product_cochain(d):
+        if fd[0].rep != d or fd[0].coeffs != flat_products(d):
             raise BaseMismatch("order-0 D products disagree with the model")
-        if fe[0] != product_cochain(e):
+        if fe[0].rep != e or fe[0].coeffs != flat_products(e):
             raise BaseMismatch("order-0 E products disagree with the model")
         if psis[0] != psi.matrix:
             raise BaseMismatch("order-0 morphism disagrees with the model")
@@ -121,8 +126,8 @@ class TruncatedDeformation:
         raise AttributeError("TruncatedDeformation is immutable")
 
     def residuals(self):
-        """The violations of D_t, E_t and psi_t on the lift padded by one
-        order, computed by the first call (``_residuals``) and kept."""
+        """The violations of D_t, E_t and psi_t through t^{N+1}, computed
+        by the first call (``_residuals``) and kept."""
         if self._residuals is None:
             object.__setattr__(self, "_residuals", _residuals(self))
         return self._residuals
@@ -156,7 +161,7 @@ class TruncatedDeformation:
     def from_lift(cls, psi, d_t, e_t, psi_t):
         """The deformation of psi whose lift is (D_t, E_t, psi_t)."""
         d, e = psi.source, psi.target
-        fd, fe = product_cochain(d_t).coeffs, product_cochain(e_t).coeffs
+        fd, fe = flat_products(d_t), flat_products(e_t)
         m = sum(psi_t.matrix.dense_rows(), ())
         orders = range(d_t.field.order + 1)
         return cls(psi,
@@ -306,13 +311,92 @@ class RigidityReport:
 
 
 def _residuals(th):
-    """The violations of D_t, E_t and psi_t on the lift padded by one zero
-    order: one pass of the axiom and morphism checkers.  Their coefficients
-    t^0..t^N are those of the unpadded lift and decide validity; t^{N+1}
-    is the obstruction."""
-    d_t, e_t, psi_t = th.lift(1)
-    return (check_dialgebra(d_t).violations, check_dialgebra(e_t).violations,
-            check_morphism(psi_t).violations)
+    """The violations of D_t, E_t and psi_t through t^{N+1}, as the axiom
+    and morphism checkers report them on the lift padded by one zero
+    order, computed order by order over K.  Their coefficients t^0..t^N
+    decide validity; t^{N+1} is the obstruction."""
+    top = th.order + 1
+    ring = SeriesRing(th.field, top)
+
+    def pack(coeffs):
+        return Series(ring, coeffs)
+    return (axiom_violations(th.field, th.psi.source.dim,
+                             [f.coeffs for f in th.fd], top, pack),
+            axiom_violations(th.field, th.psi.target.dim,
+                             [f.coeffs for f in th.fe], top, pack),
+            _morphism_violations(th, top, pack))
+
+
+def _morphism_violations(th, top, pack):
+    """(label, i, j, lhs, rhs) for each pair where psi_t(e_i o e_j) and
+    psi_t(e_i) o psi_t(e_j) differ through t^top, label by label, then by
+    pair, both sides packed as for ``axiom_violations``.
+
+    Both are contracted term-major over the nonzero coefficients, as
+    plain numbers (``field.lift``), orders adding up to top: psi_t f_D
+    takes each constant f_D,b[i][j][s] into the image psi_t(e_s), and
+    f_E(psi_t, psi_t) first pulls each constant f_E,a[u][v][w] back along
+    the images, to the action psi_t(e_i) o e_v, then contracts that with
+    psi_t(e_j)."""
+    field = th.field
+    lift, reduce = field.lift, field.reduce
+    n, m, width = th.psi.source.dim, th.psi.target.dim, top + 1
+    # per row u and column s of psi's coefficients: (s, x, order) and
+    # (u * width + order, x, order), by increasing order
+    rows, cols = [[] for _ in range(m)], [[] for _ in range(n)]
+    for order, mat in enumerate(th.psis):
+        for u, s, x in mat.entries():
+            x = lift(x)
+            rows[u].append((s, x, order))
+            cols[s].append((u * width + order, x, order))
+    block = m * width  # (w, order) of one (label, i, j)
+    size = 2 * n * n * block
+    lhs = [0] * size
+    for b, f in enumerate(th.fd):
+        for idx, c in enumerate(f.coeffs):
+            if c:
+                c = lift(c)
+                base = idx // n * block + b
+                for off, x, a in cols[idx % n]:
+                    if a > top - b:
+                        break
+                    lhs[base + off] += c * x
+    # pulled[label, i][v][w][order]: psi_t(e_i) o e_v
+    plane = m * block
+    pulled = [0] * (2 * n * plane)
+    for a, f in enumerate(th.fe):
+        for idx, c in enumerate(f.coeffs):
+            if c:
+                c = lift(c)
+                rest, vw = divmod(idx, m * m)
+                label, u = divmod(rest, m)
+                base = label * n * plane + vw * width + a
+                for i, x, b in rows[u]:
+                    if b > top - a:
+                        break
+                    pulled[base + i * plane + b] += c * x
+    rhs = [0] * size
+    for li, lo in enumerate(range(0, len(pulled), block)):
+        terms = [(wo, y, wo % width)
+                 for wo, y in enumerate(pulled[lo:lo + block]) if y]
+        if terms:
+            label_i, v = divmod(li, m)
+            for j, x, c in rows[v]:
+                base = (label_i * n + j) * block + c
+                for wo, y, o in terms:
+                    if o + c <= top:
+                        rhs[base + wo] += y * x
+    if lift is not unchanged:
+        lhs, rhs = list(map(reduce, lhs)), list(map(reduce, rhs))
+    if lhs == rhs:
+        return ()
+    return tuple(
+        (label, i, j, _vector(lhs, lo, lo + block, width, pack),
+         _vector(rhs, lo, lo + block, width, pack))
+        for (label, i, j), lo in zip(
+            itertools.product((LEFT, RIGHT), range(n), range(n)),
+            range(0, size, block))
+        if lhs[lo:lo + block] != rhs[lo:lo + block])
 
 
 def _first_failure(th, d_violations, e_violations, m_violations):
@@ -366,9 +450,11 @@ def _require_valid(th):
 
 
 def infinitesimal(th):
-    """The order-1 coefficient as a degree-2 morphism cochain."""
+    """The order-1 coefficient of a valid deformation as a degree-2
+    morphism cochain."""
     if th.order < 1:
         raise OrderTooLow("infinitesimal needs order >= 1")
+    _require_valid(th)
     return th.theta(1)
 
 
@@ -395,11 +481,11 @@ def leading_cocycle_check(th):
 def obstruction(th):
     """The obstruction class blocking extension from order N to N + 1.
 
-    On the lift padded by a zero order, Ob_D and Ob_E on the k-th 3-tree
-    are the t^{N+1} coefficients of the L- minus the R-bracketing of axiom
-    k + 1, which are the two composites along the faces of that tree, and
-    Ob_psi is that of f_E(psi_t, psi_t) - psi_t f_D, on [21] for -| and
-    [12] for |-.  The same residuals decide validity through order N.
+    Ob_D and Ob_E on the k-th 3-tree are the t^{N+1} coefficients of the
+    L- minus the R-bracketing of axiom k + 1, which are the two
+    composites along the faces of that tree, and Ob_psi is that of
+    f_E(psi_t, psi_t) - psi_t f_D, on [21] for -| and [12] for |-.  The
+    same residuals decide validity through order N.
     """
     n = th.order
     if n < 1:
@@ -585,8 +671,10 @@ def _trivialize(th):
 
 def _require_morphism(psi):
     """InvalidDeformation naming the failing object, unless psi's source
-    and target satisfy the dialgebra axioms and psi is a morphism."""
-    for role, d in (("source", psi.source), ("target", psi.target)):
+    and target satisfy the dialgebra axioms and psi is a morphism.  An
+    endomorphism's dialgebra is checked once, as the source."""
+    ends = (("source", psi.source), ("target", psi.target))
+    for role, d in ends[:1] if psi.target is psi.source else ends:
         report = check_dialgebra(d)
         if not report:
             num, i, j, k = report.violations[0][:4]

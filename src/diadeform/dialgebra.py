@@ -1,17 +1,24 @@
 """Finite-dimensional dialgebras, representations, and morphisms.
 
 All objects carry exact structure constants over a common field.  Axiom
-checking iterates every basis triple; bilinearity makes this complete.
-There is no general product API: each axiom side, pulled-back action
-and image product psi(e_i) o psi(e_j) is one contraction (``_combine``)
-of structure constants read by index with a coordinate vector.
+checking covers every basis triple; bilinearity makes this complete.  It
+runs term-major over the nonzero structure constants, graded by order in
+t (``axiom_violations``): each of the eight bracketed triple composites
+of the five axioms is built once, a constant of order a times one of
+order b adding into order a + b, up to a top order.  A dialgebra over K
+is the one-order case, one over K[t]/(t^{N+1}) is read order by order
+over K, and a deformation's residuals are the same contraction of its
+coefficients.  Each pulled-back action and image product
+psi(e_i) o psi(e_j) is one contraction (``_combine``) of structure
+constants read by index with a coordinate vector.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import FieldMismatch, ShapeMismatch
-from .fields import QQ
+from .fields import QQ, Series, SeriesRing, unchanged
 from .linalg import Matrix, _coerce
 from .trees import ProductLabel
 
@@ -33,6 +40,12 @@ AXIOMS = (
     (("L", RIGHT, LEFT), ("R", RIGHT, RIGHT)),
     (("R", RIGHT, RIGHT), ("L", RIGHT, RIGHT)),
 )
+# the eight distinct (side, outer, inner) composites the axioms compare
+_COMPOSITES = tuple(dict.fromkeys(side for axiom in AXIOMS
+                                  for side in axiom))
+# each axiom as the indices of its two sides in _COMPOSITES
+_AXIOM_SIDES = tuple(tuple(map(_COMPOSITES.index, axiom))
+                     for axiom in AXIOMS)
 
 
 def _check_tensor(field, tensor, d1, d2, d3, what):
@@ -192,25 +205,124 @@ class DialgebraMorphism:
         return cls(d, d, Matrix.identity(d.field, d.dim), name=name)
 
 
+def flat_products(d):
+    """D's structure constants in the flat order of a product 2-cochain:
+    the left tensor, then the right, each [i][j][k] row-major."""
+    chain = itertools.chain.from_iterable
+    return tuple(chain(chain(chain((d.left, d.right)))))
+
+
+def _vector(values, lo, hi, width, pack):
+    """The coordinates values[lo:hi], one scalar each, or with pack one
+    series each from ``width`` consecutive coefficients."""
+    if pack is None:
+        return tuple(values[lo:hi])
+    return tuple(pack(values[x:x + width]) for x in range(lo, hi, width))
+
+
+@lru_cache(maxsize=None)
+def _places(n, width):
+    """Where the constant at each flat index of a product 2-cochain goes in
+    ``axiom_violations``, before its order is added: (label, s * width,
+    then the output offset as the inner product of an R and an L
+    composite, then the list slot and the output offset as their outer
+    product).  The output strides of (i, j, k, w) are n^3 * width,
+    n^2 * width, n * width and width."""
+    s_k = n * width
+    s_j, s_i = n * s_k, n * n * s_k
+    # as e_i o e_j = c e_k: y o z with (y, z, s) = (i, j, k), x o y with
+    # (x, y, s) = (i, j, k), x o s with (x, s, w) = (i, j, k), s o z with
+    # (s, z, w) = (i, j, k)
+    return tuple((label, k * width, i * s_j + j * s_k, i * s_i + j * s_j,
+                  (label * n + j) * width, i * s_i + k * width,
+                  (label * n + i) * width, j * s_k + k * width)
+                 for label, i, j, k in itertools.product(range(2),
+                                                         *[range(n)] * 3))
+
+
+def axiom_violations(field, dim, flats, top, pack=None):
+    """The five axioms for the products sum_n flats[n] t^n through t^top,
+    as (axiom, i, j, k, lv, rv) by axiom, then by triple.
+
+    flats[n], n <= top, holds the t^n structure constants over the field
+    in the flat order of a product 2-cochain: the left tensor, then the
+    right, each [i][j][k] row-major.  Each composite is one contraction
+    over the nonzero constants as plain numbers (``field.lift``): on
+    (e_i, e_j, e_k), x o (y . z) takes each constant of y . z =
+    inner[j][k] into the rows outer[i][s], and (x . y) o z each constant
+    of x . y = inner[i][j] into the rows outer[s][k], a constant of order
+    a times one of order b adding into order a + b <= top.  The sides are kept on flat
+    (triple, w, order) lists, reduced once (``field.reduce``).  With pack
+    a side is a tuple of series, pack(coefficients through t^top) for
+    each coordinate; without, top must be 0 and it is a tuple of scalars.
+    """
+    n, width = dim, top + 1
+    if len(flats) > width:
+        raise ShapeMismatch("%d orders of constants, more than t^%d"
+                            % (len(flats), top))
+    lift, reduce = field.lift, field.reduce
+    lifting = lift is not unchanged
+    s_k = n * width  # the output stride of k; w's is width
+    # the constants as inner products, per side (R, L) and label:
+    # (s * width, offset + order, c, order); as outer products, per side,
+    # in one list per (label, s, order): (offset + order, c)
+    inner = (r_in, l_in) = ([], []), ([], [])
+    outer = (r_out, l_out) = tuple([[] for _ in range(2 * s_k)]
+                                   for _ in range(2))
+    places = _places(n, width)
+    for order, flat in enumerate(flats):
+        for idx, c in enumerate(flat):
+            if c:
+                c = lift(c)
+                label, sw, r_at, l_at, r_slot, r_to, l_slot, l_to = \
+                    places[idx]
+                r_in[label].append((sw, r_at + order, c, order))
+                l_in[label].append((sw, l_at + order, c, order))
+                r_out[r_slot + order].append((r_to + order, c))
+                l_out[l_slot + order].append((l_to + order, c))
+    size = n ** 3 * s_k
+    sides = []
+    for side, out_label, in_label in _COMPOSITES:
+        ins = inner[side == "L"][in_label is not LEFT]
+        outs = outer[side == "L"]
+        first = (out_label is not LEFT) * s_k
+        out = [0] * size
+        for sw, base, a, p in ins:
+            lo = first + sw
+            for terms in outs[lo:lo + width - p]:
+                for off, b in terms:
+                    out[base + off] += a * b
+        sides.append(list(map(reduce, out)) if lifting else out)
+    violations = []
+    for num, (lkey, rkey) in enumerate(_AXIOM_SIDES, start=1):
+        lhs, rhs = sides[lkey], sides[rkey]
+        if lhs == rhs:
+            continue
+        for (i, j, k), lo in zip(itertools.product(range(n), repeat=3),
+                                 range(0, size, s_k)):
+            hi = lo + s_k
+            if lhs[lo:hi] != rhs[lo:hi]:
+                violations.append((num, i, j, k,
+                                   _vector(lhs, lo, hi, width, pack),
+                                   _vector(rhs, lo, hi, width, pack)))
+    return tuple(violations)
+
+
 def check_dialgebra(d):
     """All five axioms on all basis triples; violations carry both sides.
 
-    On (e_i, e_j, e_k), x o (y . z) contracts y . z = inner[j][k] with the
-    rows outer[i][s], and (x . y) o z contracts x . y = inner[i][j] with
-    the rows outer[s][k]."""
-    z = d.field.zero
-    violations = []
-    for num, axiom in enumerate(AXIOMS, start=1):
-        for i, j, k in itertools.product(range(d.dim), repeat=3):
-            lv, rv = (
-                _combine(z, d.tensor(inner)[j][k], d.tensor(outer)[i])
-                if side == "R" else
-                _combine(z, d.tensor(inner)[i][j],
-                         [row[k] for row in d.tensor(outer)])
-                for side, outer, inner in axiom)
-            if lv != rv:
-                violations.append((num, i, j, k, lv, rv))
-    return Report(not violations, tuple(violations))
+    Over K[t]/(t^{N+1}) the structure constants are read order by order
+    over K, and the sides are the series through t^N."""
+    flat = flat_products(d)
+    ring = d.field
+    if isinstance(ring, SeriesRing):
+        violations = axiom_violations(
+            ring.field, d.dim,
+            [[x.c[n] for x in flat] for n in range(ring.order + 1)],
+            ring.order, lambda coeffs: Series(ring, coeffs))
+    else:
+        violations = axiom_violations(ring, d.dim, [flat], 0)
+    return Report(not violations, violations)
 
 
 def check_representation(d, rep):

@@ -101,6 +101,11 @@ class Matrix:
         return tuple(tuple(self[i, j] for j in range(self.cols))
                      for i in range(self.rows))
 
+    def entries(self):
+        """(i, j, x) for every nonzero entry, row by row."""
+        return [(i, j, x) for i, row in self._rows.items()
+                for j, x in row.items()]
+
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols

@@ -5,7 +5,8 @@ import pytest
 
 from diadeform.cochain import Cochain, product_cochain
 from diadeform.deformation import TruncatedDeformation
-from diadeform.dialgebra import Dialgebra, DialgebraMorphism, adjoint_rep
+from diadeform.dialgebra import (AXIOMS, Dialgebra, DialgebraMorphism,
+                                 _combine, adjoint_rep)
 from diadeform.fields import QQ, PrimeField
 from diadeform.linalg import Matrix
 from diadeform.models import bundled_model_names, load_bundled_model
@@ -35,6 +36,26 @@ def int_deformation(psi, fds, fes, ss):
                                 for c in fes],
         [psi.matrix] + [Matrix(f, e.dim, d.dim, [ints(r) for r in s])
                         for s in ss])
+
+
+def dense_axiom_violations(d):
+    """The axiom checker as it was before it went term-major, kept as a
+    reference: for each axiom and basis triple, both sides by dense
+    contractions of D's tensors, x o (y . z) from inner[j][k] and the rows
+    outer[i][s], (x . y) o z from inner[i][j] and the rows outer[s][k]."""
+    z = d.field.zero
+    violations = []
+    for num, axiom in enumerate(AXIOMS, start=1):
+        for i, j, k in itertools.product(range(d.dim), repeat=3):
+            lv, rv = (
+                _combine(z, d.tensor(inner)[j][k], d.tensor(outer)[i])
+                if side == "R" else
+                _combine(z, d.tensor(inner)[i][j],
+                         [row[k] for row in d.tensor(outer)])
+                for side, outer, inner in axiom)
+            if lv != rv:
+                violations.append((num, i, j, k, lv, rv))
+    return tuple(violations)
 
 
 def randint_sequence(seed, lo, hi, count):

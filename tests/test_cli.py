@@ -154,10 +154,6 @@ def test_trivialize_rejects_an_invalid_deformation(capsys, tmp_path):
                    " (11) != (6)\n"), cmd
 
 
-# a known defect: today this prints the order-1 values and exits 0
-@pytest.mark.xfail(strict=True, reason="infinitesimal does not validate"
-                   " its deformation: the check cost the deformation"
-                   " workload about a fifth of its median job time")
 def test_infinitesimal_rejects_an_invalid_deformation(capsys, tmp_path):
     # the same deformation: its order-1 coefficient alone is a cocycle
     path = _mult1_variant(tmp_path, "  order 1\n  fD 1 l 0 0 0 1\n",
@@ -174,9 +170,9 @@ def test_infinitesimal_rejects_an_invalid_deformation(capsys, tmp_path):
                  marks=pytest.mark.xfail(
                      strict=True, reason="cohomology does not check the"
                      " axioms of its input, so a dimension can come out"
-                     " negative: with today's axiom checker the guard cost"
-                     " the cohomology workload +13 % batch_s and +39 %"
-                     " job_ms_p50, past its 24 % bound")),
+                     " negative: with the term-major axiom checker the"
+                     " guard still cost the cohomology workload +3.6 %"
+                     " job_ms_p50")),
     (["mor-cohomology", "--morphism", "id", "--degree", "3"],
      "  entry 0 0 1\n", "  entry 0 0 2\n"),
 ])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import int_deformation, randint_sequence
+from conftest import dense_axiom_violations, int_deformation, randint_sequence
 
 from diadeform import deformation, morphism_complex
 from diadeform.cochain import Cochain, product_cochain
@@ -15,13 +15,13 @@ from diadeform.deformation import (FormalIso, TruncatedDeformation,
                                    rigidity_probe, trivialize_step,
                                    unipotent_inverse, verify_deformation)
 from diadeform.dialgebra import (Dialgebra, DialgebraMorphism,
-                                 check_dialgebra, check_morphism)
+                                 Representation, check_morphism)
 from diadeform.errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                               InvalidDeformation, NonIdentityConstantTerm,
                               NotACoboundary, OrderMismatch, OrderTooLow)
 from diadeform.fields import QQ, PrimeField, Series, SeriesRing
 from diadeform.linalg import Matrix
-from diadeform.models import load_bundled_model
+from diadeform.models import bundled_model_names, load_bundled_model
 from diadeform.morphism_complex import complex_of
 
 
@@ -271,10 +271,6 @@ def test_trivialize_rejects_an_invalid_deformation(ksetup):
         == "axiom 2 for f_D at order 2, triple (0, 0, 0): (11) != (6)"
 
 
-# a known defect: today this returns the order-1 coefficient
-@pytest.mark.xfail(strict=True, reason="infinitesimal does not validate"
-                   " its deformation: the check cost the deformation"
-                   " workload about a fifth of its median job time")
 def test_infinitesimal_rejects_an_invalid_deformation(ksetup):
     # the same deformation: its order-1 coefficient alone is a cocycle
     psi, _ = ksetup
@@ -328,12 +324,18 @@ def test_extension_guaranteed_flag(ksetup):
     assert report.reached == 3
 
 
+def lift_residuals(th, pad):
+    """The residuals as they were computed before they went order by order
+    over K, kept as a reference: the dense axiom checker and
+    ``check_morphism`` over K[t]/(t^{N+1+pad}), on the lift."""
+    d_t, e_t, psi_t = th.lift(pad)
+    return (dense_axiom_violations(d_t), dense_axiom_violations(e_t),
+            check_morphism(psi_t).violations)
+
+
 def _unpadded_report(th):
     """The report on the residuals of the unpadded lift, computed here."""
-    d_t, e_t, psi_t = th.lift(0)
-    return deformation._first_failure(
-        th, check_dialgebra(d_t).violations,
-        check_dialgebra(e_t).violations, check_morphism(psi_t).violations)
+    return deformation._first_failure(th, *lift_residuals(th, 0))
 
 
 def _golden(th):
@@ -356,6 +358,87 @@ def test_verify_reports_as_on_the_unpadded_lift(bundled_models, gf7_models,
     assert any(not verify_deformation(th) for th in cases)
     for th in cases:
         assert verify_deformation(th) == _unpadded_report(th), th
+
+
+def _residual_cases():
+    """Every bundled deformation, random deformations of orders 1-3 of
+    every bundled morphism, over QQ and GF(7), and two invalid ones."""
+    cases = []
+    for field in (None, PrimeField(7)):
+        for name in bundled_model_names():
+            model = load_bundled_model(name, field_override=field)
+            cases += model.deformations.values()
+            rng = random.Random(17)
+            cases += [random_deformation(psi, order, rng)
+                      for psi in model.morphisms.values()
+                      for order in (1, 2, 3)]
+    mult1, zero1 = (load_bundled_model(name).morphisms["id"]
+                    for name in ("mult1", "zero1"))
+    # the mult1 variant with fD 2 l 0 0 0 5, and a morphism failure
+    cases += [int_deformation(mult1, [[1, 1], [5, 0]], [[1, 1], [0, 0]],
+                              [[[0]], [[0]]]),
+              int_deformation(zero1, [[1, -1]], [[1, 0]], [[[2]]])]
+    return cases
+
+
+def test_residuals_match_the_lift(monkeypatch):
+    # every violation, order by order over K, equals the one the dense
+    # checkers find on the lift padded by one order: which triples and
+    # pairs, in which order, and both sides through t^{N+1}
+    cases = _residual_cases()
+    want = [lift_residuals(th, 1) for th in cases]
+    monkeypatch.setattr(TruncatedDeformation, "lift", None)  # none is built
+    got = [deformation._residuals(th) for th in cases]
+    for th, g, w in zip(cases, got, want):
+        assert g == w, th
+    # the cases reach every part: axiom violations of D and E (at the
+    # obstruction order at least), morphism violations, invalid ones
+    assert all(any(w[part] for w in want) for part in range(3))
+    assert sum(not verify_deformation(th) for th in cases) == 2
+
+
+def test_verify_and_obstruction_multiply_no_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Series product")
+    monkeypatch.setattr(Series, "__mul__", refuse)
+    for th in _residual_cases():
+        if verify_deformation(th) and th.order >= 1:
+            obstruction(th)
+
+
+def test_an_endomorphism_is_checked_once(monkeypatch, bundled_models):
+    # rigidity_probe checks an endomorphism's dialgebra as its source only
+    checked = []
+    check = deformation.check_dialgebra
+    monkeypatch.setattr(deformation, "check_dialgebra",
+                        lambda d: checked.append(d) or check(d))
+    dim2 = bundled_models["dim2"]
+    rigidity_probe(dim2.morphisms["id"], order=0)
+    assert checked == [dim2.dialgebras["P2"]]
+    checked.clear()
+    rigidity_probe(dim2.morphisms["emb"], order=0)
+    assert checked == [dim2.dialgebras["K"], dim2.dialgebras["P2"]]
+
+
+def test_construction_builds_no_product_cochain(monkeypatch, zsetup):
+    # the order-0 coefficients are compared with the model's structure
+    # constants as they are
+    th = z_family(zsetup[0], 1, 1, 1, 1, 0)
+    monkeypatch.setattr(deformation, "product_cochain", None)
+    nxt = th.extended_with(zsetup[1].zero(2))
+    assert TruncatedDeformation.from_lift(th.psi, *nxt.lift()).fd == nxt.fd
+
+
+def test_order_zero_products_need_the_model_as_module(zsetup):
+    # a cochain with the model's products on another module of the same
+    # size is no order-0 coefficient, as before
+    psi, _ = zsetup
+    d = psi.source
+    other = Representation(d, 1, d.left, d.right, d.left, d.right)
+    base = Cochain(2, d, other, product_cochain(d).coeffs)
+    with pytest.raises(BaseMismatch):
+        TruncatedDeformation(psi, [base], [product_cochain(psi.target)],
+                             [psi.matrix])
 
 
 def q(*values):

@@ -1,13 +1,18 @@
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mult_dialgebra, zero_dialgebra
+from conftest import (change_basis, dense_axiom_violations, mirror,
+                      mult_dialgebra, random_frame, zero_dialgebra)
 
 from diadeform.dialgebra import (AXIOMS, Dialgebra, DialgebraMorphism,
                                  Representation, adjoint_rep,
-                                 check_dialgebra, check_morphism,
-                                 check_representation, pullback_rep)
+                                 axiom_violations, check_dialgebra,
+                                 check_morphism, check_representation,
+                                 pullback_rep)
+from diadeform.errors import ShapeMismatch
 from diadeform.fields import QQ, PrimeField, Series, SeriesRing
 from diadeform.linalg import Matrix
 from diadeform.models import bundled_model_names, load_bundled_model
@@ -318,3 +323,67 @@ def test_check_morphism_and_pullback_match_reference(psi):
     rep = pullback_rep(psi)
     assert ((rep.act_dl, rep.act_dr, rep.act_ld, rep.act_rd)
             == ref_pullback_tensors(psi))
+
+
+# -- the term-major checker against the dense one it replaced -------------
+
+DENSE_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(7),
+                SeriesRing(QQ, 2), SeriesRing(PrimeField(3), 1))
+
+
+def _sparse_scalar(field, rng):
+    """A seeded scalar, zero half of the time; over K[t]/(t^{N+1}) one
+    such draw per coefficient."""
+    if isinstance(field, SeriesRing):
+        return Series(field, [_sparse_scalar(field.field, rng)
+                              for _ in range(field.order + 1)])
+    return field.from_int(rng.choice((0, 0, 0, 1, -1, 2)))
+
+
+def _valid_structures(field, rng):
+    """Every bundled dialgebra read in the field and its mirror, in a
+    random frame over a field; over a series ring, with both products
+    times a random series, as the axioms are quadratic."""
+    base = field.field if isinstance(field, SeriesRing) else field
+    for name in bundled_model_names():
+        for d in load_bundled_model(name,
+                                    field_override=base).dialgebras.values():
+            for x in (d, mirror(d)):
+                if base is field:
+                    yield change_basis(x, *random_frame(field, x.dim, rng))
+                else:
+                    c = _sparse_scalar(field, rng)
+                    yield Dialgebra(x.dim, field, *(
+                        [[[c * Series(field, (v,) + (base.zero,)
+                                      * field.order) for v in row]
+                          for row in block] for block in t]
+                        for t in (x.left, x.right)))
+
+
+@pytest.mark.parametrize("field", DENSE_FIELDS, ids=repr)
+def test_check_dialgebra_matches_the_dense_checker(field):
+    # every violation, (axiom, i, j, k, lv, rv) with both sides, in the
+    # dense checker's order, on seeded random structures of dimensions
+    # 1-3 (mostly invalid) and on valid ones
+    rng = random.Random(1700)
+    cases = list(_valid_structures(field, rng))
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        left, right = ([[[_sparse_scalar(field, rng) for _ in range(n)]
+                         for _ in range(n)] for _ in range(n)]
+                       for _ in range(2))
+        cases.append(Dialgebra(n, field, left, right))
+    valid = 0
+    for d in cases:
+        report, want = check_dialgebra(d), dense_axiom_violations(d)
+        assert report.violations == want, d
+        assert report.valid == (not want)
+        valid += report.valid
+    assert len(cases) - 150 <= valid < len(cases)
+
+
+def test_axiom_violations_refuses_orders_above_the_top():
+    zero = [QQ.zero, QQ.zero]
+    assert axiom_violations(QQ, 1, [zero, zero], 1, tuple) == ()
+    with pytest.raises(ShapeMismatch):
+        axiom_violations(QQ, 1, [zero, zero], 0)
