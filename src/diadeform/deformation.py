@@ -7,33 +7,36 @@ this module implements validity checking, infinitesimals, obstruction
 classes, one-step and iterated extension, transport along formal
 isomorphisms, trivialization, and rigidity probing.
 
-The coefficients are stored order by order, and validity and the
-obstruction read them so, over K.  The residuals of the five axioms of
-D_t and of E_t and of the morphism equations of psi_t, the dialgebras and
-the morphism over the truncated series ring, are computed order by order
-through t^{N+1}: the axioms by the graded contraction of
-``dialgebra.axiom_violations``, the morphism equations through the
-nonzero images of psi's coefficients.  Their coefficients t^0..t^N decide
-validity, and t^{N+1} is the obstruction.  A deformation computes them
-once, and both validity and the obstruction read them.  Only a formal
-isomorphism acts on the lift over K[t]/(t^{N+1}), by conjugating the
-lifted products and morphism.
+The coefficients are stored order by order, and every identity on the
+power series is read one t-coefficient at a time, over K.  The residuals
+of the five axioms of D_t and of E_t and of the morphism equations of
+psi_t are computed through t^{N+1} by the graded contractions of
+``dialgebra.axiom_violations`` and ``dialgebra.morphism_violations``.
+Their coefficients t^0..t^N decide validity, and t^{N+1} is the
+obstruction.  A deformation computes them once, and both validity and
+the obstruction read them.  Transport along a formal isomorphism
+Phi_t = I + sum_k phi_k t^k is computed the same way through t^N: the
+inverse series order by order, each deformed product as a pull-back
+along the inverse and a push-forward along Phi_t, and the deformed
+morphism as a truncated convolution of matrix series.
 """
 
-import itertools
+import functools
+import operator
 import random
 from dataclasses import dataclass
 
 from .cochain import (Cochain, flat_offset, product_cochain,
                       random_scalar)
-from .dialgebra import (AXIOMS, LEFT, RIGHT, Dialgebra, DialgebraMorphism,
-                        _vector, axiom_violations, check_dialgebra,
-                        check_morphism, flat_products, image_products)
+from .dialgebra import (AXIOMS, LEFT, RIGHT, _graded_map, _lifted,
+                        _pull_back, _push_forward, _reduced,
+                        axiom_violations, check_dialgebra, check_morphism,
+                        flat_products, morphism_violations)
 from .errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                      InvalidDeformation, NonIdentityConstantTerm,
                      NotACoboundary, OrderMismatch, OrderTooLow,
                      ShapeMismatch)
-from .fields import Series, SeriesRing, format_scalars, unchanged
+from .fields import format_scalars
 from .linalg import Matrix
 from .morphism_complex import MorphismCochain, complex_of
 
@@ -56,33 +59,8 @@ def matrix_to_cochain1(mat, d, rep):
     return Cochain(1, d, rep, sum(mat.transpose().dense_rows(), ()))
 
 
-def _lift(ring, flats):
-    """Series whose t^n coefficients are flats[n], zero above the last."""
-    pad = (ring.field.zero,) * ring.order
-    return [Series(ring, (col + pad)[:ring.order + 1]) for col in zip(*flats)]
-
-
-def _coefficients(series, n):
-    """The t^n coefficients of a sequence of series."""
-    return [x.c[n] for x in series]
-
-
 def _rows(flat, width):
     return [flat[i:i + width] for i in range(0, len(flat), width)]
-
-
-def _lift_matrix(ring, ms):
-    """The matrix sum_n ms[n] t^n over the series ring."""
-    flat = _lift(ring, [sum(m.dense_rows(), ()) for m in ms])
-    return Matrix(ring, ms[0].rows, ms[0].cols, _rows(flat, ms[0].cols))
-
-
-def _lift_products(ring, d, fs):
-    """The dialgebra on D's space with products sum_n fs[n] t^n; the flat
-    coordinates of a product 2-cochain are its left, then right tensor."""
-    blocks = _rows(_rows(_lift(ring, [f.coeffs for f in fs]), d.dim), d.dim)
-    return Dialgebra(d.dim, ring, blocks[:d.dim], blocks[d.dim:],
-                     basis_names=d.basis_names, name=d.name)
 
 
 class TruncatedDeformation:
@@ -148,30 +126,6 @@ class TruncatedDeformation:
         return cls(psi, [product_cochain(d)] + [zero_d] * order,
                    [product_cochain(e)] + [zero_e] * order,
                    [psi.matrix] + [zero_psi] * order)
-
-    def lift(self, pad=0):
-        """(D_t, E_t, psi_t) over K[t]/(t^{N+1+pad}), zero above order N."""
-        ring = SeriesRing(self.field, self.order + pad)
-        d_t = _lift_products(ring, self.psi.source, self.fd)
-        e_t = _lift_products(ring, self.psi.target, self.fe)
-        return d_t, e_t, DialgebraMorphism(
-            d_t, e_t, _lift_matrix(ring, self.psis), name=self.psi.name)
-
-    @classmethod
-    def from_lift(cls, psi, d_t, e_t, psi_t):
-        """The deformation of psi whose lift is (D_t, E_t, psi_t)."""
-        d, e = psi.source, psi.target
-        fd, fe = flat_products(d_t), flat_products(e_t)
-        m = sum(psi_t.matrix.dense_rows(), ())
-        orders = range(d_t.field.order + 1)
-        return cls(psi,
-                   [Cochain(2, d, d, _coefficients(fd, n))
-                    for n in orders],
-                   [Cochain(2, e, e, _coefficients(fe, n))
-                    for n in orders],
-                   [Matrix(psi.field, e.dim, d.dim,
-                           _rows(_coefficients(m, n), d.dim))
-                    for n in orders])
 
     def extended_with(self, theta):
         """Append a degree-2 morphism cochain as the next coefficient."""
@@ -240,18 +194,6 @@ class FormalIso:
             Cochain.zero(0, cx.D, cx.rep_de))
 
 
-def unipotent_inverse(phi):
-    """The inverse of a square matrix over K[t]/(t^{N+1}) with identity
-    constant term: sum_{k <= N} (I - phi)^k, as (I - phi)^{N+1} = 0."""
-    ident = Matrix.identity(phi.field, phi.rows)
-    nilpotent = ident - phi
-    inv = power = ident
-    for _ in range(phi.field.order):
-        power = power * nilpotent
-        inv = inv + power
-    return inv
-
-
 # -- reports -----------------------------------------------------------
 
 
@@ -311,92 +253,15 @@ class RigidityReport:
 
 
 def _residuals(th):
-    """The violations of D_t, E_t and psi_t through t^{N+1}, as the axiom
-    and morphism checkers report them on the lift padded by one zero
-    order, computed order by order over K.  Their coefficients t^0..t^N
-    decide validity; t^{N+1} is the obstruction."""
+    """The violations of D_t, E_t and psi_t through t^{N+1}, each side one
+    tuple of coefficients t^0..t^{N+1} per coordinate, computed order by
+    order over K.  Their coefficients t^0..t^N decide validity; t^{N+1}
+    is the obstruction."""
     top = th.order + 1
-    ring = SeriesRing(th.field, top)
-
-    def pack(coeffs):
-        return Series(ring, coeffs)
-    return (axiom_violations(th.field, th.psi.source.dim,
-                             [f.coeffs for f in th.fd], top, pack),
-            axiom_violations(th.field, th.psi.target.dim,
-                             [f.coeffs for f in th.fe], top, pack),
-            _morphism_violations(th, top, pack))
-
-
-def _morphism_violations(th, top, pack):
-    """(label, i, j, lhs, rhs) for each pair where psi_t(e_i o e_j) and
-    psi_t(e_i) o psi_t(e_j) differ through t^top, label by label, then by
-    pair, both sides packed as for ``axiom_violations``.
-
-    Both are contracted term-major over the nonzero coefficients, as
-    plain numbers (``field.lift``), orders adding up to top: psi_t f_D
-    takes each constant f_D,b[i][j][s] into the image psi_t(e_s), and
-    f_E(psi_t, psi_t) first pulls each constant f_E,a[u][v][w] back along
-    the images, to the action psi_t(e_i) o e_v, then contracts that with
-    psi_t(e_j)."""
-    field = th.field
-    lift, reduce = field.lift, field.reduce
-    n, m, width = th.psi.source.dim, th.psi.target.dim, top + 1
-    # per row u and column s of psi's coefficients: (s, x, order) and
-    # (u * width + order, x, order), by increasing order
-    rows, cols = [[] for _ in range(m)], [[] for _ in range(n)]
-    for order, mat in enumerate(th.psis):
-        for u, s, x in mat.entries():
-            x = lift(x)
-            rows[u].append((s, x, order))
-            cols[s].append((u * width + order, x, order))
-    block = m * width  # (w, order) of one (label, i, j)
-    size = 2 * n * n * block
-    lhs = [0] * size
-    for b, f in enumerate(th.fd):
-        for idx, c in enumerate(f.coeffs):
-            if c:
-                c = lift(c)
-                base = idx // n * block + b
-                for off, x, a in cols[idx % n]:
-                    if a > top - b:
-                        break
-                    lhs[base + off] += c * x
-    # pulled[label, i][v][w][order]: psi_t(e_i) o e_v
-    plane = m * block
-    pulled = [0] * (2 * n * plane)
-    for a, f in enumerate(th.fe):
-        for idx, c in enumerate(f.coeffs):
-            if c:
-                c = lift(c)
-                rest, vw = divmod(idx, m * m)
-                label, u = divmod(rest, m)
-                base = label * n * plane + vw * width + a
-                for i, x, b in rows[u]:
-                    if b > top - a:
-                        break
-                    pulled[base + i * plane + b] += c * x
-    rhs = [0] * size
-    for li, lo in enumerate(range(0, len(pulled), block)):
-        terms = [(wo, y, wo % width)
-                 for wo, y in enumerate(pulled[lo:lo + block]) if y]
-        if terms:
-            label_i, v = divmod(li, m)
-            for j, x, c in rows[v]:
-                base = (label_i * n + j) * block + c
-                for wo, y, o in terms:
-                    if o + c <= top:
-                        rhs[base + wo] += y * x
-    if lift is not unchanged:
-        lhs, rhs = list(map(reduce, lhs)), list(map(reduce, rhs))
-    if lhs == rhs:
-        return ()
-    return tuple(
-        (label, i, j, _vector(lhs, lo, lo + block, width, pack),
-         _vector(rhs, lo, lo + block, width, pack))
-        for (label, i, j), lo in zip(
-            itertools.product((LEFT, RIGHT), range(n), range(n)),
-            range(0, size, block))
-        if lhs[lo:lo + block] != rhs[lo:lo + block])
+    fds, fes = [f.coeffs for f in th.fd], [f.coeffs for f in th.fe]
+    return (axiom_violations(th.field, th.psi.source.dim, fds, top),
+            axiom_violations(th.field, th.psi.target.dim, fes, top),
+            morphism_violations(th.field, th.psis, fds, fes, top))
 
 
 def _first_failure(th, d_violations, e_violations, m_violations):
@@ -410,7 +275,7 @@ def _first_failure(th, d_violations, e_violations, m_violations):
                   "pair", (a, b), lv, rv)
                  for label, a, b, lv, rv in m_violations]
     orders = [min(n for a, b in zip(lv, rv)
-                  for n, (x, y) in enumerate(zip(a.c, b.c)) if x != y)
+                  for n, (x, y) in enumerate(zip(a, b)) if x != y)
               for _, _, _, lv, rv in failures]  # N + 1 if only Ob differs
     nu = min(orders, default=th.order + 1)
     if nu > th.order:
@@ -419,15 +284,15 @@ def _first_failure(th, d_violations, e_violations, m_violations):
     return DeformationReport(
         False, nu, "%s at order %d, %s %r: %s != %s"
         % (what, nu, kind, where,
-           format_scalars(th.field, _coefficients(lv, nu)),
-           format_scalars(th.field, _coefficients(rv, nu))))
+           format_scalars(th.field, [x[nu] for x in lv]),
+           format_scalars(th.field, [y[nu] for y in rv])))
 
 
 def verify_deformation(th):
     """Check the deformation equations order by order; report first failure.
 
     These are the five product axioms of D_t and of E_t and the morphism
-    equations of psi_t over K[t]/(t^{N+1}); a failure's order is the lowest
+    equations of psi_t, through t^N; a failure's order is the lowest
     t-degree at which its two sides differ.
     """
     return _first_failure(th, *th.residuals())
@@ -460,11 +325,13 @@ def infinitesimal(th):
 
 def cocycle_check(cx, mc, order):
     """Whether delta mc = 0 exactly; else where its first nonzero value is."""
-    for name, tree, multi, _ in cx.coboundary(mc).nonzero_values():
-        return CocycleReport(False, leading_order=order,
-                             residual_location="%s block, tree %s, indices %r"
-                             % (name, tree.name, multi))
-    return CocycleReport(True, leading_order=order)
+    delta = cx.coboundary(mc)
+    if delta.is_zero():
+        return CocycleReport(True, leading_order=order)
+    name, tree, multi, _ = next(delta.nonzero_values())
+    return CocycleReport(False, leading_order=order,
+                         residual_location="%s block, tree %s, indices %r"
+                         % (name, tree.name, multi))
 
 
 def leading_cocycle_check(th):
@@ -496,7 +363,7 @@ def obstruction(th):
         coeffs, m = list(Cochain.zero(degree, d, rep).coeffs), rep.module_dim
         for (tree, multi), sides in diffs:
             off = flat_offset(tree, multi, d.dim, m)
-            coeffs[off:off + m] = [x.c[n + 1] - y.c[n + 1]
+            coeffs[off:off + m] = [x[n + 1] - y[n + 1]
                                    for x, y in zip(*sides)]
         return Cochain(degree, d, rep, coeffs)
 
@@ -607,19 +474,33 @@ def extend_to_order(th, target):
 # -- equivalence -------------------------------------------------------
 
 
-def _conjugate(d_t, phi, inv):
-    """The lifted dialgebra with products phi f(inv x, inv y)."""
-    left, right = ([[phi.apply(v) for v in row] for row in table]
-                   for table in image_products(d_t, inv))
-    return Dialgebra(d_t.dim, d_t.field, left, right,
-                     basis_names=d_t.basis_names, name=d_t.name)
+def _sum(matrices):
+    return functools.reduce(operator.add, matrices)
+
+
+def _inverse(phi):
+    """The coefficients of Psi = Phi^-1 for a matrix series Phi with
+    identity constant term: Psi_0 = I and
+    Psi_k = -sum_{i=1..k} phi_i Psi_{k-i}."""
+    inv = [phi[0]]
+    for k in range(1, len(phi)):
+        inv.append(-_sum(phi[i] * inv[k - i] for i in range(1, k + 1)))
+    return inv
+
+
+def _convolve(xs, ys):
+    """The coefficients of the product of two matrix series, through the
+    order of xs."""
+    return [_sum(xs[a] * ys[k - a] for a in range(k + 1))
+            for k in range(len(xs))]
 
 
 def apply_formal_iso(th, iso):
     """Transport a deformation along a pair of formal isomorphism series.
 
-    Over K[t]/(t^{N+1}): f'(x, y) = Phi f(Phi^-1 x, Phi^-1 y) on D and on
-    E, and psi' = Phi_E psi Phi_D^-1.
+    f'(x, y) = Phi f(Psi x, Psi y) on D and on E, with Psi = Phi^-1, and
+    psi' = Phi_E psi Psi_D, through t^N: f' is the pull-back of f along
+    Psi followed by the push-forward along Phi.
     """
     if iso.order != th.order:
         raise OrderMismatch("deformation order %d vs iso order %d"
@@ -628,15 +509,20 @@ def apply_formal_iso(th, iso):
         raise BaseMismatch("formal isomorphism of %s applied to a"
                            " deformation of %s"
                            % (iso.psi.name, th.psi.name))
-    d_t, e_t, psi_t = th.lift()
-    phi_d = _lift_matrix(d_t.field, iso.phi_d)
-    phi_e = _lift_matrix(d_t.field, iso.phi_e)
-    inv_d = unipotent_inverse(phi_d)
-    new_d = _conjugate(d_t, phi_d, inv_d)
-    new_e = _conjugate(e_t, phi_e, unipotent_inverse(phi_e))
-    return TruncatedDeformation.from_lift(
-        th.psi, new_d, new_e,
-        DialgebraMorphism(new_d, new_e, phi_e * psi_t.matrix * inv_d))
+    field, top = th.field, th.order
+    inv_d = _inverse(iso.phi_d)
+
+    def conjugate(fs, phi, inv):
+        terms = _lifted(field, [f.coeffs for f in fs])
+        terms = _pull_back(terms, _graded_map(field, inv), top)
+        terms = _push_forward(terms, _graded_map(field, phi), top)
+        d = fs[0].dialgebra
+        return [Cochain(2, d, d, c) for c in _reduced(field, terms)]
+
+    return TruncatedDeformation(
+        th.psi, conjugate(th.fd, iso.phi_d, inv_d),
+        conjugate(th.fe, iso.phi_e, _inverse(iso.phi_e)),
+        _convolve(_convolve(iso.phi_e, th.psis), inv_d))
 
 
 def trivialize_step(th):

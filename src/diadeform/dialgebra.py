@@ -5,12 +5,15 @@ checking covers every basis triple; bilinearity makes this complete.  It
 runs term-major over the nonzero structure constants, graded by order in
 t (``axiom_violations``): each of the eight bracketed triple composites
 of the five axioms is built once, a constant of order a times one of
-order b adding into order a + b, up to a top order.  A dialgebra over K
-is the one-order case, one over K[t]/(t^{N+1}) is read order by order
-over K, and a deformation's residuals are the same contraction of its
-coefficients.  Each pulled-back action and image product
-psi(e_i) o psi(e_j) is one contraction (``_combine``) of structure
-constants read by index with a coordinate vector.
+order b adding into order a + b, up to a top order.  The morphism
+equations are graded the same way (``morphism_violations``): psi_t f_D
+is the push-forward of D's products along psi_t and f_E(psi_t, psi_t)
+the pull-back of E's, each one contraction of the nonzero coefficients
+of a graded linear map with a graded tensor (``_contract``).  A
+dialgebra or a morphism over K is the one-order case, and a
+deformation's residuals and its transport are the same contractions of
+its coefficients.  The pulled-back actions contract structure constants
+read by index with psi's columns (``_combine``).
 """
 
 import itertools
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FieldMismatch, ShapeMismatch
-from .fields import QQ, Series, SeriesRing, unchanged
+from .fields import QQ, unchanged
 from .linalg import Matrix, _coerce
 from .trees import ProductLabel
 
@@ -66,7 +69,7 @@ def _check_tensor(field, tensor, d1, d2, d3, what):
 
 def _combine(zero, coeffs, rows):
     """sum_s coeffs[s] * rows[s] on coordinate vectors, skipping zero
-    coefficients: the contraction behind every product evaluation."""
+    coefficients: the contraction behind the pulled-back actions."""
     out = None
     for c, row in zip(coeffs, rows):
         if c != zero:
@@ -212,12 +215,12 @@ def flat_products(d):
     return tuple(chain(chain(chain((d.left, d.right)))))
 
 
-def _vector(values, lo, hi, width, pack):
-    """The coordinates values[lo:hi], one scalar each, or with pack one
-    series each from ``width`` consecutive coefficients."""
-    if pack is None:
+def _vector(values, lo, hi, width):
+    """The coordinates values[lo:hi]: one scalar each when width is 1, else
+    the tuple of ``width`` consecutive coefficients t^0, t^1, ... each."""
+    if width == 1:
         return tuple(values[lo:hi])
-    return tuple(pack(values[x:x + width]) for x in range(lo, hi, width))
+    return tuple(tuple(values[x:x + width]) for x in range(lo, hi, width))
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +243,7 @@ def _places(n, width):
                                                          *[range(n)] * 3))
 
 
-def axiom_violations(field, dim, flats, top, pack=None):
+def axiom_violations(field, dim, flats, top):
     """The five axioms for the products sum_n flats[n] t^n through t^top,
     as (axiom, i, j, k, lv, rv) by axiom, then by triple.
 
@@ -251,10 +254,10 @@ def axiom_violations(field, dim, flats, top, pack=None):
     (e_i, e_j, e_k), x o (y . z) takes each constant of y . z =
     inner[j][k] into the rows outer[i][s], and (x . y) o z each constant
     of x . y = inner[i][j] into the rows outer[s][k], a constant of order
-    a times one of order b adding into order a + b <= top.  The sides are kept on flat
-    (triple, w, order) lists, reduced once (``field.reduce``).  With pack
-    a side is a tuple of series, pack(coefficients through t^top) for
-    each coordinate; without, top must be 0 and it is a tuple of scalars.
+    a times one of order b adding into order a + b <= top.  The sides are
+    kept on flat (triple, w, order) lists, reduced once (``field.reduce``).
+    A side is a tuple of scalars when top is 0, else one tuple of its
+    coefficients t^0..t^top per coordinate.
     """
     n, width = dim, top + 1
     if len(flats) > width:
@@ -303,25 +306,15 @@ def axiom_violations(field, dim, flats, top, pack=None):
             hi = lo + s_k
             if lhs[lo:hi] != rhs[lo:hi]:
                 violations.append((num, i, j, k,
-                                   _vector(lhs, lo, hi, width, pack),
-                                   _vector(rhs, lo, hi, width, pack)))
+                                   _vector(lhs, lo, hi, width),
+                                   _vector(rhs, lo, hi, width)))
     return tuple(violations)
 
 
 def check_dialgebra(d):
-    """All five axioms on all basis triples; violations carry both sides.
-
-    Over K[t]/(t^{N+1}) the structure constants are read order by order
-    over K, and the sides are the series through t^N."""
-    flat = flat_products(d)
-    ring = d.field
-    if isinstance(ring, SeriesRing):
-        violations = axiom_violations(
-            ring.field, d.dim,
-            [[x.c[n] for x in flat] for n in range(ring.order + 1)],
-            ring.order, lambda coeffs: Series(ring, coeffs))
-    else:
-        violations = axiom_violations(ring, d.dim, [flat], 0)
+    """All five axioms on all basis triples; violations carry both sides:
+    the one-order case of ``axiom_violations``."""
+    violations = axiom_violations(d.field, d.dim, [flat_products(d)], 0)
     return Report(not violations, violations)
 
 
@@ -359,32 +352,124 @@ def check_representation(d, rep):
     return Report(not violations, tuple(violations))
 
 
+def _graded_map(field, mats):
+    """The linear map sum_b mats[b] t^b (target x source matrices) by its
+    nonzero coefficients as plain numbers (``field.lift``): per target
+    index u the list of (s, x, b), and per source index s the list of
+    (u, x, b), each by increasing order b."""
+    rows = [[] for _ in range(mats[0].rows)]
+    cols = [[] for _ in range(mats[0].cols)]
+    for b, mat in enumerate(mats):
+        for u, s, x in mat.entries():
+            x = field.lift(x)
+            rows[u].append((s, x, b))
+            cols[s].append((u, x, b))
+    return rows, cols
+
+
+def _contract(terms, maps, size, inner, top):
+    """A graded tensor with one axis carried along a graded linear map.
+
+    terms[a] holds the t^a coefficients as plain numbers, flat; the axis
+    has length len(maps) and stride inner, and gets the given size.  A
+    coefficient c of order a at index u of the axis adds c * x at index i
+    and order a + b <= top for each (i, x, b) of maps[u]."""
+    span = len(maps) * inner
+    out = [[0] * (len(terms[0]) // span * size * inner)
+           for _ in range(top + 1)]
+    for a, flat in enumerate(terms):
+        room = top - a
+        for idx, c in enumerate(flat):
+            if c:
+                outer, rest = divmod(idx, span)
+                u, r = divmod(rest, inner)
+                base = outer * size * inner + r
+                for i, x, b in maps[u]:
+                    if b > room:
+                        break
+                    out[a + b][base + i * inner] += c * x
+    return out
+
+
+def _push_forward(terms, graded, top):
+    """Phi g through t^top for a graded map Phi (``_graded_map``) and a
+    graded tensor g whose last axis is a vector in Phi's source: that
+    vector carried into Phi's target."""
+    rows, cols = graded
+    return _contract(terms, cols, len(rows), 1, top)
+
+
+def _pull_back(terms, graded, top):
+    """f(Psi x, Psi y) through t^top for a graded map Psi (``_graded_map``)
+    and a pair of graded products f on Psi's target, flat over (label, u,
+    v, w) as a product 2-cochain: the pair over (label, i, j, w), with i
+    and j indices of Psi's source."""
+    rows, cols = graded
+    m, n = len(rows), len(cols)
+    p = len(terms[0]) // (2 * m * m)
+    return _contract(_contract(terms, rows, n, m * p, top), rows, n, p, top)
+
+
+def _lifted(field, flats):
+    """Each flat list of scalars as plain numbers (``field.lift``)."""
+    lift = field.lift
+    return flats if lift is unchanged else [list(map(lift, f)) for f in flats]
+
+
+def _reduced(field, terms):
+    """Each flat list of plain numbers as scalars (``field.reduce``)."""
+    reduce = field.reduce
+    return (terms if reduce is unchanged
+            else [list(map(reduce, t)) for t in terms])
+
+
+def morphism_violations(field, psis, fds, fes, top):
+    """The morphism equations psi_t(e_i o e_j) = psi_t(e_i) o psi_t(e_j)
+    through t^top, as (label, i, j, lv, rv) for each pair where they fail,
+    by label, then by pair.
+
+    psis[b] is the t^b coefficient of psi_t as a target x source matrix,
+    and fds[b] and fes[b] are the t^b structure constants of the source
+    and the target in the flat order of a product 2-cochain.  The left side
+    is the push-forward of f_D along psi_t, the right side the pull-back
+    of f_E, both over the nonzero coefficients as plain numbers, and the
+    sides are shaped as in ``axiom_violations``.
+    """
+    graded = _graded_map(field, psis)
+    m, n, width = psis[0].rows, psis[0].cols, top + 1
+    lhs = _reduced(field, _push_forward(_lifted(field, fds), graded, top))
+    rhs = _reduced(field, _pull_back(_lifted(field, fes), graded, top))
+    if lhs == rhs:
+        return ()
+    chain = itertools.chain.from_iterable
+    # coordinates by (label, i, j, w), each with its orders in a row
+    lhs, rhs = list(chain(zip(*lhs))), list(chain(zip(*rhs)))
+    block = m * width
+    return tuple(
+        (label, i, j, _vector(lhs, lo, lo + block, width),
+         _vector(rhs, lo, lo + block, width))
+        for (label, i, j), lo in zip(
+            itertools.product((LEFT, RIGHT), range(n), range(n)),
+            range(0, len(lhs), block))
+        if lhs[lo:lo + block] != rhs[lo:lo + block])
+
+
 def check_morphism(psi):
-    """Both product-preservation identities on all basis pairs:
-    psi(e_i o e_j) == psi(e_i) o psi(e_j)."""
+    """Both product-preservation identities on all basis pairs,
+    psi(e_i o e_j) == psi(e_i) o psi(e_j): the one-order case of
+    ``morphism_violations``."""
     d, e = psi.source, psi.target
     if d.field != e.field:
         raise FieldMismatch("source and target fields differ")
-    violations = []
-    for label, table in zip((LEFT, RIGHT), image_products(e, psi.matrix)):
-        for i in range(d.dim):
-            for j in range(d.dim):
-                lhs = psi(d.tensor(label)[i][j])
-                if lhs != table[i][j]:
-                    violations.append((label, i, j, lhs, table[i][j]))
-    return Report(not violations, tuple(violations))
+    violations = morphism_violations(d.field, [psi.matrix],
+                                     [flat_products(d)], [flat_products(e)],
+                                     0)
+    return Report(not violations, violations)
 
 
 def adjoint_rep(d):
     """D as a representation of itself, which is D."""
     return d
-
-
-def _on_left(t, cols, z):
-    """The pulled-back action psi(e_i) o m of a product tensor T of E:
-    T'[i][u] = sum_s psi[s,i] * T[s][u], for each column psi(e_i)."""
-    return [[_combine(z, c, [block[u] for block in t]) for u in range(len(t))]
-            for c in cols]
 
 
 def pullback_rep(psi):
@@ -396,21 +481,13 @@ def pullback_rep(psi):
     e, z = psi.target, psi.field.zero
     cols = psi.matrix.transpose().dense_rows()
 
+    def on_left(t):  # T'[i][u] = sum_s psi[s,i] * T[s][u]
+        return [[_combine(z, c, [block[u] for block in t])
+                 for u in range(e.dim)] for c in cols]
+
     def on_right(t):  # T'[u][i] = sum_s psi[s,i] * T[u][s]
         return [[_combine(z, c, t[u]) for c in cols] for u in range(e.dim)]
 
-    return Representation(psi.source, e.dim, _on_left(e.left, cols, z),
-                          _on_left(e.right, cols, z), on_right(e.left),
+    return Representation(psi.source, e.dim, on_left(e.left),
+                          on_left(e.right), on_right(e.left),
                           on_right(e.right))
-
-
-def image_products(e, matrix):
-    """The tables psi(e_i) o psi(e_j) of E, for -| and for |-, where the
-    linear map psi into E is given by its matrix: the pulled-back action
-    psi(e_i) o m contracted with the column psi(e_j).  Only the two left
-    actions are read, so no representation is built."""
-    z = e.field.zero
-    cols = matrix.transpose().dense_rows()
-    return tuple([[_combine(z, cj, block) for cj in cols]
-                  for block in _on_left(t, cols, z)]
-                 for t in (e.left, e.right))

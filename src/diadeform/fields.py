@@ -7,9 +7,9 @@ keys and ``==`` do not depend on which one a value has.  GF(p) scalars are
 ``GFElement``.  All scalar types support ``+ - *``, compare equal to
 ``0``/``1`` where appropriate, and are hashable, so all linear algebra
 code is written field-agnostically.  Divide only through ``field.inv(x)``:
-``/`` on two ints gives a float.  ``Series`` scalars of the truncated
-power-series ring K[t]/(t^{N+1}) support the same except division, so
-products, axiom checks and matrix arithmetic also run over that ring.
+``/`` on two ints gives a float.  There is no scalar type for power
+series: a deformation's identities are read one t-coefficient at a time
+over the field.
 
 Each field descriptor also has ``lift(x)``, a scalar as a plain Python
 number, and ``reduce(n)``, such a number back as a field element, with
@@ -18,14 +18,13 @@ once, sums and multiplies plain numbers, and reduces each result once, so
 over GF(p) it makes no ``GFElement`` per operation.  Over QQ both are
 ``unchanged``, the identity, which the coboundary recognizes and skips, so
 its results hold the same objects as arithmetic on the scalars
-themselves.  ``SeriesRing`` has neither: no cochain over K[t]/(t^{N+1})
-reaches the coboundary.
+themselves.  The graded contractions of the axiom and morphism checks
+and of transport compute on such plain numbers too.
 """
 
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 try:
@@ -270,70 +269,6 @@ class PrimeField:
 
     def __repr__(self):
         return "PrimeField(%d)" % self.p
-
-
-class Series:
-    """A truncated power series c_0 + c_1 t + ... + c_N t^N over a field.
-
-    The coefficients are exact and products are truncated at t^N.  There
-    is no division: eliminating a matrix over the ring fails loudly.
-    """
-
-    __slots__ = ("ring", "c")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.c = tuple(coeffs)
-
-    def __add__(self, other):
-        return Series(self.ring, [a + b for a, b in zip(self.c, other.c)])
-
-    def __sub__(self, other):
-        return Series(self.ring, [a - b for a, b in zip(self.c, other.c)])
-
-    def __mul__(self, other):
-        n = len(self.c)
-        out = [self.ring.field.zero] * n
-        theirs = [(j, b) for j, b in enumerate(other.c) if b]
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in theirs:
-                    if i + j < n:
-                        out[i + j] = out[i + j] + a * b
-        return Series(self.ring, out)
-
-    def __eq__(self, other):
-        return isinstance(other, Series) and self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-
-@dataclass(frozen=True)
-class SeriesRing:
-    """Ring descriptor for K[t]/(t^{N+1}) over a base field K."""
-
-    field: object
-    order: int
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
-    def from_int(self, n):
-        return Series(self, [self.field.from_int(n)]
-                      + [self.field.zero] * self.order)
-
-    def inv(self, x):
-        raise TypeError("K[t]/(t^%d) is not a field: no division"
-                        % (self.order + 1))
-
-    def owns(self, x):
-        return isinstance(x, Series) and x.ring == self
 
 
 QQ = Rationals()

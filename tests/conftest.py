@@ -1,12 +1,14 @@
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from diadeform.cochain import Cochain, product_cochain
 from diadeform.deformation import TruncatedDeformation
-from diadeform.dialgebra import (AXIOMS, Dialgebra, DialgebraMorphism,
-                                 _combine, adjoint_rep)
+from diadeform.dialgebra import (AXIOMS, LEFT, RIGHT, Dialgebra,
+                                 DialgebraMorphism, _combine, adjoint_rep,
+                                 flat_products)
 from diadeform.fields import QQ, PrimeField
 from diadeform.linalg import Matrix
 from diadeform.models import bundled_model_names, load_bundled_model
@@ -56,6 +58,200 @@ def dense_axiom_violations(d):
             if lv != rv:
                 violations.append((num, i, j, k, lv, rv))
     return tuple(violations)
+
+
+def dense_morphism_violations(psi):
+    """The morphism checker as it was before it went graded, kept as a
+    reference: for each label and basis pair, psi(e_i o e_j) by applying
+    psi's matrix and psi(e_i) o psi(e_j) by dense contractions of E's
+    tensors with psi's columns."""
+    d, e = psi.source, psi.target
+    violations = []
+    for label, table in zip((LEFT, RIGHT), image_products(e, psi.matrix)):
+        for i in range(d.dim):
+            for j in range(d.dim):
+                lhs = psi(d.tensor(label)[i][j])
+                if lhs != table[i][j]:
+                    violations.append((label, i, j, lhs, table[i][j]))
+    return tuple(violations)
+
+
+def image_products(e, matrix):
+    """The tables psi(e_i) o psi(e_j) of E, for -| and for |-, where the
+    linear map psi into E is given by its matrix: the pulled-back action
+    psi(e_i) o m contracted with the column psi(e_j)."""
+    z = e.field.zero
+    cols = matrix.transpose().dense_rows()
+
+    def on_left(t):  # T'[i][u] = sum_s psi[s,i] * T[s][u]
+        return [[_combine(z, c, [block[u] for block in t])
+                 for u in range(len(t))] for c in cols]
+
+    return tuple([[_combine(z, cj, block) for cj in cols]
+                  for block in on_left(t)]
+                 for t in (e.left, e.right))
+
+
+# -- the truncated power-series ring K[t]/(t^{N+1}), kept as a reference --
+#
+# The library reads every identity on a deformation one t-coefficient at a
+# time over K.  The references below compute the same identities as they
+# once were: on dialgebras and morphisms whose scalars are truncated power
+# series, through the generic dense checkers and matrix arithmetic.
+
+
+class Series:
+    """A truncated power series c_0 + c_1 t + ... + c_N t^N over a field.
+
+    The coefficients are exact and products are truncated at t^N.  There
+    is no division: eliminating a matrix over the ring fails loudly.
+    """
+
+    __slots__ = ("ring", "c")
+
+    def __init__(self, ring, coeffs):
+        self.ring = ring
+        self.c = tuple(coeffs)
+
+    def __add__(self, other):
+        return Series(self.ring, [a + b for a, b in zip(self.c, other.c)])
+
+    def __sub__(self, other):
+        return Series(self.ring, [a - b for a, b in zip(self.c, other.c)])
+
+    def __mul__(self, other):
+        n = len(self.c)
+        out = [self.ring.field.zero] * n
+        theirs = [(j, b) for j, b in enumerate(other.c) if b]
+        for i, a in enumerate(self.c):
+            if a:
+                for j, b in theirs:
+                    if i + j < n:
+                        out[i + j] = out[i + j] + a * b
+        return Series(self.ring, out)
+
+    def __eq__(self, other):
+        return isinstance(other, Series) and self.c == other.c
+
+    def __hash__(self):
+        return hash(self.c)
+
+
+@dataclass(frozen=True)
+class SeriesRing:
+    """Ring descriptor for K[t]/(t^{N+1}) over a base field K."""
+
+    field: object
+    order: int
+
+    @property
+    def zero(self):
+        return self.from_int(0)
+
+    @property
+    def one(self):
+        return self.from_int(1)
+
+    def from_int(self, n):
+        return Series(self, [self.field.from_int(n)]
+                      + [self.field.zero] * self.order)
+
+    def inv(self, x):
+        raise TypeError("K[t]/(t^%d) is not a field: no division"
+                        % (self.order + 1))
+
+    def owns(self, x):
+        return isinstance(x, Series) and x.ring == self
+
+
+def coefficient_sides(violations):
+    """Violations whose two sides are tuples of series, with each series
+    read as the tuple of its coefficients, as the library reports them."""
+    return tuple(v[:-2] + tuple(tuple(x.c for x in side) for side in v[-2:])
+                 for v in violations)
+
+
+def _rows(flat, width):
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+def _lift(ring, flats):
+    """Series whose t^n coefficients are flats[n], zero above the last."""
+    pad = (ring.field.zero,) * ring.order
+    return [Series(ring, (col + pad)[:ring.order + 1]) for col in zip(*flats)]
+
+
+def _lift_matrix(ring, ms):
+    """The matrix sum_n ms[n] t^n over the series ring."""
+    flat = _lift(ring, [sum(m.dense_rows(), ()) for m in ms])
+    return Matrix(ring, ms[0].rows, ms[0].cols, _rows(flat, ms[0].cols))
+
+
+def _lift_products(ring, d, fs):
+    """The dialgebra on D's space with products sum_n fs[n] t^n; the flat
+    coordinates of a product 2-cochain are its left, then right tensor."""
+    blocks = _rows(_rows(_lift(ring, [f.coeffs for f in fs]), d.dim), d.dim)
+    return Dialgebra(d.dim, ring, blocks[:d.dim], blocks[d.dim:],
+                     basis_names=d.basis_names, name=d.name)
+
+
+def lift(th, pad=0):
+    """(D_t, E_t, psi_t) of a deformation over K[t]/(t^{N+1+pad}), zero
+    above order N."""
+    ring = SeriesRing(th.field, th.order + pad)
+    d_t = _lift_products(ring, th.psi.source, th.fd)
+    e_t = _lift_products(ring, th.psi.target, th.fe)
+    return d_t, e_t, DialgebraMorphism(
+        d_t, e_t, _lift_matrix(ring, th.psis), name=th.psi.name)
+
+
+def from_lift(psi, d_t, e_t, psi_t):
+    """The deformation of psi whose lift is (D_t, E_t, psi_t)."""
+    d, e = psi.source, psi.target
+    fd, fe = flat_products(d_t), flat_products(e_t)
+    m = sum(psi_t.matrix.dense_rows(), ())
+    orders = range(d_t.field.order + 1)
+    return TruncatedDeformation(
+        psi,
+        [Cochain(2, d, d, [x.c[n] for x in fd]) for n in orders],
+        [Cochain(2, e, e, [x.c[n] for x in fe]) for n in orders],
+        [Matrix(psi.field, e.dim, d.dim, _rows([x.c[n] for x in m], d.dim))
+         for n in orders])
+
+
+def unipotent_inverse(phi):
+    """The inverse of a square matrix over K[t]/(t^{N+1}) with identity
+    constant term: sum_{k <= N} (I - phi)^k, as (I - phi)^{N+1} = 0."""
+    ident = Matrix.identity(phi.field, phi.rows)
+    nilpotent = ident - phi
+    inv = power = ident
+    for _ in range(phi.field.order):
+        power = power * nilpotent
+        inv = inv + power
+    return inv
+
+
+def _conjugate(d_t, phi, inv):
+    """The lifted dialgebra with products phi f(inv x, inv y)."""
+    left, right = ([[phi.apply(v) for v in row] for row in table]
+                   for table in image_products(d_t, inv))
+    return Dialgebra(d_t.dim, d_t.field, left, right,
+                     basis_names=d_t.basis_names, name=d_t.name)
+
+
+def lift_apply_formal_iso(th, iso):
+    """Transport as it was before it went order by order, kept as a
+    reference: over K[t]/(t^{N+1}), f'(x, y) = Phi f(Phi^-1 x, Phi^-1 y)
+    on D and on E, and psi' = Phi_E psi Phi_D^-1, on the lift."""
+    d_t, e_t, psi_t = lift(th)
+    phi_d = _lift_matrix(d_t.field, iso.phi_d)
+    phi_e = _lift_matrix(d_t.field, iso.phi_e)
+    inv_d = unipotent_inverse(phi_d)
+    new_d = _conjugate(d_t, phi_d, inv_d)
+    new_e = _conjugate(e_t, phi_e, unipotent_inverse(phi_e))
+    return from_lift(
+        th.psi, new_d, new_e,
+        DialgebraMorphism(new_d, new_e, phi_e * psi_t.matrix * inv_d))
 
 
 def randint_sequence(seed, lo, hi, count):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import dense_axiom_violations, int_deformation, randint_sequence
+from conftest import (coefficient_sides, dense_axiom_violations,
+                      dense_morphism_violations, from_lift, int_deformation,
+                      lift, lift_apply_formal_iso, randint_sequence)
 
 from diadeform import deformation, morphism_complex
 from diadeform.cochain import Cochain, product_cochain
@@ -13,13 +15,13 @@ from diadeform.deformation import (FormalIso, TruncatedDeformation,
                                    obstruction, random_cocycle,
                                    random_deformation, random_formal_iso,
                                    rigidity_probe, trivialize_step,
-                                   unipotent_inverse, verify_deformation)
+                                   verify_deformation)
 from diadeform.dialgebra import (Dialgebra, DialgebraMorphism,
                                  Representation, check_morphism)
 from diadeform.errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
                               InvalidDeformation, NonIdentityConstantTerm,
                               NotACoboundary, OrderMismatch, OrderTooLow)
-from diadeform.fields import QQ, PrimeField, Series, SeriesRing
+from diadeform.fields import QQ, PrimeField
 from diadeform.linalg import Matrix
 from diadeform.models import bundled_model_names, load_bundled_model
 from diadeform.morphism_complex import complex_of
@@ -73,8 +75,8 @@ def test_trivial_pads_the_lift_of_its_base(all_morphisms):
     for tag, psi in all_morphisms:
         for k in range(4):
             th = TruncatedDeformation.trivial(psi, k)
-            lifted = TruncatedDeformation.from_lift(
-                psi, *TruncatedDeformation.trivial(psi).lift(k))
+            lifted = from_lift(psi, *lift(TruncatedDeformation.trivial(psi),
+                                          k))
             assert (th.fd, th.fe, th.psis) == (
                 lifted.fd, lifted.fe, lifted.psis), (tag, k)
 
@@ -326,11 +328,13 @@ def test_extension_guaranteed_flag(ksetup):
 
 def lift_residuals(th, pad):
     """The residuals as they were computed before they went order by order
-    over K, kept as a reference: the dense axiom checker and
-    ``check_morphism`` over K[t]/(t^{N+1+pad}), on the lift."""
-    d_t, e_t, psi_t = th.lift(pad)
-    return (dense_axiom_violations(d_t), dense_axiom_violations(e_t),
-            check_morphism(psi_t).violations)
+    over K, kept as a reference: the dense axiom and morphism checkers
+    over K[t]/(t^{N+1+pad}), on the lift, each side read as coefficient
+    tuples."""
+    d_t, e_t, psi_t = lift(th, pad)
+    return tuple(map(coefficient_sides, (
+        dense_axiom_violations(d_t), dense_axiom_violations(e_t),
+        dense_morphism_violations(psi_t))))
 
 
 def _unpadded_report(th):
@@ -381,13 +385,12 @@ def _residual_cases():
     return cases
 
 
-def test_residuals_match_the_lift(monkeypatch):
+def test_residuals_match_the_lift():
     # every violation, order by order over K, equals the one the dense
     # checkers find on the lift padded by one order: which triples and
     # pairs, in which order, and both sides through t^{N+1}
     cases = _residual_cases()
     want = [lift_residuals(th, 1) for th in cases]
-    monkeypatch.setattr(TruncatedDeformation, "lift", None)  # none is built
     got = [deformation._residuals(th) for th in cases]
     for th, g, w in zip(cases, got, want):
         assert g == w, th
@@ -395,15 +398,6 @@ def test_residuals_match_the_lift(monkeypatch):
     # obstruction order at least), morphism violations, invalid ones
     assert all(any(w[part] for w in want) for part in range(3))
     assert sum(not verify_deformation(th) for th in cases) == 2
-
-
-def test_verify_and_obstruction_multiply_no_series(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a Series product")
-    monkeypatch.setattr(Series, "__mul__", refuse)
-    for th in _residual_cases():
-        if verify_deformation(th) and th.order >= 1:
-            obstruction(th)
 
 
 def test_an_endomorphism_is_checked_once(monkeypatch, bundled_models):
@@ -426,7 +420,7 @@ def test_construction_builds_no_product_cochain(monkeypatch, zsetup):
     th = z_family(zsetup[0], 1, 1, 1, 1, 0)
     monkeypatch.setattr(deformation, "product_cochain", None)
     nxt = th.extended_with(zsetup[1].zero(2))
-    assert TruncatedDeformation.from_lift(th.psi, *nxt.lift()).fd == nxt.fd
+    assert from_lift(th.psi, *lift(nxt)).fd == nxt.fd
 
 
 def test_order_zero_products_need_the_model_as_module(zsetup):
@@ -519,33 +513,57 @@ def test_transport_round_trip(all_morphisms):
         assert (out.fd, out.fe, out.psis) == (th.fd, th.fe, th.psis), tag
 
 
+def _transport_cases():
+    """(deformation, formal isomorphism) pairs over QQ and GF(7): random
+    deformations of orders 1-3 of every bundled morphism and every bundled
+    deformation, each with a random formal isomorphism of its order."""
+    cases = []
+    for field in (None, PrimeField(7)):
+        rng = random.Random(31)
+        for name in bundled_model_names():
+            model = load_bundled_model(name, field_override=field)
+            ths = [random_deformation(psi, order, rng)
+                   for psi in model.morphisms.values() for order in (1, 2, 3)]
+            ths += model.deformations.values()
+            cases += [(th, random_formal_iso(th.psi, th.order, rng))
+                      for th in ths]
+    return cases
+
+
+def test_transport_matches_the_lift():
+    # order by order over K, transport equals conjugation of the lift over
+    # K[t]/(t^{N+1}), coefficient by coefficient
+    cases = _transport_cases()
+    assert len(cases) == 48
+    moved = 0
+    for th, iso in cases:
+        got = apply_formal_iso(th, iso)
+        want = lift_apply_formal_iso(th, iso)
+        assert (got.fd, got.fe, got.psis) == (want.fd, want.fe, want.psis), th
+        moved += (got.fd, got.fe, got.psis) != (th.fd, th.fe, th.psis)
+    assert moved > 24
+
+
 def test_series_inverse():
+    # Phi Psi = Psi Phi = I through t^N, read coefficient by coefficient
     rng = random.Random(7)
-    n = 2
-    ring = SeriesRing(QQ, 4)
-    series = [Matrix.identity(QQ, n)] + [
-        Matrix(QQ, n, n, [[QQ.from_int(rng.randint(-3, 3))
-                           for _ in range(n)] for _ in range(n)])
-        for _ in range(4)]
-    phi = Matrix(ring, n, n, [[Series(ring, [m[r, c] for m in series])
-                               for c in range(n)] for r in range(n)])
-    inv = unipotent_inverse(phi)
-    # the product of the series with its inverse is 1 + O(t^5)
-    assert phi * inv == Matrix.identity(ring, n)
-    assert inv * phi == Matrix.identity(ring, n)
-    expected = _inverse_coefficients(series)
-    for r in range(n):
-        for c in range(n):
-            assert inv[r, c].c == tuple(m[r, c] for m in expected)
-
-
-def test_series_ring_has_no_division():
-    ring = SeriesRing(QQ, 2)
-    one = ring.one
-    assert one * one == one and one - one == ring.zero
-    assert ring.from_int(3) == Series(ring, [QQ.from_int(3), 0, 0])
-    with pytest.raises(TypeError):
-        Matrix(ring, 1, 1, [[one]]).rank()
+    n, order = 2, 4
+    for field in (QQ, PrimeField(7)):
+        phi = [Matrix.identity(field, n)] + [
+            Matrix(field, n, n, [[field.from_int(rng.randint(-3, 3))
+                                  for _ in range(n)] for _ in range(n)])
+            for _ in range(order)]
+        psi = deformation._inverse(phi)
+        assert psi[0] == Matrix.identity(field, n)
+        for k in range(order + 1):
+            want = Matrix.identity(field, n) if k == 0 else \
+                Matrix.zero(field, n, n)
+            for x, y in ((phi, psi), (psi, phi)):
+                acc = Matrix.zero(field, n, n)
+                for i in range(k + 1):
+                    acc = acc + x[i] * y[k - i]
+                assert acc == want, (field, k)
+        assert psi == _inverse_coefficients(phi)
 
 
 def test_apply_identity_iso(zsetup):

@@ -4,16 +4,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (change_basis, dense_axiom_violations, mirror,
-                      mult_dialgebra, random_frame, zero_dialgebra)
+from conftest import (Series, SeriesRing, change_basis, coefficient_sides,
+                      dense_axiom_violations, dense_morphism_violations,
+                      mirror, mult_dialgebra, random_frame, zero_dialgebra)
 
 from diadeform.dialgebra import (AXIOMS, Dialgebra, DialgebraMorphism,
                                  Representation, adjoint_rep,
                                  axiom_violations, check_dialgebra,
                                  check_morphism, check_representation,
+                                 flat_products, morphism_violations,
                                  pullback_rep)
 from diadeform.errors import ShapeMismatch
-from diadeform.fields import QQ, PrimeField, Series, SeriesRing
+from diadeform.fields import QQ, PrimeField
 from diadeform.linalg import Matrix
 from diadeform.models import bundled_model_names, load_bundled_model
 from diadeform.trees import ProductLabel
@@ -125,6 +127,9 @@ def test_noncommutative_example(bundled_models):
 # basis vectors pushed through a dense bilinear product.  Vectors are
 # typed, ("D", coords) in the dialgebra or ("M", coords) in the module, so
 # one side evaluation serves the dialgebra and the representation axioms.
+# Over the series ring K[t]/(t^{N+1}) of the tests, the library's checkers
+# take only a field, so there the graded checkers run on the constants
+# read order by order over K, against the reference on the series.
 
 RING = SeriesRing(QQ, 2)
 FIELDS = (QQ, PrimeField(7), RING)
@@ -302,14 +307,46 @@ def _matches(report, want):
     return report.violations == want and report.valid == (not want)
 
 
+def _by_order(ring, scalars):
+    """The t^0..t^N coefficients of series scalars, one list per order."""
+    return [[x.c[n] for x in scalars] for n in range(ring.order + 1)]
+
+
+def graded_axioms(d):
+    """``axiom_violations`` on a dialgebra over the series ring, its
+    constants read order by order over K."""
+    ring = d.field
+    return axiom_violations(ring.field, d.dim,
+                            _by_order(ring, flat_products(d)), ring.order)
+
+
+def graded_morphism(psi):
+    """``morphism_violations`` on a map of dialgebras over the series ring,
+    its matrix and both ends' constants read order by order over K."""
+    ring, mat = psi.field, psi.matrix
+    psis = [Matrix(ring.field, mat.rows, mat.cols,
+                   [_by_order(ring, row)[n] for row in mat.dense_rows()])
+            for n in range(ring.order + 1)]
+    return morphism_violations(ring.field, psis,
+                               _by_order(ring, flat_products(psi.source)),
+                               _by_order(ring, flat_products(psi.target)),
+                               ring.order)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(FIELDS).flatmap(dialgebras))
 def test_check_dialgebra_matches_reference(d):
-    assert _matches(check_dialgebra(d), _ref_axioms(d, None, "DDD"))
+    want = _ref_axioms(d, None, "DDD")
+    if isinstance(d.field, SeriesRing):
+        assert graded_axioms(d) == coefficient_sides(want)
+    else:
+        assert _matches(check_dialgebra(d), want)
 
 
+# check_representation is check_dialgebra on the square-zero extension
+# D + M, which takes only a field; its graded form is the dialgebra case
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(FIELDS).flatmap(representations))
+@given(st.sampled_from((QQ, PrimeField(7))).flatmap(representations))
 def test_check_representation_matches_reference(d_rep):
     d, rep = d_rep
     assert _matches(check_representation(d, rep),
@@ -319,7 +356,11 @@ def test_check_representation_matches_reference(d_rep):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(FIELDS).flatmap(morphisms))
 def test_check_morphism_and_pullback_match_reference(psi):
-    assert _matches(check_morphism(psi), ref_check_morphism(psi))
+    want = ref_check_morphism(psi)
+    if isinstance(psi.field, SeriesRing):
+        assert graded_morphism(psi) == coefficient_sides(want)
+    else:
+        assert _matches(check_morphism(psi), want)
     rep = pullback_rep(psi)
     assert ((rep.act_dl, rep.act_dr, rep.act_ld, rep.act_rd)
             == ref_pullback_tensors(psi))
@@ -375,15 +416,54 @@ def test_check_dialgebra_matches_the_dense_checker(field):
         cases.append(Dialgebra(n, field, left, right))
     valid = 0
     for d in cases:
-        report, want = check_dialgebra(d), dense_axiom_violations(d)
-        assert report.violations == want, d
+        want = dense_axiom_violations(d)
+        if isinstance(field, SeriesRing):
+            assert graded_axioms(d) == coefficient_sides(want), d
+        else:
+            report = check_dialgebra(d)
+            assert report.violations == want, d
+            assert report.valid == (not want)
+        valid += not want
+    assert len(cases) - 150 <= valid < len(cases)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(7)),
+                         ids=repr)
+def test_check_morphism_matches_the_dense_checker(field):
+    # every violation, (label, i, j, lv, rv) with both sides, in the dense
+    # checker's order: on every bundled morphism read in the field and on
+    # 50 seeded maps between random structures of dimensions 1-3, one in
+    # five an identity (valid), the others random matrices (mostly invalid)
+    rng = random.Random(1800)
+    cases = [psi for name in bundled_model_names()
+             for psi in load_bundled_model(
+                 name, field_override=field).morphisms.values()]
+
+    def structure():
+        n = rng.randint(1, 3)
+        return Dialgebra(n, field, *([[[_sparse_scalar(field, rng)
+                                        for _ in range(n)] for _ in range(n)]
+                                      for _ in range(n)] for _ in range(2)))
+    for k in range(50):
+        src = structure()
+        if k % 5 == 0:
+            cases.append(DialgebraMorphism.identity(src))
+            continue
+        tgt = structure()
+        cases.append(DialgebraMorphism(src, tgt, [
+            [_sparse_scalar(field, rng) for _ in range(src.dim)]
+            for _ in range(tgt.dim)]))
+    valid = 0
+    for psi in cases:
+        report, want = check_morphism(psi), dense_morphism_violations(psi)
+        assert report.violations == want, psi
         assert report.valid == (not want)
         valid += report.valid
-    assert len(cases) - 150 <= valid < len(cases)
+    assert 7 + 10 <= valid < len(cases)
 
 
 def test_axiom_violations_refuses_orders_above_the_top():
     zero = [QQ.zero, QQ.zero]
-    assert axiom_violations(QQ, 1, [zero, zero], 1, tuple) == ()
+    assert axiom_violations(QQ, 1, [zero, zero], 1) == ()
     with pytest.raises(ShapeMismatch):
         axiom_violations(QQ, 1, [zero, zero], 0)
