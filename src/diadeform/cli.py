@@ -12,9 +12,9 @@ import functools
 import json
 import sys
 
-from .deformation import (_require_morphism, cocycle_check,
-                          extend_to_order, infinitesimal, obstruction,
-                          rigidity_probe, trivialize_step,
+from .deformation import (_require_dialgebra, _require_morphism,
+                          cocycle_check, extend_to_order, infinitesimal,
+                          obstruction, rigidity_probe, trivialize_step,
                           verify_deformation)
 from .errors import NotACoboundary, WorkbenchError
 from .fields import format_scalars, parse_field
@@ -114,6 +114,7 @@ def cmd_trees(args, emit, _):
 
 def cmd_cohomology(args, emit, d):
     n = args.degree
+    _require_dialgebra("object", d)
     dim = cohomology_dim(d, d, n)
     emit.line("HY^%d(%s,%s) = %d" % (n, d.name, d.name, dim),
               object=d.name, degree=n, dim=dim)

@@ -514,7 +514,7 @@ def apply_formal_iso(th, iso):
 
     def conjugate(fs, phi, inv):
         terms = _lifted(field, [f.coeffs for f in fs])
-        terms = _pull_back(terms, _graded_map(field, inv), top)
+        terms = _pull_back(terms, _graded_map(field, inv), top, 2)
         terms = _push_forward(terms, _graded_map(field, phi), top)
         d = fs[0].dialgebra
         return [Cochain(2, d, d, c) for c in _reduced(field, terms)]
@@ -555,18 +555,24 @@ def _trivialize(th):
     return iso, apply_formal_iso(th, iso)
 
 
+def _require_dialgebra(role, d):
+    """InvalidDeformation naming d in its role and the first failing
+    axiom and triple, unless d satisfies the dialgebra axioms."""
+    report = check_dialgebra(d)
+    if not report:
+        num, i, j, k = report.violations[0][:4]
+        raise InvalidDeformation("%s %s is not a dialgebra: axiom %d"
+                                 " fails on triple %r"
+                                 % (role, d.name, num, (i, j, k)))
+
+
 def _require_morphism(psi):
     """InvalidDeformation naming the failing object, unless psi's source
     and target satisfy the dialgebra axioms and psi is a morphism.  An
     endomorphism's dialgebra is checked once, as the source."""
     ends = (("source", psi.source), ("target", psi.target))
     for role, d in ends[:1] if psi.target is psi.source else ends:
-        report = check_dialgebra(d)
-        if not report:
-            num, i, j, k = report.violations[0][:4]
-            raise InvalidDeformation("%s %s is not a dialgebra: axiom %d"
-                                     " fails on triple %r"
-                                     % (role, d.name, num, (i, j, k)))
+        _require_dialgebra(role, d)
     if not check_morphism(psi):
         raise InvalidDeformation("psi is not a dialgebra morphism")
 

@@ -12,8 +12,9 @@ the pull-back of E's, each one contraction of the nonzero coefficients
 of a graded linear map with a graded tensor (``_contract``).  A
 dialgebra or a morphism over K is the one-order case, and a
 deformation's residuals and its transport are the same contractions of
-its coefficients.  The pulled-back actions contract structure constants
-read by index with psi's columns (``_combine``).
+its coefficients.  The actions of D on E pulled back along psi are the
+one-order pull-backs of E's products in the first and in the second
+argument.
 """
 
 import itertools
@@ -65,17 +66,6 @@ def _check_tensor(field, tensor, d1, d2, d3, what):
             rows.append(tuple(_coerce(field, x) for x in row))
         out.append(tuple(rows))
     return tuple(out)
-
-
-def _combine(zero, coeffs, rows):
-    """sum_s coeffs[s] * rows[s] on coordinate vectors, skipping zero
-    coefficients: the contraction behind the pulled-back actions."""
-    out = None
-    for c, row in zip(coeffs, rows):
-        if c != zero:
-            out = ([c * x for x in row] if out is None
-                   else [o + c * x for o, x in zip(out, row)])
-    return (zero,) * len(rows[0]) if out is None else tuple(out)
 
 
 @dataclass(frozen=True)
@@ -399,15 +389,18 @@ def _push_forward(terms, graded, top):
     return _contract(terms, cols, len(rows), 1, top)
 
 
-def _pull_back(terms, graded, top):
-    """f(Psi x, Psi y) through t^top for a graded map Psi (``_graded_map``)
-    and a pair of graded products f on Psi's target, flat over (label, u,
-    v, w) as a product 2-cochain: the pair over (label, i, j, w), with i
-    and j indices of Psi's source."""
+def _pull_back(terms, graded, top, arity):
+    """f(Psi x_1, .., Psi x_arity) through t^top for a graded map Psi
+    (``_graded_map``) and graded maps f of that many arguments from Psi's
+    target to itself, flat over (.., u_1, .., u_arity, w), as a pair of
+    products in a product 2-cochain's order or the values of a cochain:
+    the same over (.., i_1, .., i_arity, w), with each i an index of Psi's
+    source.  Each argument axis is one contraction, the innermost last."""
     rows, cols = graded
-    m, n = len(rows), len(cols)
-    p = len(terms[0]) // (2 * m * m)
-    return _contract(_contract(terms, rows, n, m * p, top), rows, n, p, top)
+    m = len(rows)
+    for k in range(arity, 0, -1):
+        terms = _contract(terms, rows, len(cols), m ** k, top)
+    return terms
 
 
 def _lifted(field, flats):
@@ -438,7 +431,7 @@ def morphism_violations(field, psis, fds, fes, top):
     graded = _graded_map(field, psis)
     m, n, width = psis[0].rows, psis[0].cols, top + 1
     lhs = _reduced(field, _push_forward(_lifted(field, fds), graded, top))
-    rhs = _reduced(field, _pull_back(_lifted(field, fes), graded, top))
+    rhs = _reduced(field, _pull_back(_lifted(field, fes), graded, top, 2))
     if lhs == rhs:
         return ()
     chain = itertools.chain.from_iterable
@@ -475,19 +468,20 @@ def adjoint_rep(d):
 def pullback_rep(psi):
     """The target of a morphism as a representation of the source.
 
-    a o m := psi(a) o m and m o a := m o psi(a), for both products: each
-    action contracts E's tensor with the column psi(e_i).
+    a o m := psi(a) o m and m o a := m o psi(a), for both products: E's
+    products pulled back along psi in the first argument, then in the
+    second, each one contraction (``_contract``) at order 0.
     """
-    e, z = psi.target, psi.field.zero
-    cols = psi.matrix.transpose().dense_rows()
+    f, e, n = psi.field, psi.target, psi.source.dim
+    m = e.dim
+    rows = _graded_map(f, [psi.matrix])[0]
+    products = _lifted(f, [flat_products(e)])
 
-    def on_left(t):  # T'[i][u] = sum_s psi[s,i] * T[s][u]
-        return [[_combine(z, c, [block[u] for block in t])
-                 for u in range(e.dim)] for c in cols]
+    def tensors(inner, d1, d2):  # the -| and the |- action, [d1][d2][m]
+        flat = _reduced(f, _contract(products, rows, n, inner, 0))[0]
+        vectors = [flat[x:x + m] for x in range(0, len(flat), m)]
+        blocks = [vectors[x:x + d2] for x in range(0, len(vectors), d2)]
+        return blocks[:d1], blocks[d1:]
 
-    def on_right(t):  # T'[u][i] = sum_s psi[s,i] * T[u][s]
-        return [[_combine(z, c, t[u]) for c in cols] for u in range(e.dim)]
-
-    return Representation(psi.source, e.dim, on_left(e.left),
-                          on_left(e.right), on_right(e.left),
-                          on_right(e.right))
+    return Representation(psi.source, m, *tensors(m * m, n, m),
+                          *tensors(m, m, n))

@@ -18,8 +18,11 @@ once, sums and multiplies plain numbers, and reduces each result once, so
 over GF(p) it makes no ``GFElement`` per operation.  Over QQ both are
 ``unchanged``, the identity, which the coboundary recognizes and skips, so
 its results hold the same objects as arithmetic on the scalars
-themselves.  The graded contractions of the axiom and morphism checks
-and of transport compute on such plain numbers too.
+themselves.  Plain numbers are also what these compute on: the graded
+contractions of the axiom and morphism checks and of transport, the
+push-forward and pull-back of CY*(psi,psi) and the actions pulled back
+along psi, which are the same contractions at order 0, and the matrices
+of that push-forward and pull-back, which reduce each entry they write.
 """
 
 import math

@@ -1,9 +1,11 @@
 """Sparse exact matrices with rank / solve / kernel over a field.
 
 A matrix keeps only its nonzero entries, as a dict of rows {i: {j: x}};
-absent entries read as the field's zero.  Matrices are immutable.  The
-first rank, kernel or solve query eliminates a matrix forward once, to a
-row echelon form, and records every row operation.  Rank reads the pivots
+absent entries read as the field's zero.  ``Matrix.sparse`` takes
+ownership of the rows it is given and drops their zero entries in place
+instead of copying them.  Matrices are immutable.  The first rank, kernel
+or solve query eliminates a matrix forward once, to a row echelon form,
+and records every row operation.  Rank reads the pivots
 of that form and does not back-reduce; the first kernel or solve query
 back-reduces the memoized form once, to the unique reduced row echelon
 form.  Later queries reuse what is memoized, so no matrix is eliminated
@@ -53,12 +55,19 @@ class Matrix:
             for i, row in enumerate(entries)})
 
     def _set(self, field, rows, cols, data):
+        """Adopt the row dicts of ``data``, deleting zero entries and empty
+        rows in place.  An entry is tested by == zero, never by its truth
+        value, which a scalar type need not define."""
         z = field.zero
-        kept = {i: {j: x for j, x in row.items() if x != z}
-                for i, row in data.items()}
+        for i in [i for i, row in data.items()
+                  if not row or z in row.values()]:
+            row = data[i]
+            for j in [j for j, x in row.items() if x == z]:
+                del row[j]
+            if not row:
+                del data[i]
         for name, value in (("field", field), ("rows", rows), ("cols", cols),
-                            ("_rows", {i: r for i, r in kept.items() if r}),
-                            ("_zero", z), ("_fact", None)):
+                            ("_rows", data), ("_zero", z), ("_fact", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -66,7 +75,10 @@ class Matrix:
 
     @classmethod
     def sparse(cls, field, rows, cols, data):
-        """The matrix with entries data[i][j]; absent entries are zero."""
+        """The matrix with entries data[i][j]; absent entries are zero.
+
+        The matrix takes ownership of ``data`` and its row dicts and edits
+        them in place, so every caller passes dicts built for the call."""
         m = cls.__new__(cls)
         m._set(field, rows, cols, data)
         return m

@@ -12,12 +12,14 @@ at degree 1.
 
 Like the coboundary of CY*(D,M), the third block is computed twice on
 purpose: elementwise (``push_forward``, ``pull_back``) and as assembled
-matrices (``push_matrix``, ``pull_matrix``).  The two paths keep their own
-loops and share their set-up, as the CY*(D,M) paths share
-``cochain._term_plan``: the complex reads psi once, into ``images``, the
-nonzero coordinates (w, c) of each psi(e_u).  The elementwise path sums
-products of those coordinates over the values of xi or pi; the matrix path
-writes the same products as entries.
+matrices (``push_matrix``, ``pull_matrix``).  Both read psi once per
+complex, into one graded map of its nonzero coefficients as plain numbers
+(``dialgebra._graded_map``).  The elementwise path is the graded
+contraction along psi of the morphism equations and of transport, at
+order 0 (``dialgebra._push_forward``, ``dialgebra._pull_back``): it lifts
+the values of xi or pi once and reduces each output coordinate once.  The
+matrix path keeps its own loops and writes the products of psi's
+coefficients as entries, each reduced once, as the cross-check.
 
 The complex is determined by psi, so the deformation calculus and the CLI
 take psi and get the complex from ``complex_of(psi)``.  psi keeps only a
@@ -31,7 +33,8 @@ import weakref
 
 from .cochain import (Cochain, coboundary, coboundary_matrix, cy_dim,
                       multi_indices, random_cochain)
-from .dialgebra import pullback_rep
+from .dialgebra import (_graded_map, _lifted, _pull_back, _push_forward,
+                        _reduced, pullback_rep)
 from .errors import ShapeMismatch
 from .linalg import Matrix
 from .trees import enumerate_trees
@@ -96,11 +99,8 @@ class MorphismComplex:
         self.D = psi.source
         self.E = psi.target
         self.rep_de = pullback_rep(psi)
-        # images[u]: the nonzero coordinates (w, c) of psi(e_u), the one
-        # reading of psi behind both paths of the third block
-        z = psi.field.zero
-        self.images = [[(w, c) for w, c in enumerate(col) if c != z]
-                       for col in psi.matrix.transpose().dense_rows()]
+        # the one reading of psi behind both paths of the third block
+        self._graded = _graded_map(psi.field, [psi.matrix])
         self._matrices = {}
 
     @property
@@ -143,59 +143,49 @@ class MorphismComplex:
 
     # -- push-forwards --------------------------------------------------
 
+    def _along_psi(self, c, contract, *arity):
+        """A contraction along psi of c's values at order 0, as a cochain
+        of CY^n(D,E)."""
+        n, f = c.degree, self.field
+        enumerate_trees(n)  # CapExceeded above the tree cap
+        terms = contract(_lifted(f, [c.coeffs]), self._graded, 0, *arity)
+        return Cochain(n, self.D, self.rep_de, _reduced(f, terms)[0])
+
     def push_forward(self, xi):
-        """psi.xi in CY^n(D,E): apply psi to every value of xi."""
-        z, n = self.field.zero, xi.degree
-        ddim, edim = self.D.dim, self.E.dim
-        out = [z] * (len(enumerate_trees(n)) * ddim ** n * edim)
-        for i, x in enumerate(xi.coeffs):
-            if x != z:
-                s, u = divmod(i, ddim)
-                for w, c in self.images[u]:
-                    out[s * edim + w] = out[s * edim + w] + x * c
-        return Cochain(n, self.D, self.rep_de, out)
+        """psi.xi in CY^n(D,E): psi applied to every value of xi."""
+        return self._along_psi(xi, _push_forward)
 
     def pull_back(self, pi):
-        """pi.psi in CY^n(D,E): pi on the psi-images of the basis, one
-        product of their nonzero coordinates at a time."""
-        f, images, n, edim = self.field, self.images, pi.degree, self.E.dim
-        out = []
-        for t in range(len(enumerate_trees(n))):
-            for dmulti in multi_indices(self.D.dim, n):
-                v = [f.zero] * edim
-                for terms in itertools.product(*(images[a] for a in dmulti)):
-                    c, ei = f.one, t
-                    for s, x in terms:
-                        c, ei = c * x, ei * edim + s
-                    for w in range(edim):
-                        v[w] = v[w] + c * pi.coeffs[ei * edim + w]
-                out.extend(v)
-        return Cochain(n, self.D, self.rep_de, out)
+        """pi.psi in CY^n(D,E): pi on the psi-images of its arguments."""
+        return self._along_psi(pi, _pull_back, pi.degree)
 
     def push_matrix(self, n):
         """Matrix of xi |-> psi.xi from CY^n(D,D) to CY^n(D,E)."""
         ddim, edim = self.D.dim, self.E.dim
+        reduce, cols = self.field.reduce, self._graded[1]
         slots = len(enumerate_trees(n)) * ddim ** n
         data = {}
         for s in range(slots):
-            for u, image in enumerate(self.images):
-                for w, c in image:
-                    data.setdefault(s * edim + w, {})[s * ddim + u] = c
+            for u, image in enumerate(cols):
+                for w, x, _ in image:
+                    data.setdefault(s * edim + w, {})[s * ddim + u] = \
+                        reduce(x)
         return Matrix.sparse(self.field, slots * edim, slots * ddim, data)
 
     def pull_matrix(self, n):
         """Matrix of pi |-> pi.psi from CY^n(E,E) to CY^n(D,E)."""
-        f, images = self.field, self.images
+        f, cols = self.field, self._graded[1]
         ddim, edim = self.D.dim, self.E.dim
         trees = len(enumerate_trees(n))
         data = {}
         for t in range(trees):
             for di, dmulti in enumerate(multi_indices(ddim, n)):
                 base_row = (t * ddim ** n + di) * edim
-                for terms in itertools.product(*(images[a] for a in dmulti)):
-                    c, ei = f.one, t
-                    for s, x in terms:
+                for terms in itertools.product(*(cols[a] for a in dmulti)):
+                    c, ei = 1, t
+                    for s, x, _ in terms:
                         c, ei = c * x, ei * edim + s
+                    c = f.reduce(c)
                     for w in range(edim):
                         data.setdefault(base_row + w, {})[ei * edim + w] = c
         return Matrix.sparse(f, trees * ddim ** n * edim,

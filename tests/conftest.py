@@ -7,7 +7,7 @@ import pytest
 from diadeform.cochain import Cochain, product_cochain
 from diadeform.deformation import TruncatedDeformation
 from diadeform.dialgebra import (AXIOMS, LEFT, RIGHT, Dialgebra,
-                                 DialgebraMorphism, _combine, adjoint_rep,
+                                 DialgebraMorphism, adjoint_rep,
                                  flat_products)
 from diadeform.fields import QQ, PrimeField
 from diadeform.linalg import Matrix
@@ -38,6 +38,17 @@ def int_deformation(psi, fds, fes, ss):
                                 for c in fes],
         [psi.matrix] + [Matrix(f, e.dim, d.dim, [ints(r) for r in s])
                         for s in ss])
+
+
+def _combine(zero, coeffs, rows):
+    """sum_s coeffs[s] * rows[s] on coordinate vectors, skipping zero
+    coefficients: the dense contraction of the references below."""
+    out = None
+    for c, row in zip(coeffs, rows):
+        if c != zero:
+            out = ([c * x for x in row] if out is None
+                   else [o + c * x for o, x in zip(out, row)])
+    return (zero,) * len(rows[0]) if out is None else tuple(out)
 
 
 def dense_axiom_violations(d):
@@ -118,6 +129,9 @@ class Series:
 
     def __sub__(self, other):
         return Series(self.ring, [a - b for a, b in zip(self.c, other.c)])
+
+    def __neg__(self):
+        return Series(self.ring, [-a for a in self.c])
 
     def __mul__(self, other):
         n = len(self.c)

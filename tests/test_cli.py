@@ -164,15 +164,9 @@ def test_infinitesimal_rejects_an_invalid_deformation(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv,old,new", [
-    # a known defect: today this prints HY^1 = -1 and exits 0
-    pytest.param(["cohomology", "--object", "K", "--degree", "1"],
-                 "  right 0 0 0 1\n", "",
-                 marks=pytest.mark.xfail(
-                     strict=True, reason="cohomology does not check the"
-                     " axioms of its input, so a dimension can come out"
-                     " negative: with the term-major axiom checker the"
-                     " guard still cost the cohomology workload +3.6 %"
-                     " job_ms_p50")),
+    # unchecked, this object would give HY^1 = -1
+    (["cohomology", "--object", "K", "--degree", "1"],
+     "  right 0 0 0 1\n", ""),
     (["mor-cohomology", "--morphism", "id", "--degree", "3"],
      "  entry 0 0 1\n", "  entry 0 0 2\n"),
 ])

@@ -192,17 +192,27 @@ def test_coboundary_commutes_with_reduction_mod_p(p, bundled_models):
 
 
 def test_gf_coboundary_does_no_element_arithmetic(monkeypatch):
-    # the elementwise path sums lifted numbers: a GF(p) coboundary makes no
-    # GFElement sum, difference, product or negation, also on emb's
-    # pullback representation, whose action tensors are not D's products
+    # the elementwise paths sum lifted numbers: over GF(p) a coboundary,
+    # also on emb's pullback representation, whose action tensors are not
+    # D's products, the push-forward and pull-back of CY*(psi,psi) along
+    # id and emb, and pullback_rep make no GFElement sum, difference,
+    # product or negation
     gf = PrimeField(32003)
     model = load_bundled_model("dim2", field_override=gf)
-    d, emb = model.dialgebras["P2"], model.morphisms["emb"]
+    d, psi_id, emb = (model.dialgebras["P2"], model.morphisms["id"],
+                      model.morphisms["emb"])
     rng = random.Random(7)
     cochains = [random_cochain(d, adjoint_rep(d), 2, rng),
                 random_cochain(emb.source, pullback_rep(emb), 3, rng)]
     expected = [coboundary_matrix(c.dialgebra, c.rep, c.degree).apply(c.coeffs)
                 for c in cochains]
+    complexes = [MorphismComplex(psi) for psi in (psi_id, emb)]
+    pairs = [(random_cochain(cx.D, cx.D, 3, rng),
+              random_cochain(cx.E, cx.E, 3, rng)) for cx in complexes]
+    for cx, (xi, pi) in zip(complexes, pairs):
+        expected += [cx.push_matrix(3).apply(xi.coeffs),
+                     cx.pull_matrix(3).apply(pi.coeffs)]
+    emb_rep = pullback_rep(emb)
     calls = []
 
     def counted(name, method):
@@ -216,10 +226,16 @@ def test_gf_coboundary_does_no_element_arithmetic(monkeypatch):
         monkeypatch.setattr(GFElement, name,
                             counted(name, getattr(GFElement, name)))
     got = [coboundary(c) for c in cochains]
+    for cx, (xi, pi) in zip(complexes, pairs):
+        got += [cx.push_forward(xi), cx.pull_back(pi)]
+    reps = [pullback_rep(psi) for psi in (psi_id, emb)]
     monkeypatch.undo()
     assert calls == []
     for g, coeffs in zip(got, expected):
         assert g.coeffs == coeffs and not g.is_zero()
+    assert (reps[0].act_dl, reps[0].act_dr, reps[0].act_ld,
+            reps[0].act_rd) == (d.left, d.right, d.left, d.right)
+    assert reps[1] == emb_rep
 
 
 def test_vec_unvec_roundtrip(rng):

@@ -4,6 +4,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import SeriesRing
+
 from diadeform.errors import MixedFields, ShapeMismatch
 from diadeform.fields import PrimeField, QQ
 from diadeform.linalg import Matrix
@@ -25,6 +27,45 @@ def matrices(field=QQ, max_dim=4):
                 st.lists(small, min_size=c, max_size=c),
                 min_size=r, max_size=r).map(
                     lambda rows: Matrix(field, r, c, rows))))
+
+
+def _rank(m):
+    """m's rank, or the error its elimination raises: K[t]/(t^{N+1}) has
+    no division."""
+    try:
+        return m.rank()
+    except TypeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("field", [QQ, F7, SeriesRing(QQ, 2)], ids=repr)
+def test_cancelled_and_explicit_zeros_are_not_stored(field):
+    # entries that cancel and zeros passed to sparse leave no zero entry
+    # and no empty row, on scalars with and without a truth value
+    x, z = field.from_int, field.zero
+
+    def mat(rows):
+        return Matrix(field, len(rows), len(rows[0]), rows)
+
+    a = mat([[1, 0, 2], [0, -3, 1]])
+    cases = [
+        (a - a, {}),
+        (a + (-a), {}),
+        # one entry of rows 0 and 2 cancels, then all of row 0
+        (mat([[1, 1], [1, 2], [2, 2]]) * mat([[1, 1], [-1, 0]]),
+         {0: {1: x(1)}, 1: {0: x(-1), 1: x(1)}, 2: {1: x(2)}}),
+        (mat([[1, 1], [1, 2]]) * mat([[1], [-1]]), {1: {0: x(-1)}}),
+        (Matrix.sparse(field, 2, 3, {0: {0: z, 2: x(5)}, 1: {1: x(0)},
+                                     2: {}}), {0: {2: x(5)}}),
+    ]
+    for got, data in cases:
+        want = Matrix.sparse(field, got.rows, got.cols, data)
+        assert all(row and all(v != z for v in row.values())
+                   for row in got._rows.values())
+        assert got._rows.keys() == data.keys()
+        assert got == want and hash(got) == hash(want)
+        assert got.is_zero() == want.is_zero() == (not data)
+        assert _rank(got) == _rank(want)
 
 
 def test_construction_and_indexing():

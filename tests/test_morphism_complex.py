@@ -157,10 +157,14 @@ def _reference_complexes(all_morphisms):
     return out
 
 
-def test_push_pull_match_their_definitions(rng, all_morphisms):
-    for tag, cx in _reference_complexes(all_morphisms):
+def test_push_pull_match_their_definitions(rng, all_morphisms,
+                                          gf7_complexes):
+    # degrees 1-3 on every case, and degree 4 where psi widens (emb,
+    # dim D < dim E) and where it narrows (proj, dim D > dim E)
+    for tag, cx in _reference_complexes(all_morphisms) + gf7_complexes:
         assert check_morphism(cx.psi), tag
-        for n in (1, 2, 3):
+        wide = tag.split()[-1] in ("dim2.emb", "zero2.proj")
+        for n in (1, 2, 3, 4) if wide else (1, 2, 3):
             xi = random_cochain(cx.D, cx.D, n, rng)
             pi = random_cochain(cx.E, cx.E, n, rng)
             assert list(cx.push_forward(xi).coeffs) == _push_reference(
