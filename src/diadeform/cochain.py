@@ -24,12 +24,18 @@ sums on those, and reduces each output coordinate once
 (``field.reduce``), so over GF(p) its loop makes no ``GFElement``; over
 QQ both are the identity and are skipped.  The matrix path stays on field
 scalars, so the cross-check also tests the lifted arithmetic.
+
+Over GF(p) a zero residue reduces to the field's one ``zero``, so a zero
+coordinate makes no element.  The zero tests (``Cochain.is_zero``,
+``Cochain.nonzero_values``) count that object with ``list.count``, which
+tries identity before ``==``: a shared zero costs no Python call, and a
+zero made any other way is still found by ``==``.
 """
 
 import itertools
 from functools import lru_cache
 
-from .dialgebra import flat_products
+from .dialgebra import _lifted, _reduced, flat_products
 from .errors import CapExceeded, IndexOutOfRange, ShapeMismatch
 from .fields import unchanged
 from .linalg import Matrix
@@ -102,7 +108,7 @@ class Cochain:
         for tree in enumerate_trees(self.degree):
             for multi in multi_indices(self.dialgebra.dim, self.degree):
                 v = self.value(tree.index, multi)
-                if any(x != z for x in v):
+                if v.count(z) != len(v):
                     yield tree, multi, v
 
     def _compat(self, other):
@@ -126,7 +132,7 @@ class Cochain:
 
     def is_zero(self):
         z = self.field.zero
-        return all(x == z for x in self.coeffs)
+        return self.coeffs.count(z) == len(self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.degree == other.degree
@@ -202,25 +208,31 @@ def _term_plan(d, rep, n, lift):
 
 
 def coboundary(f):
-    """delta f, computed elementwise from the alternating-sum formula.
+    """delta f, computed elementwise from the alternating-sum formula: the
+    coordinates of ``_coboundary_values``, each reduced back to a scalar
+    once (over QQ this step does not run)."""
+    d = f.dialgebra
+    return Cochain(f.degree + 1, d, f.rep,
+                   _reduced(d.field, [_coboundary_values(f)])[0])
+
+
+def _coboundary_values(f):
+    """The coordinates of delta f as plain numbers (``field.lift``).
 
     For each tree y and each face term i, every nonzero structure constant
     of the slot tensor at i adds its multiple of f's values on the tree
     d_i y into y's block, so each coordinate sums its terms in the order
     of the formula.  The values of f and the slot tensors are lifted to
-    plain numbers once, and each output coordinate is reduced back to a
-    scalar once; over QQ neither step runs."""
+    plain numbers once; over QQ they are used as they are."""
     n = f.degree
     if n + 1 > TREE_CAP:
         raise CapExceeded("coboundary would exceed tree cap %d" % TREE_CAP)
     d, rep = f.dialgebra, f.rep
     _check_budget(d, rep, n + 1)
     ddim, mdim = d.dim, rep.module_dim
-    lift, reduce = d.field.lift, d.field.reduce
-    # over QQ both are the identity: the inputs are used as they are
-    lifting = lift is not unchanged
-    vals = [lift(x) for x in f.coeffs] if lifting else f.coeffs
-    size, rests, runs, ends, trees, slots = _term_plan(d, rep, n, lift)
+    vals = _lifted(d.field, [f.coeffs])[0]
+    size, rests, runs, ends, trees, slots = _term_plan(d, rep, n,
+                                                       d.field.lift)
     coeffs = []
     for faces, roles in trees:
         out = [0] * (ddim * size)
@@ -248,8 +260,8 @@ def coboundary(f):
             o, s = b * mdim + w, src + u
             for oj, sj in ends:
                 out[o + oj] += c * vals[s + sj]
-        coeffs.extend(map(reduce, out) if lifting else out)
-    return Cochain(n + 1, d, rep, coeffs)
+        coeffs.extend(out)
+    return coeffs
 
 
 def coboundary_matrix(d, rep, n):

@@ -472,9 +472,14 @@ def pullback_rep(psi):
     products pulled back along psi in the first argument, then in the
     second, each one contraction (``_contract``) at order 0.
     """
+    return _pullback_rep(psi, _graded_map(psi.field, [psi.matrix])[0])
+
+
+def _pullback_rep(psi, rows):
+    """``pullback_rep`` from the rows of psi's graded map (``_graded_map``),
+    for a caller that has read psi already."""
     f, e, n = psi.field, psi.target, psi.source.dim
     m = e.dim
-    rows = _graded_map(f, [psi.matrix])[0]
     products = _lifted(f, [flat_products(e)])
 
     def tensors(inner, d1, d2):  # the -| and the |- action, [d1][d2][m]

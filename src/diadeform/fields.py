@@ -18,7 +18,10 @@ once, sums and multiplies plain numbers, and reduces each result once, so
 over GF(p) it makes no ``GFElement`` per operation.  Over QQ both are
 ``unchanged``, the identity, which the coboundary recognizes and skips, so
 its results hold the same objects as arithmetic on the scalars
-themselves.  Plain numbers are also what these compute on: the graded
+themselves.  GF(p)'s ``from_int``, and so ``reduce`` and ``parse``, gives
+the field's one ``zero`` for every residue 0 and makes a ``GFElement``
+only for a nonzero residue; arithmetic on the scalars still makes a new
+one per result.  Plain numbers are also what these compute on: the graded
 contractions of the axiom and morphism checks and of transport, the
 push-forward and pull-back of CY*(psi,psi) and the actions pulled back
 along psi, which are the same contractions at order 0, and the matrices
@@ -229,7 +232,12 @@ class Rationals:
 
 
 class PrimeField:
-    """Field descriptor for GF(p), p prime."""
+    """Field descriptor for GF(p), p prime.
+
+    ``from_int`` (also ``reduce``) returns the ``zero`` attribute itself
+    for every multiple of p, so the zeros it makes are one shared object,
+    which zero tests can count by identity; GFElement is immutable, so the
+    sharing is safe.  A zero made any other way is still equal to it."""
 
     def __init__(self, p):
         if p >= _MR_BOUND:
@@ -241,14 +249,15 @@ class PrimeField:
         self.zero, self.one = _gf(p, 0), _gf(p, 1)
 
     def from_int(self, n):
-        return _gf(self.p, n % self.p)
+        v = n % self.p
+        return _gf(self.p, v) if v else self.zero
 
     def parse(self, text):
         # accept "a" or "a/b" with b invertible mod p
         num, den = _parse_ratio(text, "scalar")
         if den % self.p == 0:
             raise BadScalar("denominator of %r is 0 in GF(%d)" % (text, self.p))
-        return self.from_int(num) / self.from_int(den)
+        return self.from_int(num * pow(den, -1, self.p))
 
     def inv(self, x):
         return self.one / x

@@ -13,13 +13,16 @@ at degree 1.
 Like the coboundary of CY*(D,M), the third block is computed twice on
 purpose: elementwise (``push_forward``, ``pull_back``) and as assembled
 matrices (``push_matrix``, ``pull_matrix``).  Both read psi once per
-complex, into one graded map of its nonzero coefficients as plain numbers
-(``dialgebra._graded_map``).  The elementwise path is the graded
-contraction along psi of the morphism equations and of transport, at
-order 0 (``dialgebra._push_forward``, ``dialgebra._pull_back``): it lifts
-the values of xi or pi once and reduces each output coordinate once.  The
-matrix path keeps its own loops and writes the products of psi's
-coefficients as entries, each reduced once, as the cross-check.
+complex, into one graded map of its nonzero coefficients as plain
+numbers (``dialgebra._graded_map``), which also gives E its pulled-back
+actions.  The elementwise path is the graded contraction along psi of
+the morphism equations and of transport, at order 0
+(``dialgebra._push_forward``, ``dialgebra._pull_back``): it lifts the
+values of xi or pi once, and the coboundary sums the two contractions
+and delta phi (``cochain._coboundary_values``) on plain numbers and
+reduces each coordinate of the third block once.  The matrix path keeps
+its own loops and writes the products of psi's coefficients as entries,
+each reduced once, as the cross-check.
 
 The complex is determined by psi, so the deformation calculus and the CLI
 take psi and get the complex from ``complex_of(psi)``.  psi keeps only a
@@ -31,10 +34,11 @@ say) does not keep the matrices alive once the last holder is done.
 import itertools
 import weakref
 
-from .cochain import (Cochain, coboundary, coboundary_matrix, cy_dim,
-                      multi_indices, random_cochain)
-from .dialgebra import (_graded_map, _lifted, _pull_back, _push_forward,
-                        _reduced, pullback_rep)
+from .cochain import (Cochain, _coboundary_values, coboundary,
+                      coboundary_matrix, cy_dim, multi_indices,
+                      random_cochain)
+from .dialgebra import (_graded_map, _lifted, _pull_back, _pullback_rep,
+                        _push_forward, _reduced)
 from .errors import ShapeMismatch
 from .linalg import Matrix
 from .trees import enumerate_trees
@@ -98,9 +102,9 @@ class MorphismComplex:
         self.psi = psi
         self.D = psi.source
         self.E = psi.target
-        self.rep_de = pullback_rep(psi)
-        # the one reading of psi behind both paths of the third block
+        # one reading of psi: rep_de and both paths of the third block
         self._graded = _graded_map(psi.field, [psi.matrix])
+        self.rep_de = _pullback_rep(psi, self._graded[0])
         self._matrices = {}
 
     @property
@@ -144,20 +148,25 @@ class MorphismComplex:
     # -- push-forwards --------------------------------------------------
 
     def _along_psi(self, c, contract, *arity):
-        """A contraction along psi of c's values at order 0, as a cochain
-        of CY^n(D,E)."""
-        n, f = c.degree, self.field
-        enumerate_trees(n)  # CapExceeded above the tree cap
-        terms = contract(_lifted(f, [c.coeffs]), self._graded, 0, *arity)
-        return Cochain(n, self.D, self.rep_de, _reduced(f, terms)[0])
+        """A contraction along psi of c's values at order 0, as the
+        coordinates of a cochain of CY^n(D,E) in plain numbers."""
+        enumerate_trees(c.degree)  # CapExceeded above the tree cap
+        return contract(_lifted(self.field, [c.coeffs]), self._graded, 0,
+                        *arity)[0]
+
+    def _de(self, n, values):
+        """The cochain of CY^n(D,E) with these plain-number coordinates."""
+        return Cochain(n, self.D, self.rep_de,
+                       _reduced(self.field, [values])[0])
 
     def push_forward(self, xi):
         """psi.xi in CY^n(D,E): psi applied to every value of xi."""
-        return self._along_psi(xi, _push_forward)
+        return self._de(xi.degree, self._along_psi(xi, _push_forward))
 
     def pull_back(self, pi):
         """pi.psi in CY^n(D,E): pi on the psi-images of its arguments."""
-        return self._along_psi(pi, _pull_back, pi.degree)
+        return self._de(pi.degree,
+                        self._along_psi(pi, _pull_back, pi.degree))
 
     def push_matrix(self, n):
         """Matrix of xi |-> psi.xi from CY^n(D,D) to CY^n(D,E)."""
@@ -194,10 +203,16 @@ class MorphismComplex:
     # -- the coboundary -------------------------------------------------
 
     def coboundary(self, mc):
-        """Elementwise delta(xi; pi; phi); the matrix path is separate."""
-        third = (self.push_forward(mc.xi) - self.pull_back(mc.pi)
-                 - coboundary(mc.phi))
-        return MorphismCochain(coboundary(mc.xi), coboundary(mc.pi), third)
+        """Elementwise delta(xi; pi; phi); the matrix path is separate.
+        The third block is summed on plain numbers and each of its
+        coordinates reduced once."""
+        n = mc.degree
+        third = [a - b - c for a, b, c in zip(
+            self._along_psi(mc.xi, _push_forward),
+            self._along_psi(mc.pi, _pull_back, n),
+            _coboundary_values(mc.phi))]
+        return MorphismCochain(coboundary(mc.xi), coboundary(mc.pi),
+                               self._de(n, third))
 
     def matrix(self, n):
         """Block matrix of delta: CY^n(psi,psi) -> CY^{n+1}(psi,psi)."""

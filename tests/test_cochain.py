@@ -1,11 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import (change_basis, mirror, mult_dialgebra, random_frame,
                       tagged, zero_dialgebra)
 
+from diadeform import fields
 from diadeform.cochain import (COORDINATE_BUDGET, Cochain, coboundary,
                                coboundary_matrix, cohomology_dim, cy_dim,
                                flat_offset, product_cochain, random_cochain)
@@ -18,7 +20,8 @@ from diadeform.fields import QQ, GFElement, PrimeField
 from diadeform.linalg import Matrix
 from diadeform.models import load_bundled_model
 from diadeform.morphism_complex import MorphismComplex
-from diadeform.trees import ProductLabel, catalan, tree_plan
+from diadeform.trees import (ProductLabel, catalan, enumerate_trees,
+                             tree_plan)
 
 LEFT = ProductLabel.LEFT
 
@@ -236,6 +239,62 @@ def test_gf_coboundary_does_no_element_arithmetic(monkeypatch):
     assert (reps[0].act_dl, reps[0].act_dr, reps[0].act_ld,
             reps[0].act_rd) == (d.left, d.right, d.left, d.right)
     assert reps[1] == emb_rep
+
+
+def test_second_coboundary_makes_no_element(monkeypatch):
+    # delta(delta c) = 0, and over GF(p) a zero coordinate reduces to the
+    # field's one zero: the second coboundary makes no GFElement, on
+    # CY*(D,D) and on CY*(psi,psi), whose third block is summed on plain
+    # numbers and reduced once
+    gf = PrimeField(32003)
+    model = load_bundled_model("dim2", field_override=gf)
+    d = model.dialgebras["P2"]
+    cx = MorphismComplex(model.morphisms["id"])
+    rng = random.Random(11)
+    cases = [(coboundary, coboundary(random_cochain(d, d, 2, rng))),
+             (cx.coboundary, cx.coboundary(cx.random_cochain(1, rng)))]
+    made, gf_element = [], fields._gf
+
+    def counted(p, v):
+        made.append(v)
+        return gf_element(p, v)
+
+    monkeypatch.setattr(fields, "_gf", counted)
+    twice = [delta(once) for delta, once in cases]
+    monkeypatch.undo()
+    assert made == []
+    assert all(t.is_zero() for t in twice)
+    assert not any(once.is_zero() for _, once in cases)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7),
+                                   PrimeField(32003)])
+def test_zero_tests_agree_with_equality(field):
+    # is_zero and nonzero_values count the field's zero: that finds the
+    # shared zero by identity and any other zero by ==, such as a
+    # GFElement(p, 0) made directly, the zero of a second PrimeField(p) or
+    # a Fraction(0) among int zeros
+    if field == QQ:
+        zeros, nonzero = [0, Fraction(0), Fraction(0, 5)], [1, Fraction(-1, 2)]
+    else:
+        p = field.p
+        zeros = [field.zero, GFElement(p, 0), PrimeField(p).zero]
+        nonzero = [field.one, GFElement(p, p - 1)]
+    d, n, rng = Dialgebra(2, field), 2, random.Random(field.name)
+    size, m = cy_dim(d, d, n), d.dim
+    places = [(tree.index, multi) for tree in enumerate_trees(n)
+              for multi in itertools.product(range(d.dim), repeat=n)]
+    cochains = ([[rng.choice(zeros) for _ in range(size)] for _ in range(8)]
+                + [[rng.choice(zeros * 3 + nonzero) for _ in range(size)]
+                   for _ in range(24)])
+    for coeffs in cochains:
+        c = Cochain(n, d, d, coeffs)
+        values = [tuple(coeffs[i:i + m]) for i in range(0, size, m)]
+        assert c.is_zero() == all(x == field.zero for x in coeffs)
+        assert ([(t.index, multi, v) for t, multi, v in c.nonzero_values()]
+                == [place + (v,) for place, v in zip(places, values)
+                    if not all(x == field.zero for x in v)])
+    assert 8 <= sum(Cochain(n, d, d, c).is_zero() for c in cochains) < 32
 
 
 def test_vec_unvec_roundtrip(rng):

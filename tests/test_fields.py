@@ -122,6 +122,30 @@ def test_reduce_gives_the_canonical_residue(p):
         assert x == F.from_int(n)
 
 
+@pytest.mark.parametrize("p", [2, 7, 32003])
+def test_every_zero_residue_is_the_fields_one_zero(p):
+    # from_int, and so reduce, parse and every random draw, makes no
+    # element for a zero residue: it returns the field's zero object, which
+    # is immutable and behaves as any other zero
+    F = PrimeField(p)
+    zero = F.zero
+    for k in (0, 1, -1, 5, 10 ** 30):
+        assert F.from_int(k * p) is zero and F.reduce(k * p) is zero, k
+    assert F.parse("0") is zero and F.parse("-%d/3" % p) is zero
+    assert zero == GFElement(p, 0) and hash(zero) == hash(GFElement(p, 0))
+    for act in (lambda: setattr(zero, "v", 1), lambda: delattr(zero, "v"),
+                lambda: setattr(zero, "p", p + 1)):
+        with pytest.raises(AttributeError):
+            act()
+    assert zero.p == p and zero.v == 0
+    back = pickle.loads(pickle.dumps(zero))
+    assert back == zero and back == GFElement(p, 0)
+    for n in (1, -1, 2, p + 1, -p - 1, 10 ** 30 + 1):
+        x = F.from_int(n)
+        assert x.v == n % p and x == GFElement(p, n % p), n
+        assert (x is zero) == (n % p == 0), n
+
+
 def test_gf_element_is_immutable():
     a = PrimeField(5).from_int(3)
     for act in (lambda: setattr(a, "v", 1), lambda: delattr(a, "p")):

@@ -7,10 +7,11 @@ import pytest
 from conftest import (change_basis, mirror, mult_dialgebra, randint_sequence,
                       random_frame, tagged)
 
+from diadeform import dialgebra, morphism_complex
 from diadeform.cochain import (coboundary, coboundary_matrix, cy_dim,
                                random_cochain)
 from diadeform.dialgebra import (Dialgebra, DialgebraMorphism, adjoint_rep,
-                                 check_morphism)
+                                 check_morphism, pullback_rep)
 from diadeform.errors import ShapeMismatch
 from diadeform.fields import QQ, PrimeField
 from diadeform.linalg import Matrix
@@ -58,9 +59,9 @@ def test_coboundary_squares_to_zero(rng, complexes):
             assert cx.coboundary(cx.coboundary(mc)).is_zero(), (tag, n)
 
 
-def test_third_block_formula(rng, complexes):
+def test_third_block_formula(rng, complexes, gf7_complexes):
     # delta(xi; pi; phi) third block is push(xi) - pull(pi) - delta(phi)
-    for tag, cx in complexes:
+    for tag, cx in complexes + gf7_complexes:
         mc = cx.random_cochain(2, rng)
         out = cx.coboundary(mc)
         assert out.xi == coboundary(mc.xi), tag
@@ -236,6 +237,26 @@ def test_cochain_block_shape_checked(rng, complexes):
         MorphismCochain(random_cochain(cx.D, cx.D, 1, rng),
                         random_cochain(cx.E, cx.E, 2, rng),
                         random_cochain(cx.D, cx.rep_de, 0, rng))
+
+
+def test_complex_reads_psi_once(monkeypatch, all_morphisms):
+    # one graded map of psi gives rep_de and both paths of the third block
+    graded_map, calls = dialgebra._graded_map, []
+
+    def counted(field, mats):
+        calls.append(len(mats))
+        return graded_map(field, mats)
+
+    for module in (dialgebra, morphism_complex):
+        monkeypatch.setattr(module, "_graded_map", counted)
+    built = []
+    for tag, psi in all_morphisms:
+        calls.clear()
+        built.append((tag, psi, MorphismComplex(psi)))
+        assert calls == [1], tag
+    monkeypatch.undo()
+    for tag, psi, cx in built:
+        assert cx.rep_de == pullback_rep(psi), tag
 
 
 def test_complex_of_is_shared_while_held():
