@@ -166,6 +166,25 @@ def _role_plan(m):
     return plan, sorted({r for _, roles in plan for r in roles})
 
 
+@lru_cache(maxsize=None)
+def _shape_plan(ddim, mdim, n):
+    """The part of ``_term_plan`` that depends on the shape alone: (size,
+    rests, runs, ends, trees, used), with ``_role_plan(n + 1)`` as (trees,
+    used)."""
+    size = ddim ** n * mdim
+    out_size = ddim * size
+    rests = range(0, size, mdim)
+    runs = []
+    for i in range(1, n + 1):
+        run = ddim ** (n - i) * mdim
+        his = zip(range(0, out_size, ddim * ddim * run),
+                  range(0, size, ddim * run))
+        runs.append((run, tuple((o + j, s + j) for o, s in his
+                                for j in range(run))))
+    ends = tuple(zip(range(0, out_size, ddim * mdim), rests))
+    return (size, rests, tuple(runs), ends) + _role_plan(n + 1)
+
+
 def _term_plan(d, rep, n, lift):
     """The set-up of both paths: (size, rests, runs, ends, trees, slots).
 
@@ -175,23 +194,13 @@ def _term_plan(d, rep, n, lift):
     term 0 reads at the offsets ``rests`` it writes; term i reads, under
     each hi, a run of (lo; w), ``runs[i - 1]`` = (run length, pairs); term
     n + 1 writes with stride ddim * mdim, ``ends``.  ``trees`` is
-    ``_role_plan(n + 1)``; ``slots[r]`` lists the nonzero entries (x, y,
-    z, c) of the slot tensor of role r, lifted, for the roles used; roles
-    that read one tensor share its list, so over CY*(D,D), where D is its
-    own module, there is one list per product."""
-    ddim, mdim = d.dim, rep.module_dim
-    size = ddim ** n * mdim
-    out_size = ddim * size
-    rests = range(0, size, mdim)
-    runs = []
-    for i in range(1, n + 1):
-        run = ddim ** (n - i) * mdim
-        his = zip(range(0, out_size, ddim * ddim * run),
-                  range(0, size, ddim * run))
-        runs.append((run, [(o + j, s + j) for o, s in his
-                           for j in range(run)]))
-    ends = list(zip(range(0, out_size, ddim * mdim), rests))
-    trees, used = _role_plan(n + 1)
+    ``_role_plan(n + 1)``; these come from ``_shape_plan``, once per shape.
+    ``slots[r]`` lists the nonzero entries (x, y, z, c) of the slot tensor
+    of role r, lifted, for the roles used; roles that read one tensor
+    share its list, so over CY*(D,D), where D is its own module, there is
+    one list per product."""
+    size, rests, runs, ends, trees, used = _shape_plan(
+        d.dim, rep.module_dim, n)
     tensors = (rep.act_dl, rep.act_dr, d.left, d.right, rep.act_ld,
                rep.act_rd)
     slots, lists = [None] * 6, {}

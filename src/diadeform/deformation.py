@@ -24,7 +24,7 @@ morphism as a truncated convolution of matrix series.
 import functools
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cochain import (Cochain, flat_offset, product_cochain,
                       random_scalar)
@@ -196,57 +196,45 @@ class FormalIso:
 
 # -- reports -----------------------------------------------------------
 
+# Each report is a named tuple: immutable, compared and hashed by its
+# fields, and printed as Name(field=value, ...).
 
-@dataclass(frozen=True)
-class DeformationReport:
-    valid: bool
-    first_failing_order: int = None
-    failing_identity: str = None
+
+class DeformationReport(namedtuple(
+        "DeformationReport", "valid first_failing_order failing_identity",
+        defaults=(None, None))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.valid
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    passed: bool
-    leading_order: int = None
-    residual_location: str = None
+class CocycleReport(namedtuple(
+        "CocycleReport", "passed leading_order residual_location",
+        defaults=(None, None))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.passed
 
 
-@dataclass(frozen=True)
-class ObstructionClass:
+class ObstructionClass(namedtuple("ObstructionClass", "cochain order")):
     """The degree-3 obstruction cochain (Ob_D; Ob_E; Ob_psi) at order N."""
 
-    cochain: MorphismCochain
-    order: int
+    __slots__ = ()
 
     def is_zero(self):
         return self.cochain.is_zero()
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
-    reached: int
-    target: int
-    deformation: TruncatedDeformation
-    hy3_dim: int
-    guaranteed: bool
-    certificate: str = None
+ExtensionReport = namedtuple(
+    "ExtensionReport",
+    "reached target deformation hy3_dim guaranteed certificate",
+    defaults=(None,))
 
-    @property
-    def succeeded(self):
-        return self.reached >= self.target
-
-
-@dataclass(frozen=True)
-class RigidityReport:
-    hy2_dim: int
-    verdict: str
-    trivialized_samples: int = 0
+RigidityReport = namedtuple("RigidityReport",
+                            "hy2_dim verdict trivialized_samples",
+                            defaults=(0,))
 
 
 # -- validity ----------------------------------------------------------

@@ -18,7 +18,7 @@ argument.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import FieldMismatch, ShapeMismatch
@@ -68,10 +68,10 @@ def _check_tensor(field, tensor, d1, d2, d3, what):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Report:
-    valid: bool
-    violations: tuple = ()
+class Report(namedtuple("Report", "valid violations", defaults=((),))):
+    """An axiom check's verdict; true when valid."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.valid
@@ -131,33 +131,30 @@ class Dialgebra:
     act_dr = act_rd = property(lambda self: self.right)
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(namedtuple(
+        "Representation",
+        "dialgebra module_dim act_dl act_dr act_ld act_rd")):
     """A module over a dialgebra, given by four action tensors.
 
     act_dl[i][u][w]: coefficient of m_w in e_i -| m_u  (left action, -|)
     act_dr[i][u][w]: e_i |- m_u
     act_ld[u][i][w]: m_u -| e_i
     act_rd[u][i][w]: m_u |- e_i
+
+    The tensors are checked against the dimensions and coerced into the
+    dialgebra's field on construction.
     """
 
-    dialgebra: Dialgebra
-    module_dim: int
-    act_dl: tuple
-    act_dr: tuple
-    act_ld: tuple
-    act_rd: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        d, m, f = self.dialgebra.dim, self.module_dim, self.dialgebra.field
-        object.__setattr__(self, "act_dl",
-                           _check_tensor(f, self.act_dl, d, m, m, "act_dl"))
-        object.__setattr__(self, "act_dr",
-                           _check_tensor(f, self.act_dr, d, m, m, "act_dr"))
-        object.__setattr__(self, "act_ld",
-                           _check_tensor(f, self.act_ld, m, d, m, "act_ld"))
-        object.__setattr__(self, "act_rd",
-                           _check_tensor(f, self.act_rd, m, d, m, "act_rd"))
+    def __new__(cls, dialgebra, module_dim, act_dl, act_dr, act_ld, act_rd):
+        d, m, f = dialgebra.dim, module_dim, dialgebra.field
+        return super().__new__(
+            cls, dialgebra, module_dim,
+            _check_tensor(f, act_dl, d, m, m, "act_dl"),
+            _check_tensor(f, act_dr, d, m, m, "act_dr"),
+            _check_tensor(f, act_ld, m, d, m, "act_ld"),
+            _check_tensor(f, act_rd, m, d, m, "act_rd"))
 
 
 class DialgebraMorphism:
@@ -357,6 +354,17 @@ def _graded_map(field, mats):
     return rows, cols
 
 
+@lru_cache(maxsize=None)
+def _axis_places(length, span, inner, size):
+    """For each flat index of a tensor of that length, (u, base): its index
+    u on an axis of stride inner and length span // inner, and where its
+    image at index 0 of that axis goes once the axis has the given size."""
+    return tuple((u, base + r)
+                 for base in range(0, length // span * size * inner,
+                                   size * inner)
+                 for u in range(span // inner) for r in range(inner))
+
+
 def _contract(terms, maps, size, inner, top):
     """A graded tensor with one axis carried along a graded linear map.
 
@@ -365,15 +373,14 @@ def _contract(terms, maps, size, inner, top):
     coefficient c of order a at index u of the axis adds c * x at index i
     and order a + b <= top for each (i, x, b) of maps[u]."""
     span = len(maps) * inner
-    out = [[0] * (len(terms[0]) // span * size * inner)
-           for _ in range(top + 1)]
+    length = len(terms[0])
+    places = _axis_places(length, span, inner, size)
+    out = [[0] * (length // span * size * inner) for _ in range(top + 1)]
     for a, flat in enumerate(terms):
         room = top - a
         for idx, c in enumerate(flat):
             if c:
-                outer, rest = divmod(idx, span)
-                u, r = divmod(rest, inner)
-                base = outer * size * inner + r
+                u, base = places[idx]
                 for i, x, b in maps[u]:
                     if b > room:
                         break

@@ -52,7 +52,6 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field as dc_field
 
 from .cochain import Cochain, product_cochain
 from .dialgebra import (Dialgebra, DialgebraMorphism, check_dialgebra,
@@ -66,13 +65,34 @@ from .linalg import Matrix
 MAX_DIM = 16
 
 
-@dataclass
 class ModelFile:
-    field: object
-    dialgebras: dict = dc_field(default_factory=dict)
-    morphisms: dict = dc_field(default_factory=dict)
-    deformations: dict = dc_field(default_factory=dict)
-    isos: dict = dc_field(default_factory=dict)
+    """A parsed model file: its field and its objects by kind, each a dict
+    from name to object in file order.  A dict not given starts empty,
+    fresh for each model."""
+
+    _FIELDS = ("field", "dialgebras", "morphisms", "deformations", "isos")
+
+    def __init__(self, field, dialgebras=None, morphisms=None,
+                 deformations=None, isos=None):
+        self.field = field
+        self.dialgebras = {} if dialgebras is None else dialgebras
+        self.morphisms = {} if morphisms is None else morphisms
+        self.deformations = {} if deformations is None else deformations
+        self.isos = {} if isos is None else isos
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return "ModelFile(%s)" % ", ".join(
+            "%s=%r" % item for item in zip(self._FIELDS, self._values()))
 
 
 def _tokenize(text):

@@ -268,6 +268,11 @@ def lift_apply_formal_iso(th, iso):
         DialgebraMorphism(new_d, new_e, phi_e * psi_t.matrix * inv_d))
 
 
+def succeeded(report):
+    """Whether an ``ExtensionReport`` reached its target order."""
+    return report.reached >= report.target
+
+
 def randint_sequence(seed, lo, hi, count):
     """A fresh rng's first count randint(lo, hi) draws, and its state."""
     ref = random.Random(seed)

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import (coefficient_sides, dense_axiom_violations,
                       dense_morphism_violations, from_lift, int_deformation,
-                      lift, lift_apply_formal_iso, randint_sequence)
+                      lift, lift_apply_formal_iso, randint_sequence,
+                      succeeded)
 
 from diadeform import deformation, morphism_complex
 from diadeform.cochain import Cochain, product_cochain
@@ -161,9 +162,9 @@ def test_extend_step_succeeds(zsetup):
 def test_extend_to_order(zsetup):
     psi, _ = zsetup
     good = extend_to_order(z_family(psi, 1, 1, 1, 1, 0), 4)
-    assert good.succeeded and good.reached == 4
+    assert succeeded(good) and good.reached == 4
     blocked = extend_to_order(z_family(psi, 1, -1, 1, -1, 0), 3)
-    assert not blocked.succeeded
+    assert not succeeded(blocked)
     assert blocked.reached == 1
     assert "not a coboundary" in blocked.certificate
     assert "[213]" in blocked.certificate and "[312]" in blocked.certificate
@@ -178,7 +179,7 @@ def test_blocked_extension_computes_its_obstruction_once(monkeypatch):
     monkeypatch.setattr(deformation, "_residuals",
                         lambda *args: passes.append(args) or residuals(*args))
     report = extend_to_order(th, 2)
-    assert not report.succeeded
+    assert not succeeded(report)
     assert "not a coboundary" in report.certificate
     assert len(passes) == 1  # verify and the obstruction read one pass
 
@@ -190,7 +191,7 @@ def test_extension_is_verified_once(monkeypatch):
     monkeypatch.setattr(deformation, "_residuals",
                         lambda *args: passes.append(args) or residuals(*args))
     report = extend_to_order(th, 4)
-    assert report.succeeded and report.reached == 4
+    assert succeeded(report) and report.reached == 4
     # one pass per deformation: th's serves its check and its obstruction,
     # each extension's its obstruction (validating it), the last one's
     # the final check
@@ -200,7 +201,7 @@ def test_extension_is_verified_once(monkeypatch):
 def test_blocked_extension_reports_its_own_hy3(bundled_models):
     report = extend_to_order(
         bundled_models["zero1"].deformations["theta_blocked"], 3)
-    assert report.reached == 1 and not report.succeeded
+    assert report.reached == 1 and not succeeded(report)
     assert report.hy3_dim == 5 and report.guaranteed is False
     assert "not a coboundary" in report.certificate
 
@@ -314,7 +315,7 @@ def test_extend_to_order_below_the_deformation_order(zsetup):
     with pytest.raises(IndexOutOfRange, match="below the deformation"):
         extend_to_order(th, 0)
     same = extend_to_order(th, 1)
-    assert same.succeeded and same.deformation is th
+    assert succeeded(same) and same.deformation is th
 
 
 def test_extension_guaranteed_flag(ksetup):

@@ -9,7 +9,7 @@ from conftest import (Series, SeriesRing, change_basis, coefficient_sides,
                       mirror, mult_dialgebra, random_frame, zero_dialgebra)
 
 from diadeform.dialgebra import (AXIOMS, Dialgebra, DialgebraMorphism,
-                                 Representation, adjoint_rep,
+                                 Representation, _contract, adjoint_rep,
                                  axiom_violations, check_dialgebra,
                                  check_morphism, check_representation,
                                  flat_products, morphism_violations,
@@ -470,3 +470,37 @@ def test_axiom_violations_refuses_orders_above_the_top():
     assert axiom_violations(QQ, 1, [zero, zero], 1) == ()
     with pytest.raises(ShapeMismatch):
         axiom_violations(QQ, 1, [zero, zero], 0)
+
+
+def _contract_by_divmod(terms, maps, size, inner, top):
+    """``_contract`` as it located each coefficient before its index
+    table: by two divmods of the flat index."""
+    span = len(maps) * inner
+    out = [[0] * (len(terms[0]) // span * size * inner)
+           for _ in range(top + 1)]
+    for a, flat in enumerate(terms):
+        for idx, c in enumerate(flat):
+            if c:
+                outer, rest = divmod(idx, span)
+                u, r = divmod(rest, inner)
+                for i, x, b in maps[u]:
+                    if a + b <= top:
+                        out[a + b][outer * size * inner + r + i * inner] += (
+                            c * x)
+    return out
+
+
+@pytest.mark.parametrize("source, target, inner, outer",
+                         [(1, 1, 1, 1), (2, 3, 1, 2), (3, 2, 2, 3),
+                          (2, 2, 4, 2), (3, 1, 3, 1)])
+def test_contract_matches_the_divmod_reference(source, target, inner, outer):
+    rng = random.Random(source * 100 + inner * 10 + outer)
+    top = 2
+    maps = [[(i, rng.randint(-2, 2), b) for b in range(top + 1)
+             for i in range(target) if rng.random() < 0.6]
+            for _ in range(source)]
+    terms = [[rng.choice((0, 0, 1, -3)) for _ in range(outer * source
+                                                       * inner)]
+             for _ in range(top + 1)]
+    assert (_contract(terms, maps, target, inner, top)
+            == _contract_by_divmod(terms, maps, target, inner, top))
