@@ -15,27 +15,29 @@ psi_t are computed through t^{N+1} by the graded contractions of
 Their coefficients t^0..t^N decide validity, and t^{N+1} is the
 obstruction.  A deformation computes them once, and both validity and
 the obstruction read them.  Transport along a formal isomorphism
-Phi_t = I + sum_k phi_k t^k is computed the same way through t^N: the
-inverse series order by order, each deformed product as a pull-back
-along the inverse and a push-forward along Phi_t, and the deformed
-morphism as a truncated convolution of matrix series.
+Phi_t = I + sum_k phi_k t^k runs through t^N on the same graded
+contraction (``dialgebra._contract``): the inverse Psi_t = Phi_t^-1 is
+built order by order as a graded map, each deformed product is a
+pull-back along Psi_t followed by a push-forward along Phi_t, and the
+deformed morphism Phi_E psi_t Psi_D is psi_t with its source axis
+carried along Psi_D and its target axis along Phi_E.  No two matrices
+are multiplied.  Extension by one order, to a target order and of a
+random sample is one loop of one-order steps (``_extend_to``).
 """
 
-import functools
-import operator
 import random
 from collections import namedtuple
 
 from .cochain import (Cochain, flat_offset, product_cochain,
                       random_scalar)
-from .dialgebra import (AXIOMS, LEFT, RIGHT, _graded_map, _lifted,
-                        _pull_back, _push_forward, _reduced,
+from .dialgebra import (AXIOMS, LEFT, _contract, _graded_map,
+                        _lifted, _pull_back, _push_forward, _reduced,
                         axiom_violations, check_dialgebra, check_morphism,
                         flat_products, morphism_violations)
-from .errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
-                     InvalidDeformation, NonIdentityConstantTerm,
-                     NotACoboundary, OrderMismatch, OrderTooLow,
-                     ShapeMismatch)
+from .errors import (BaseMismatch, CapExceeded, FieldMismatch,
+                     IndexOutOfRange, InvalidDeformation,
+                     NonIdentityConstantTerm, NotACoboundary, OrderMismatch,
+                     OrderTooLow, ShapeMismatch)
 from .fields import format_scalars
 from .linalg import Matrix
 from .morphism_complex import MorphismCochain, complex_of
@@ -63,6 +65,18 @@ def _rows(flat, width):
     return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
+def _check_series(field, mats, rows, cols, what):
+    """ShapeMismatch or FieldMismatch unless every coefficient of a matrix
+    series is a rows x cols matrix over the field."""
+    for m in mats:
+        if (m.rows, m.cols) != (rows, cols):
+            raise ShapeMismatch("%s coefficients must be %dx%d"
+                                % (what, rows, cols))
+        if m.field != field:
+            raise FieldMismatch("%s coefficients must lie over %r"
+                                % (what, field))
+
+
 class TruncatedDeformation:
     """A deformation of psi truncated at order N.
 
@@ -84,10 +98,7 @@ class TruncatedDeformation:
         for c in fe:
             if c.degree != 2 or c.dialgebra != e:
                 raise ShapeMismatch("fe entries must be 2-cochains on E")
-        for m in psis:
-            if (m.rows, m.cols) != (e.dim, d.dim):
-                raise ShapeMismatch("psi coefficients must be %dx%d"
-                                    % (e.dim, d.dim))
+        _check_series(psi.field, psis, e.dim, d.dim, "psi")
         if fd[0].rep != d or fd[0].coeffs != flat_products(d):
             raise BaseMismatch("order-0 D products disagree with the model")
         if fe[0].rep != e or fe[0].coeffs != flat_products(e):
@@ -162,9 +173,10 @@ class FormalIso:
         phi_d, phi_e = tuple(phi_d), tuple(phi_e)
         if len(phi_d) != len(phi_e) or not phi_d:
             raise OrderMismatch("the two series must share an order")
-        for series in (phi_d, phi_e):
-            n = series[0].rows
-            if series[0] != Matrix.identity(series[0].field, n):
+        for series, n, tag in ((phi_d, psi.source.dim, "phi_D"),
+                               (phi_e, psi.target.dim, "phi_E")):
+            _check_series(psi.field, series, n, n, tag)
+            if series[0] != Matrix.identity(psi.field, n):
                 raise NonIdentityConstantTerm(
                     "constant term of a formal isomorphism must be 1")
         object.__setattr__(self, "psi", psi)
@@ -385,29 +397,47 @@ def _solve(cx, n, b, label):
 
 def _extend(th, cx, rng=None):
     """One order of extension by a solution of delta theta = Ob: (the
-    extension, None), or (None, Ob) if Ob is no coboundary.  With an rng,
-    the solution is shifted by a random 2-cocycle.  Computing Ob validates
-    th; the extension is left to the caller to check, and its residuals,
-    once computed, also give its own obstruction."""
-    ob = obstruction(th)
-    theta, _ = _solve(cx, 2, ob.cochain, "Ob")
-    if theta is None:
-        return None, ob
+    extension, None), or (None, Ob) if Ob is no coboundary.  At order 0,
+    Ob is 0 and so is the solution.  With an rng, the solution is shifted
+    by a random 2-cocycle.  Computing Ob validates th; the extension is
+    left to the caller to check, and its residuals, once computed, also
+    give its own obstruction."""
+    if th.order < 1:
+        theta = cx.zero(2)
+    else:
+        ob = obstruction(th)
+        theta, _ = _solve(cx, 2, ob.cochain, "Ob")
+        if theta is None:
+            return None, ob
     if rng is not None:
         theta = theta + random_cocycle(cx, 2, rng)
     return th.extended_with(theta), None
 
 
+def _extend_to(th, target, cx, rng=None):
+    """Extend th order by order up to the target: (the last deformation
+    reached, the obstruction that blocked the next order or None).  th is
+    checked first; each extension is checked once, by the next order's
+    obstruction or, for the last one, at the end."""
+    _require_valid(th)
+    ob = None
+    try:
+        while th.order < target:
+            nxt, ob = _extend(th, cx, rng)
+            if nxt is None:
+                break
+            th = nxt
+        _require_valid(th)
+    except InvalidDeformation as exc:  # th itself passed the check above
+        raise InvalidDeformation(_REVERIFY % exc) from None
+    return th, ob
+
+
 def extend_step(th):
     """The deformation extended by one order, or None when a nonzero
     obstruction class blocks extension at this order."""
-    extended = _extend(th, complex_of(th.psi))[0]
-    if extended is not None:
-        try:
-            _require_valid(extended)
-        except InvalidDeformation as exc:
-            raise InvalidDeformation(_REVERIFY % exc) from None
-    return extended
+    extended, ob = _extend_to(th, th.order + 1, complex_of(th.psi))
+    return extended if ob is None else None
 
 
 def _require_within_cap(kind, order):
@@ -436,51 +466,37 @@ def extend_to_order(th, target):
                               " order %d" % (target, th.order))
     _require_within_cap("target", target)
     cx = complex_of(th.psi)
-    _require_valid(th)
+    reached, ob = _extend_to(th, target, cx)
     hy3 = cx.cohomology_dim(3)
-    # each extension is checked once: by the next step's obstruction, or
-    # at the end if it is the last one
-    current, certificate = th, None
-    try:
-        while current.order < target:
-            if current.order < 1:
-                # order-0 deformations extend freely by a zero coefficient
-                current = current.extended_with(cx.zero(2))
-                continue
-            nxt, ob = _extend(current, cx)
-            if nxt is None:
-                certificate = obstruction_certificate(ob, cx)
-                break
-            current = nxt
-        _require_valid(current)
-    except InvalidDeformation as exc:  # th itself passed the check above
-        raise InvalidDeformation(_REVERIFY % exc) from None
-    return ExtensionReport(current.order, target, current, hy3,
-                           guaranteed=(hy3 == 0), certificate=certificate)
+    return ExtensionReport(
+        reached.order, target, reached, hy3, guaranteed=(hy3 == 0),
+        certificate=None if ob is None else obstruction_certificate(ob, cx))
 
 
 # -- equivalence -------------------------------------------------------
 
 
-def _sum(matrices):
-    return functools.reduce(operator.add, matrices)
-
-
-def _inverse(phi):
-    """The coefficients of Psi = Phi^-1 for a matrix series Phi with
-    identity constant term: Psi_0 = I and
-    Psi_k = -sum_{i=1..k} phi_i Psi_{k-i}."""
-    inv = [phi[0]]
-    for k in range(1, len(phi)):
-        inv.append(-_sum(phi[i] * inv[k - i] for i in range(1, k + 1)))
-    return inv
-
-
-def _convolve(xs, ys):
-    """The coefficients of the product of two matrix series, through the
-    order of xs."""
-    return [_sum(xs[a] * ys[k - a] for a in range(k + 1))
-            for k in range(len(xs))]
+def _inverse(field, graded, top):
+    """Psi = Phi^-1 through t^top for a graded map Phi (``_graded_map``)
+    with identity constant term, as a graded map too: row u of Psi_0 is
+    e_u, and row u of Psi_k is -sum_{b=1..k} (row u of Psi_{k-b}) phi_b,
+    on plain numbers."""
+    phi_rows = graded[0]  # each row opens with the entry of I
+    n = len(phi_rows)
+    # psi[k][u] is row u of Psi_k, complete once every lower order has
+    # added its terms to it
+    psi = [[{u: field.lift(field.one)} for u in range(n)]]
+    psi += [[{} for _ in range(n)] for _ in range(top)]
+    for a, coeff in enumerate(psi):
+        for u, row in enumerate(coeff):
+            for s, c in row.items():
+                for i, x, b in phi_rows[s][1:]:
+                    if b > top - a:
+                        break
+                    psi[a + b][u][i] = psi[a + b][u].get(i, 0) - c * x
+    return _graded_map(field, [Matrix.sparse(field, n, n, {
+        u: {s: field.reduce(x) for s, x in row.items()}
+        for u, row in enumerate(coeff)}) for coeff in psi])
 
 
 def apply_formal_iso(th, iso):
@@ -488,7 +504,8 @@ def apply_formal_iso(th, iso):
 
     f'(x, y) = Phi f(Psi x, Psi y) on D and on E, with Psi = Phi^-1, and
     psi' = Phi_E psi Psi_D, through t^N: f' is the pull-back of f along
-    Psi followed by the push-forward along Phi.
+    Psi followed by the push-forward along Phi, and psi' is psi_t with its
+    source axis carried along Psi_D and its target axis along Phi_E.
     """
     if iso.order != th.order:
         raise OrderMismatch("deformation order %d vs iso order %d"
@@ -498,19 +515,24 @@ def apply_formal_iso(th, iso):
                            " deformation of %s"
                            % (iso.psi.name, th.psi.name))
     field, top = th.field, th.order
-    inv_d = _inverse(iso.phi_d)
+    d, e = th.psi.source.dim, th.psi.target.dim
+    phi_d, phi_e = (_graded_map(field, s) for s in (iso.phi_d, iso.phi_e))
+    inv_d, inv_e = (_inverse(field, g, top) for g in (phi_d, phi_e))
 
     def conjugate(fs, phi, inv):
-        terms = _lifted(field, [f.coeffs for f in fs])
-        terms = _pull_back(terms, _graded_map(field, inv), top, 2)
-        terms = _push_forward(terms, _graded_map(field, phi), top)
-        d = fs[0].dialgebra
-        return [Cochain(2, d, d, c) for c in _reduced(field, terms)]
+        x = fs[0].dialgebra
+        terms = _pull_back(_lifted(field, [f.coeffs for f in fs]), inv, top, 2)
+        return [Cochain(2, x, x, c)
+                for c in _reduced(field, _push_forward(terms, phi, top))]
 
+    # psi_t flat over (target, source): the source axis has stride 1 and
+    # the target axis stride dim D
+    terms = _lifted(field, [sum(m.dense_rows(), ()) for m in th.psis])
+    terms = _contract(terms, inv_d[0], d, 1, top)
+    terms = _reduced(field, _contract(terms, phi_e[1], e, d, top))
     return TruncatedDeformation(
-        th.psi, conjugate(th.fd, iso.phi_d, inv_d),
-        conjugate(th.fe, iso.phi_e, _inverse(iso.phi_e)),
-        _convolve(_convolve(iso.phi_e, th.psis), inv_d))
+        th.psi, conjugate(th.fd, phi_d, inv_d), conjugate(th.fe, phi_e, inv_e),
+        [Matrix(field, e, d, _rows(flat, d)) for flat in terms])
 
 
 def trivialize_step(th):
@@ -625,19 +647,9 @@ def random_deformation(psi, order, rng):
     Starts from a random 2-cocycle infinitesimal and extends order by
     order, randomizing each particular solution by a random 2-cocycle.
     Stops early if an obstruction blocks the extension.  Each obstruction
-    validates the deformation it is computed from, and one that reached
-    the requested order is verified as a whole.
+    validates the deformation it is computed from, and the last one
+    reached is verified as a whole.
     """
     _require_within_cap("target", order)
-    th = TruncatedDeformation.trivial(psi)
-    if order < 1:
-        return th
-    cx = complex_of(psi)
-    th = th.extended_with(random_cocycle(cx, 2, rng))
-    while th.order < order:
-        nxt, _ = _extend(th, cx, rng)
-        if nxt is None:
-            return th
-        th = nxt
-    _require_valid(th)
-    return th
+    return _extend_to(TruncatedDeformation.trivial(psi), order,
+                      complex_of(psi), rng)[0]

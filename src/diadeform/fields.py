@@ -22,10 +22,13 @@ themselves.  GF(p)'s ``from_int``, and so ``reduce`` and ``parse``, gives
 the field's one ``zero`` for every residue 0 and makes a ``GFElement``
 only for a nonzero residue; arithmetic on the scalars still makes a new
 one per result.  Plain numbers are also what these compute on: the graded
-contractions of the axiom and morphism checks and of transport, the
-push-forward and pull-back of CY*(psi,psi) and the actions pulled back
-along psi, which are the same contractions at order 0, and the matrices
-of that push-forward and pull-back, which reduce each entry they write.
+contractions of the axiom and morphism checks; transport's inverse
+series, built order by order, and its contractions, which carry the
+deformed products and the deformed morphism along the formal
+isomorphism and its inverse; the push-forward and pull-back of
+CY*(psi,psi) and the actions pulled back along psi, which are the same
+contractions at order 0; and the matrices of that push-forward and
+pull-back, which reduce each entry they write.
 """
 
 import math

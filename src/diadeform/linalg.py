@@ -131,45 +131,10 @@ class Matrix:
     def __repr__(self):
         return "Matrix(%dx%d over %r)" % (self.rows, self.cols, self.field)
 
-    def _check_same_field(self, other):
-        if self.field != other.field:
-            raise MixedFields("%r vs %r" % (self.field, other.field))
-
-    def _merge(self, other, op):
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("matrix shapes differ")
-        data = {i: dict(row) for i, row in self._rows.items()}
-        for i, row in other._rows.items():
-            out = data.setdefault(i, {})
-            for j, x in row.items():
-                out[j] = op(out.get(j, self._zero), x)
-        return Matrix.sparse(self.field, self.rows, self.cols, data)
-
-    def __add__(self, other):
-        return self._merge(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._merge(other, lambda a, b: a - b)
-
     def __neg__(self):
         return Matrix.sparse(self.field, self.rows, self.cols,
                              {i: {j: -x for j, x in row.items()}
                               for i, row in self._rows.items()})
-
-    def __mul__(self, other):
-        self._check_same_field(other)
-        if self.cols != other.rows:
-            raise ShapeMismatch(
-                "cannot multiply %dx%d by %dx%d"
-                % (self.rows, self.cols, other.rows, other.cols))
-        data = {}
-        for i, row in self._rows.items():
-            out = data[i] = {}
-            for k, a in row.items():
-                for j, b in other._rows.get(k, _EMPTY).items():
-                    out[j] = out[j] + a * b if j in out else a * b
-        return Matrix.sparse(self.field, self.rows, other.cols, data)
 
     def apply(self, vec):
         """Matrix-vector product, vec given and returned as a tuple."""

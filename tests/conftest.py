@@ -40,6 +40,24 @@ def int_deformation(psi, fds, fes, ss):
                         for s in ss])
 
 
+def mat_add(a, b):
+    """a + b, entry by entry: a dense reference for matrix sums."""
+    assert a.field == b.field and (a.rows, a.cols) == (b.rows, b.cols)
+    return Matrix(a.field, a.rows, a.cols,
+                  [[a[i, j] + b[i, j] for j in range(a.cols)]
+                   for i in range(a.rows)])
+
+
+def mat_mul(a, b):
+    """a b, entry by entry from the definition: a dense reference for
+    matrix products."""
+    assert a.field == b.field and a.cols == b.rows
+    return Matrix(a.field, a.rows, b.cols,
+                  [[sum((a[i, k] * b[k, j] for k in range(a.cols)),
+                        a.field.zero) for j in range(b.cols)]
+                   for i in range(a.rows)])
+
+
 def _combine(zero, coeffs, rows):
     """sum_s coeffs[s] * rows[s] on coordinate vectors, skipping zero
     coefficients: the dense contraction of the references below."""
@@ -237,11 +255,11 @@ def unipotent_inverse(phi):
     """The inverse of a square matrix over K[t]/(t^{N+1}) with identity
     constant term: sum_{k <= N} (I - phi)^k, as (I - phi)^{N+1} = 0."""
     ident = Matrix.identity(phi.field, phi.rows)
-    nilpotent = ident - phi
+    nilpotent = mat_add(ident, -phi)
     inv = power = ident
     for _ in range(phi.field.order):
-        power = power * nilpotent
-        inv = inv + power
+        power = mat_mul(power, nilpotent)
+        inv = mat_add(inv, power)
     return inv
 
 
@@ -265,7 +283,8 @@ def lift_apply_formal_iso(th, iso):
     new_e = _conjugate(e_t, phi_e, unipotent_inverse(phi_e))
     return from_lift(
         th.psi, new_d, new_e,
-        DialgebraMorphism(new_d, new_e, phi_e * psi_t.matrix * inv_d))
+        DialgebraMorphism(new_d, new_e,
+                          mat_mul(mat_mul(phi_e, psi_t.matrix), inv_d)))
 
 
 def succeeded(report):

@@ -4,10 +4,10 @@ import pytest
 
 from conftest import (coefficient_sides, dense_axiom_violations,
                       dense_morphism_violations, from_lift, int_deformation,
-                      lift, lift_apply_formal_iso, randint_sequence,
-                      succeeded)
+                      lift, lift_apply_formal_iso, mat_add, mat_mul,
+                      randint_sequence, succeeded)
 
-from diadeform import deformation, morphism_complex
+from diadeform import deformation, dialgebra, morphism_complex
 from diadeform.cochain import Cochain, product_cochain
 from diadeform.deformation import (FormalIso, TruncatedDeformation,
                                    apply_formal_iso, cocycle_check,
@@ -19,9 +19,10 @@ from diadeform.deformation import (FormalIso, TruncatedDeformation,
                                    verify_deformation)
 from diadeform.dialgebra import (Dialgebra, DialgebraMorphism,
                                  Representation, check_morphism)
-from diadeform.errors import (BaseMismatch, CapExceeded, IndexOutOfRange,
-                              InvalidDeformation, NonIdentityConstantTerm,
-                              NotACoboundary, OrderMismatch, OrderTooLow)
+from diadeform.errors import (BaseMismatch, CapExceeded, FieldMismatch,
+                              IndexOutOfRange, InvalidDeformation,
+                              NonIdentityConstantTerm, NotACoboundary,
+                              OrderMismatch, OrderTooLow, ShapeMismatch)
 from diadeform.fields import QQ, PrimeField
 from diadeform.linalg import Matrix
 from diadeform.models import bundled_model_names, load_bundled_model
@@ -226,6 +227,28 @@ def test_delta_blocks_are_assembled_once_per_call(monkeypatch, name, run):
     assert len(built) == (6 if name == "dim2" else 4)
     keys = [(id(d), id(rep), n) for d, rep, n in built]
     assert len(set(keys)) == len(keys)
+
+
+def test_extension_from_order_zero(ksetup):
+    # at order 0 the obstruction is 0, so one step extends by a zero
+    # coefficient
+    psi, _ = ksetup
+    nxt = extend_step(TruncatedDeformation.trivial(psi))
+    assert nxt.order == 1 and nxt.leading_order() is None
+
+
+def test_extension_checks_its_start(bundled_models):
+    # a sample of a map that is no morphism is refused at every order, as
+    # an invalid start and not as a failed re-verification
+    model = bundled_models["mult1"]
+    k = model.dialgebras["K"]
+    z = Dialgebra(1, QQ, name="Z")
+    psi = DialgebraMorphism(k, z, Matrix(QQ, 1, 1, [[1]]))
+    assert not check_morphism(psi)
+    for order in (0, 2):
+        with pytest.raises(InvalidDeformation) as info:
+            random_deformation(psi, order, random.Random(0))
+        assert "re-verification" not in str(info.value)
 
 
 @pytest.mark.parametrize("target", [2, 3])
@@ -498,7 +521,7 @@ def _inverse_coefficients(series):
     for k in range(1, len(series)):
         acc = Matrix.zero(f, n, n)
         for i in range(1, k + 1):
-            acc = acc + series[i] * inv[k - i]
+            acc = mat_add(acc, mat_mul(series[i], inv[k - i]))
         inv.append(-acc)
     return inv
 
@@ -545,6 +568,26 @@ def test_transport_matches_the_lift():
     assert moved > 24
 
 
+def _coefficient_matrices(field, graded, order):
+    """The coefficients of a graded map (``dialgebra._graded_map``) of a
+    square matrix series as matrices, once its rows and its columns are
+    checked to list the same entries, each list by increasing order."""
+    rows, cols = graded
+    by_rows = sorted((b, u, s, x) for u, row in enumerate(rows)
+                     for s, x, b in row)
+    by_cols = sorted((b, u, s, x) for s, col in enumerate(cols)
+                     for u, x, b in col)
+    assert by_rows == by_cols
+    assert len({e[:3] for e in by_rows}) == len(by_rows)
+    for entries in rows + cols:
+        assert [b for _, _, b in entries] == sorted(b for _, _, b in entries)
+    n = len(rows)
+    dense = [[[field.zero] * n for _ in range(n)] for _ in range(order + 1)]
+    for b, u, s, x in by_rows:
+        dense[b][u][s] = field.reduce(x)
+    return [Matrix(field, n, n, m) for m in dense]
+
+
 def test_series_inverse():
     # Phi Psi = Psi Phi = I through t^N, read coefficient by coefficient
     rng = random.Random(7)
@@ -554,7 +597,8 @@ def test_series_inverse():
             Matrix(field, n, n, [[field.from_int(rng.randint(-3, 3))
                                   for _ in range(n)] for _ in range(n)])
             for _ in range(order)]
-        psi = deformation._inverse(phi)
+        psi = _coefficient_matrices(field, deformation._inverse(
+            field, dialgebra._graded_map(field, phi), order), order)
         assert psi[0] == Matrix.identity(field, n)
         for k in range(order + 1):
             want = Matrix.identity(field, n) if k == 0 else \
@@ -562,7 +606,7 @@ def test_series_inverse():
             for x, y in ((phi, psi), (psi, phi)):
                 acc = Matrix.zero(field, n, n)
                 for i in range(k + 1):
-                    acc = acc + x[i] * y[k - i]
+                    acc = mat_add(acc, mat_mul(x[i], y[k - i]))
                 assert acc == want, (field, k)
         assert psi == _inverse_coefficients(phi)
 
@@ -601,6 +645,34 @@ def test_iso_requires_identity_constant_term(zsetup):
     two = Matrix(QQ, 1, 1, [[QQ.from_int(2)]])
     with pytest.raises(NonIdentityConstantTerm):
         FormalIso(psi, [two], [two])
+
+
+def test_deformation_checks_its_coefficients(bundled_models):
+    # every coefficient of psi_t must be a dim E x dim D matrix over psi's
+    # field
+    psi = bundled_models["mult1"].morphisms["id"]
+    fd, fe = ([product_cochain(x), Cochain.zero(2, x, x)]
+              for x in (psi.source, psi.target))
+    for psi1, error in ((Matrix(PrimeField(7), 1, 1, [[3]]), FieldMismatch),
+                        (Matrix.zero(QQ, 1, 2), ShapeMismatch)):
+        with pytest.raises(error):
+            TruncatedDeformation(psi, fd, fe, [psi.matrix, psi1])
+
+
+def test_iso_checks_its_coefficients(bundled_models):
+    # phi_D's coefficients must be dim D x dim D, phi_E's dim E x dim E,
+    # both over psi's field, the constant terms included
+    psi = bundled_models["zero2"].morphisms["id2"]
+    gf7 = PrimeField(7)
+    ident = Matrix.identity(QQ, 2)
+    for phi_d, phi_e, error in (
+            ([ident, Matrix.zero(QQ, 3, 3)], [ident, ident], ShapeMismatch),
+            ([ident, ident], [ident, Matrix.zero(QQ, 2, 3)], ShapeMismatch),
+            ([Matrix.identity(QQ, 3)], [ident], ShapeMismatch),
+            ([ident, Matrix.zero(gf7, 2, 2)], [ident, ident], FieldMismatch),
+            ([ident], [Matrix.identity(gf7, 2)], FieldMismatch)):
+        with pytest.raises(error):
+            FormalIso(psi, phi_d, phi_e)
 
 
 def test_trivialize_oneplus(bundled_models):

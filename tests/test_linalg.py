@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SeriesRing
+from conftest import SeriesRing, mat_add, mat_mul
 
 from diadeform.errors import MixedFields, ShapeMismatch
 from diadeform.fields import PrimeField, QQ
@@ -40,23 +40,31 @@ def _rank(m):
 
 @pytest.mark.parametrize("field", [QQ, F7, SeriesRing(QQ, 2)], ids=repr)
 def test_cancelled_and_explicit_zeros_are_not_stored(field):
-    # entries that cancel and zeros passed to sparse leave no zero entry
-    # and no empty row, on scalars with and without a truth value
+    # entries that cancel before they reach the constructor, and zeros
+    # given to the constructor, to sparse, in a block or negated, leave no
+    # zero entry and no empty row, on scalars with and without a truth
+    # value
     x, z = field.from_int, field.zero
 
     def mat(rows):
         return Matrix(field, len(rows), len(rows[0]), rows)
 
     a = mat([[1, 0, 2], [0, -3, 1]])
+    a_data = {0: {0: x(1), 2: x(2)}, 1: {1: x(-3), 2: x(1)}}
     cases = [
-        (a - a, {}),
-        (a + (-a), {}),
+        (a, a_data),
+        (mat_add(a, -a), {}),
         # one entry of rows 0 and 2 cancels, then all of row 0
-        (mat([[1, 1], [1, 2], [2, 2]]) * mat([[1, 1], [-1, 0]]),
+        (mat_mul(mat([[1, 1], [1, 2], [2, 2]]), mat([[1, 1], [-1, 0]])),
          {0: {1: x(1)}, 1: {0: x(-1), 1: x(1)}, 2: {1: x(2)}}),
-        (mat([[1, 1], [1, 2]]) * mat([[1], [-1]]), {1: {0: x(-1)}}),
+        (mat_mul(mat([[1, 1], [1, 2]]), mat([[1], [-1]])), {1: {0: x(-1)}}),
+        (-a, {0: {0: x(-1), 2: x(-2)}, 1: {1: x(3), 2: x(-1)}}),
+        (-Matrix.zero(field, 2, 3), {}),
         (Matrix.sparse(field, 2, 3, {0: {0: z, 2: x(5)}, 1: {1: x(0)},
                                      2: {}}), {0: {2: x(5)}}),
+        (Matrix.block(field, 4, 5, [(0, 0, a), (2, 3, mat([[0, 0]])),
+                                    (3, 3, Matrix.zero(field, 1, 2))]),
+         a_data),
     ]
     for got, data in cases:
         want = Matrix.sparse(field, got.rows, got.cols, data)
@@ -76,19 +84,26 @@ def test_construction_and_indexing():
 
 
 def test_shape_checks():
+    for rows, cols, entries in ((2, 2, [[1, 2]]), (1, 2, [[1, 2, 3]]),
+                                (2, 2, [[1, 2], [3]])):
+        with pytest.raises(ShapeMismatch):
+            Matrix(QQ, rows, cols, entries)
     a = qmat([[1, 2]])
-    b = qmat([[1], [2]])
     with pytest.raises(ShapeMismatch):
-        a + b
+        a.apply((1,))
     with pytest.raises(ShapeMismatch):
-        b * b
+        a.solve((1, 2))
 
 
 def test_field_checks():
-    a = qmat([[1]])
-    b = Matrix(F7, 1, 1, [[1]])
+    # an entry of another field is refused at construction, and so is a
+    # right-hand side of another field
     with pytest.raises(MixedFields):
-        a + b
+        Matrix(QQ, 1, 1, [[F7.from_int(1)]])
+    with pytest.raises(MixedFields):
+        Matrix(F7, 1, 2, [[1, Fraction(1, 2)]])
+    with pytest.raises(MixedFields):
+        qmat([[1]]).solve((F7.from_int(1),))
 
 
 def test_rank_examples():

@@ -4,8 +4,8 @@ import weakref
 
 import pytest
 
-from conftest import (change_basis, mirror, mult_dialgebra, randint_sequence,
-                      random_frame, tagged)
+from conftest import (change_basis, mat_mul, mirror, mult_dialgebra,
+                      randint_sequence, random_frame, tagged)
 
 from diadeform import dialgebra, morphism_complex
 from diadeform.cochain import (coboundary, coboundary_matrix, cy_dim,
@@ -211,7 +211,8 @@ def test_change_of_basis_leaves_morphism_cohomology_unchanged(complexes):
         p_e, p_e_inv = random_frame(cx.field, cx.E.dim, rng)
         moved = DialgebraMorphism(change_basis(cx.D, p_d, p_d_inv),
                                   change_basis(cx.E, p_e, p_e_inv),
-                                  p_e * cx.psi.matrix * p_d_inv,
+                                  mat_mul(mat_mul(p_e, cx.psi.matrix),
+                                          p_d_inv),
                                   name=cx.psi.name)
         assert check_morphism(moved).valid, tag
         dims[tag] = [cx.cohomology_dim(n) for n in (1, 2)]
