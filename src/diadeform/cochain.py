@@ -18,6 +18,15 @@ the (row, column) pairs.  The test suite checks the two paths against
 each other, and the matrix against a reference that computes every
 offset from the multi-index.
 
+The matrix path is a writer, ``write_coboundary_matrix``: it adds +-delta
+into a caller's table, a list of row dicts, at a row and column offset,
+so a block matrix such as CY*(psi,psi)'s delta is written into one table
+that one ``Matrix.sparse`` call adopts.  Where each entry goes is planned
+once per shape (``_matrix_plan``).  A sum that cancels deletes its entry
+at once, tested by == zero, so no table holds a zero for ``Matrix.sparse``
+to find.  ``coboundary_matrix`` is that writer on a fresh table
+(``fresh_matrix``).
+
 Their arithmetic differs on purpose.  The elementwise path lifts the
 values of f and the slot tensors to plain numbers once (``field.lift``),
 sums on those, and reduces each output coordinate once
@@ -54,12 +63,15 @@ def cy_dim(d, rep, n):
     return catalan(n) * d.dim ** n * rep.module_dim
 
 
-def _check_budget(d, rep, n):
-    """Raise CapExceeded if CY^n(D,M) has more coordinates than the budget."""
-    size = cy_dim(d, rep, n)
-    if size > COORDINATE_BUDGET:
+def _check_caps(d, rep, n, what):
+    """Raise CapExceeded if delta: CY^n(D,M) -> CY^{n+1}(D,M), computed as
+    ``what``, is over the tree cap, or CY^{n+1} has more coordinates than
+    the budget."""
+    if n + 1 > TREE_CAP:
+        raise CapExceeded("%s would exceed tree cap %d" % (what, TREE_CAP))
+    if (size := cy_dim(d, rep, n + 1)) > COORDINATE_BUDGET:
         raise CapExceeded("CY^%d has %d coordinates, over the budget of %d"
-                          % (n, size, COORDINATE_BUDGET))
+                          % (n + 1, size, COORDINATE_BUDGET))
 
 
 def multi_indices(dim, n):
@@ -234,10 +246,8 @@ def _coboundary_values(f):
     of the formula.  The values of f and the slot tensors are lifted to
     plain numbers once; over QQ they are used as they are."""
     n = f.degree
-    if n + 1 > TREE_CAP:
-        raise CapExceeded("coboundary would exceed tree cap %d" % TREE_CAP)
     d, rep = f.dialgebra, f.rep
-    _check_budget(d, rep, n + 1)
+    _check_caps(d, rep, n, "coboundary")
     ddim, mdim = d.dim, rep.module_dim
     vals = _lifted(d.field, [f.coeffs])[0]
     size, rests, runs, ends, trees, slots = _term_plan(d, rep, n,
@@ -273,46 +283,78 @@ def _coboundary_values(f):
     return coeffs
 
 
-def coboundary_matrix(d, rep, n):
-    """Matrix of delta: CY^n -> CY^{n+1}, assembled term by term.
+@lru_cache(maxsize=None)
+def _matrix_plan(ddim, mdim, n):
+    """The placement of the matrix path's entries, per shape: per term i
+    of the formula, (ox, oy, oz, sx, sy, sz, negate, pairs, places).
+
+    A structure constant (x, y, z, c) of the term's slot tensor is written
+    at row x * ox + y * oy + z * oz and column x * sx + y * sy + z * sz of
+    a tree's block, negated if ``negate``, plus each offset pair of
+    ``pairs`` (``_term_plan``; term 0 writes where it reads).  ``places``
+    pairs each role read at term i with the trees that read it there, each
+    as the offsets of its block of delta f (rows) and of f's block on its
+    i-th face (columns)."""
+    size, rests, runs, ends, trees, _ = _shape_plan(ddim, mdim, n)
+    terms = [(size, 0, 1, 0, 1, 0, False, tuple(zip(rests, rests)))]
+    terms += [(ddim * run, run, 0, 0, 0, run, i % 2 == 1, pairs)
+              for i, (run, pairs) in enumerate(runs, 1)]
+    terms.append((0, mdim, 1, 1, 0, 0, n % 2 == 0, ends))
+    places = [{} for _ in terms]
+    for t, (faces, roles) in enumerate(trees):
+        for i, (face, role) in enumerate(zip(faces, roles)):
+            places[i].setdefault(role, []).append(
+                (t * ddim * size, face * size))
+    return tuple(term + (tuple(p.items()),) for term, p in zip(terms, places))
+
+
+def write_coboundary_matrix(rows, r0, c0, sign, d, rep, n):
+    """Add sign (+1 or -1) times the matrix of delta: CY^n -> CY^{n+1}
+    into ``rows``, a list of row dicts, with its (0, 0) entry at (r0, c0);
+    the caller checks the caps first (``_check_caps``).
 
     Rows are indexed by the CY^{n+1} basis and columns by the CY^n basis,
-    both in the canonical flat order.  Each structure constant of a term
-    is written at the (row, column) pairs where ``coboundary`` multiplies
-    it into a sum; entries that cancel are dropped."""
-    if n + 1 > TREE_CAP:
-        raise CapExceeded("coboundary matrix would exceed tree cap %d"
-                          % TREE_CAP)
-    _check_budget(d, rep, n + 1)
-    ddim, mdim = d.dim, rep.module_dim
-    size, rests, runs, ends, trees, slots = _term_plan(d, rep, n, unchanged)
-    rows = [{} for _ in range(cy_dim(d, rep, n + 1))]
-    for base, (faces, roles) in zip(itertools.count(0, ddim * size), trees):
-        src = faces[0] * size
-        for a, u, w, c in slots[roles[0]]:
-            o, s = base + a * size + w, src + u
-            for r in rests:
-                row, j = rows[o + r], s + r
-                row[j] = row[j] + c if j in row else c
-        for i, (run, pairs) in enumerate(runs, 1):
-            src = faces[i] * size
-            for a, b, k, c in slots[roles[i]]:
-                if i % 2:
-                    c = -c
-                o, s = base + (a * ddim + b) * run, src + k * run
-                for oj, sj in pairs:
-                    row, j = rows[o + oj], s + sj
-                    row[j] = row[j] + c if j in row else c
-        src = faces[n + 1] * size
-        for u, b, w, c in slots[roles[n + 1]]:
-            if not n % 2:
-                c = -c
-            o, s = base + b * mdim + w, src + u
-            for oj, sj in ends:
-                row, j = rows[o + oj], s + sj
-                row[j] = row[j] + c if j in row else c
-    return Matrix.sparse(d.field, len(rows), cy_dim(d, rep, n),
-                         {i: row for i, row in enumerate(rows) if row})
+    both in the canonical flat order.  Term by term (``_matrix_plan``),
+    each structure constant is added at the (row, column) pairs where
+    ``coboundary`` multiplies it into a sum, so each entry sums its terms
+    in the order of the formula.  A sum that cancels deletes its entry at
+    once, tested by == zero, so no zero is ever stored."""
+    z = d.field.zero
+    slots = _term_plan(d, rep, n, unchanged)[5]
+    for ox, oy, oz, sx, sy, sz, negate, pairs, places in _matrix_plan(
+            d.dim, rep.module_dim, n):
+        for role, blocks in places:
+            for x, y, w, c in slots[role]:
+                o = r0 + x * ox + y * oy + w * oz
+                s = c0 + x * sx + y * sy + w * sz
+                c = -c if negate != (sign < 0) else c
+                for out, src in blocks:
+                    out, src = out + o, src + s
+                    for oj, sj in pairs:
+                        row, j = rows[out + oj], src + sj
+                        if j not in row:
+                            row[j] = c
+                        elif (v := row[j] + c) == z:
+                            del row[j]
+                        else:
+                            row[j] = v
+
+
+def fresh_matrix(field, rows, cols, write, *args):
+    """The rows x cols matrix that ``write(table, 0, 0, *args)`` writes
+    into a fresh table of ``rows`` row dicts; ``Matrix.sparse`` adopts
+    the table's nonzero rows."""
+    table = [{} for _ in range(rows)]
+    write(table, 0, 0, *args)
+    return Matrix.sparse(field, rows, cols,
+                         {i: row for i, row in enumerate(table) if row})
+
+
+def coboundary_matrix(d, rep, n):
+    """Matrix of delta: CY^n -> CY^{n+1}, written into a fresh table."""
+    _check_caps(d, rep, n, "coboundary matrix")
+    return fresh_matrix(d.field, cy_dim(d, rep, n + 1), cy_dim(d, rep, n),
+                        write_coboundary_matrix, 1, d, rep, n)
 
 
 def cohomology_dim(d, rep, n):
@@ -320,11 +362,8 @@ def cohomology_dim(d, rep, n):
     if n < 0:
         raise IndexOutOfRange("cohomology degree must be >= 0, got %d" % n)
     mat_n = coboundary_matrix(d, rep, n)
-    kernel = mat_n.cols - mat_n.rank()
-    if n == 0:
-        return kernel
-    image = coboundary_matrix(d, rep, n - 1).rank()
-    return kernel - image
+    image = coboundary_matrix(d, rep, n - 1).rank() if n else 0
+    return mat_n.cols - mat_n.rank() - image
 
 
 def random_scalar(field, rng):

@@ -3,7 +3,11 @@
 A matrix keeps only its nonzero entries, as a dict of rows {i: {j: x}};
 absent entries read as the field's zero.  ``Matrix.sparse`` takes
 ownership of the rows it is given and drops their zero entries in place
-instead of copying them.  Matrices are immutable.  The first rank, kernel
+instead of copying them, and it rejects an entry outside the matrix.
+Block matrices are not assembled here: the coboundary paths write their
+blocks into one table of rows (``cochain.write_coboundary_matrix``), so a
+matrix is built once, by one ``sparse`` call.  Matrices are immutable and
+have no arithmetic.  The first rank, kernel
 or solve query eliminates a matrix forward once, to a row echelon form,
 and records every row operation.  Rank reads the pivots
 of that form and does not back-reduce; the first kernel or solve query
@@ -78,21 +82,16 @@ class Matrix:
         """The matrix with entries data[i][j]; absent entries are zero.
 
         The matrix takes ownership of ``data`` and its row dicts and edits
-        them in place, so every caller passes dicts built for the call."""
+        them in place, so every caller passes dicts built for the call.
+        A nonzero entry outside the matrix raises ShapeMismatch; the
+        bounds are read with min and max, per row and not per entry."""
         m = cls.__new__(cls)
         m._set(field, rows, cols, data)
+        if data and (min(data) < 0 or max(data) >= rows
+                     or min(map(min, data.values())) < 0
+                     or max(map(max, data.values())) >= cols):
+            raise ShapeMismatch("an entry lies outside %dx%d" % (rows, cols))
         return m
-
-    @classmethod
-    def block(cls, field, rows, cols, placements):
-        """The matrix with each block of (r0, c0, block) placed at offset
-        (r0, c0); the blocks must not overlap."""
-        data = {}
-        for r0, c0, blk in placements:
-            for i, row in blk._rows.items():
-                data.setdefault(r0 + i, {}).update(
-                    (c0 + j, x) for j, x in row.items())
-        return cls.sparse(field, rows, cols, data)
 
     @classmethod
     def zero(cls, field, rows, cols):
@@ -130,11 +129,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%dx%d over %r)" % (self.rows, self.cols, self.field)
-
-    def __neg__(self):
-        return Matrix.sparse(self.field, self.rows, self.cols,
-                             {i: {j: -x for j, x in row.items()}
-                              for i, row in self._rows.items()})
 
     def apply(self, vec):
         """Matrix-vector product, vec given and returned as a tuple."""

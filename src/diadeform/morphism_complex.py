@@ -11,8 +11,8 @@ out as (xi | pi | phi); degree 0 is the zero module and cohomology starts
 at degree 1.
 
 Like the coboundary of CY*(D,M), the third block is computed twice on
-purpose: elementwise (``push_forward``, ``pull_back``) and as assembled
-matrices (``push_matrix``, ``pull_matrix``).  Both read psi once per
+purpose: elementwise (``push_forward``, ``pull_back``) and as matrices
+(``write_push``, ``write_pull``).  Both read psi once per
 complex, into one graded map of its nonzero coefficients as plain
 numbers (``dialgebra._graded_map``), which also gives E its pulled-back
 actions.  The elementwise path is the graded contraction along psi of
@@ -24,6 +24,14 @@ reduces each coordinate of the third block once.  The matrix path keeps
 its own loops and writes the products of psi's coefficients as entries,
 each reduced once, as the cross-check.
 
+``matrix(n)`` checks every block against the caps, then writes delta_D,
+delta_E, psi.xi, -pi.psi and -delta phi into one table of rows at their
+offsets (``cochain.write_coboundary_matrix`` and the two writers above),
+which one ``Matrix.sparse`` call adopts: no block is a matrix of its own.
+For an endomorphism, delta_D's rows are copied with a shift for delta_E,
+so CY(D,D) is assembled once.  ``push_matrix`` and ``pull_matrix`` are
+the writers on a fresh table (``cochain.fresh_matrix``).
+
 The complex is determined by psi, so the deformation calculus and the CLI
 take psi and get the complex from ``complex_of(psi)``.  psi keeps only a
 weak reference to it: callers share its matrices and factorizations while
@@ -34,9 +42,11 @@ say) does not keep the matrices alive once the last holder is done.
 import itertools
 import weakref
 
-from .cochain import (Cochain, _coboundary_values, coboundary,
-                      coboundary_matrix, cy_dim, multi_indices,
-                      random_cochain)
+# coboundary_matrix is not called here; perfbench's tracer test checks that
+# this module's name for it is wrapped too
+from .cochain import (Cochain, _check_caps, _coboundary_values,  # noqa
+                      coboundary, coboundary_matrix, cy_dim, fresh_matrix,
+                      multi_indices, random_cochain, write_coboundary_matrix)
 from .dialgebra import (_graded_map, _lifted, _pull_back, _pullback_rep,
                         _push_forward, _reduced)
 from .errors import ShapeMismatch
@@ -168,37 +178,43 @@ class MorphismComplex:
         return self._de(pi.degree,
                         self._along_psi(pi, _pull_back, pi.degree))
 
+    def write_push(self, rows, r0, c0, n):
+        """Write the matrix of xi |-> psi.xi from CY^n(D,D) to CY^n(D,E)
+        into ``rows`` with its (0, 0) entry at (r0, c0): each slot's block
+        is psi's matrix, entries reduced once."""
+        ddim, edim, reduce = self.D.dim, self.E.dim, self.field.reduce
+        entries = [(w, u, reduce(x)) for u, image in enumerate(self._graded[1])
+                   for w, x, _ in image]
+        for s in range(len(enumerate_trees(n)) * ddim ** n):
+            for w, u, x in entries:
+                rows[r0 + s * edim + w][c0 + s * ddim + u] = x
+
+    def write_pull(self, rows, r0, c0, sign, n):
+        """Write sign (+1 or -1) times the matrix of pi |-> pi.psi from
+        CY^n(E,E) to CY^n(D,E) into ``rows`` with its (0, 0) entry at
+        (r0, c0); each entry is a product of psi's coefficients, reduced
+        once."""
+        f, cols, edim = self.field, self._graded[1], self.E.dim
+        slots = itertools.product(range(len(enumerate_trees(n))),
+                                  multi_indices(self.D.dim, n))
+        for base_row, (t, dmulti) in zip(itertools.count(r0, edim), slots):
+            for terms in itertools.product(*(cols[a] for a in dmulti)):
+                c, ei = sign, t
+                for s, x, _ in terms:
+                    c, ei = c * x, ei * edim + s
+                c, col = f.reduce(c), c0 + ei * edim
+                for w in range(edim):
+                    rows[base_row + w][col + w] = c
+
     def push_matrix(self, n):
         """Matrix of xi |-> psi.xi from CY^n(D,D) to CY^n(D,E)."""
-        ddim, edim = self.D.dim, self.E.dim
-        reduce, cols = self.field.reduce, self._graded[1]
-        slots = len(enumerate_trees(n)) * ddim ** n
-        data = {}
-        for s in range(slots):
-            for u, image in enumerate(cols):
-                for w, x, _ in image:
-                    data.setdefault(s * edim + w, {})[s * ddim + u] = \
-                        reduce(x)
-        return Matrix.sparse(self.field, slots * edim, slots * ddim, data)
+        return fresh_matrix(self.field, cy_dim(self.D, self.rep_de, n),
+                            cy_dim(self.D, self.D, n), self.write_push, n)
 
     def pull_matrix(self, n):
         """Matrix of pi |-> pi.psi from CY^n(E,E) to CY^n(D,E)."""
-        f, cols = self.field, self._graded[1]
-        ddim, edim = self.D.dim, self.E.dim
-        trees = len(enumerate_trees(n))
-        data = {}
-        for t in range(trees):
-            for di, dmulti in enumerate(multi_indices(ddim, n)):
-                base_row = (t * ddim ** n + di) * edim
-                for terms in itertools.product(*(cols[a] for a in dmulti)):
-                    c, ei = 1, t
-                    for s, x, _ in terms:
-                        c, ei = c * x, ei * edim + s
-                    c = f.reduce(c)
-                    for w in range(edim):
-                        data.setdefault(base_row + w, {})[ei * edim + w] = c
-        return Matrix.sparse(f, trees * ddim ** n * edim,
-                             trees * edim ** n * edim, data)
+        return fresh_matrix(self.field, cy_dim(self.D, self.rep_de, n),
+                            cy_dim(self.E, self.E, n), self.write_pull, 1, n)
 
     # -- the coboundary -------------------------------------------------
 
@@ -215,22 +231,30 @@ class MorphismComplex:
                                self._de(n, third))
 
     def matrix(self, n):
-        """Block matrix of delta: CY^n(psi,psi) -> CY^{n+1}(psi,psi)."""
+        """Block matrix of delta: CY^n(psi,psi) -> CY^{n+1}(psi,psi),
+        its blocks written into one table (see the module docstring)."""
         if n in self._matrices:
             return self._matrices[n]
         if n <= 0:
             out = Matrix.zero(self.field, self.dim(1), 0)
         else:
-            dd = coboundary_matrix(self.D, self.D, n)
-            # CY(D,D) is assembled once for an endomorphism of D
-            de = (dd if self.E is self.D
-                  else coboundary_matrix(self.E, self.E, n))
-            dde = coboundary_matrix(self.D, self.rep_de, n - 1)
-            r2, c2 = dd.rows + de.rows, dd.cols + de.cols
-            out = Matrix.block(self.field, r2 + dde.rows, c2 + dde.cols, [
-                (0, 0, dd), (dd.rows, dd.cols, de),
-                (r2, 0, self.push_matrix(n)),
-                (r2, dd.cols, -self.pull_matrix(n)), (r2, c2, -dde)])
+            D, E, de = self.D, self.E, self.rep_de
+            for d, rep, k in ((D, D, n), (E, E, n), (D, de, n - 1)):
+                _check_caps(d, rep, k, "coboundary matrix")
+            r1, c1 = cy_dim(D, D, n + 1), cy_dim(D, D, n)
+            r2, c2 = r1 + cy_dim(E, E, n + 1), c1 + cy_dim(E, E, n)
+            rows = [{} for _ in range(self.dim(n + 1))]
+            write_coboundary_matrix(rows, 0, 0, 1, D, D, n)
+            if E is D:
+                rows[r1:r2] = [{c1 + j: x for j, x in row.items()}
+                               for row in rows[:r1]]
+            else:
+                write_coboundary_matrix(rows, r1, c1, 1, E, E, n)
+            self.write_push(rows, r2, 0, n)
+            self.write_pull(rows, r2, c1, -1, n)
+            write_coboundary_matrix(rows, r2, c2, -1, D, de, n - 1)
+            out = Matrix.sparse(self.field, len(rows), self.dim(n),
+                                {i: row for i, row in enumerate(rows) if row})
         self._matrices[n] = out
         return out
 
@@ -239,9 +263,7 @@ class MorphismComplex:
         if n < 1:
             raise ShapeMismatch("morphism cohomology starts at degree 1")
         mat_n = self.matrix(n)
-        kernel = mat_n.cols - mat_n.rank()
-        image = self.matrix(n - 1).rank()
-        return kernel - image
+        return mat_n.cols - mat_n.rank() - self.matrix(n - 1).rank()
 
     def normalize_1cochain(self, mc):
         """Trade the phi slot of a degree-1 cochain for a shift of pi.

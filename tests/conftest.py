@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from diadeform.cochain import Cochain, product_cochain
+from diadeform.cochain import Cochain, coboundary_matrix, product_cochain
 from diadeform.deformation import TruncatedDeformation
 from diadeform.dialgebra import (AXIOMS, LEFT, RIGHT, Dialgebra,
                                  DialgebraMorphism, adjoint_rep,
@@ -46,6 +46,39 @@ def mat_add(a, b):
     return Matrix(a.field, a.rows, a.cols,
                   [[a[i, j] + b[i, j] for j in range(a.cols)]
                    for i in range(a.rows)])
+
+
+def mat_neg(a):
+    """-a, entry by entry: a dense reference for negation."""
+    return Matrix(a.field, a.rows, a.cols,
+                  [[-x for x in row] for row in a.dense_rows()])
+
+
+def mat_block(field, rows, cols, placements):
+    """The rows x cols matrix with each block of (r0, c0, block) placed at
+    offset (r0, c0), zero elsewhere: a dense reference for block matrices;
+    the blocks must not overlap."""
+    grid = [[field.zero] * cols for _ in range(rows)]
+    for r0, c0, blk in placements:
+        for i, row in enumerate(blk.dense_rows()):
+            grid[r0 + i][c0:c0 + blk.cols] = row
+    return Matrix(field, rows, cols, grid)
+
+
+def reference_delta(cx, n):
+    """The matrix of delta: CY^n(psi,psi) -> CY^{n+1}(psi,psi) built
+    densely from its five blocks, each assembled on its own: delta_D,
+    delta_E, psi.xi, -pi.psi and -delta phi.  Degree 0 is the zero
+    module, so delta^0 has no columns."""
+    if n <= 0:
+        return Matrix.zero(cx.field, cx.dim(1), 0)
+    dd = coboundary_matrix(cx.D, cx.D, n)
+    de = coboundary_matrix(cx.E, cx.E, n)
+    r2, c2 = dd.rows + de.rows, dd.cols + de.cols
+    return mat_block(cx.field, cx.dim(n + 1), cx.dim(n), [
+        (0, 0, dd), (dd.rows, dd.cols, de), (r2, 0, cx.push_matrix(n)),
+        (r2, dd.cols, mat_neg(cx.pull_matrix(n))),
+        (r2, c2, mat_neg(coboundary_matrix(cx.D, cx.rep_de, n - 1)))])
 
 
 def mat_mul(a, b):
@@ -255,7 +288,7 @@ def unipotent_inverse(phi):
     """The inverse of a square matrix over K[t]/(t^{N+1}) with identity
     constant term: sum_{k <= N} (I - phi)^k, as (I - phi)^{N+1} = 0."""
     ident = Matrix.identity(phi.field, phi.rows)
-    nilpotent = mat_add(ident, -phi)
+    nilpotent = mat_add(ident, mat_neg(phi))
     inv = power = ident
     for _ in range(phi.field.order):
         power = mat_mul(power, nilpotent)

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import (coefficient_sides, dense_axiom_violations,
                       dense_morphism_violations, from_lift, int_deformation,
-                      lift, lift_apply_formal_iso, mat_add, mat_mul,
+                      lift, lift_apply_formal_iso, mat_add, mat_mul, mat_neg,
                       randint_sequence, succeeded)
 
 from diadeform import deformation, dialgebra, morphism_complex
@@ -212,17 +212,19 @@ def test_blocked_extension_reports_its_own_hy3(bundled_models):
     ("mult1", lambda m: rigidity_probe(m.morphisms["id"], order=3)),
     ("dim2", lambda m: rigidity_probe(m.morphisms["emb"], order=2))])
 def test_delta_blocks_are_assembled_once_per_call(monkeypatch, name, run):
-    # every step of one call reads the same complex, so each block of the
-    # two delta matrices it needs is assembled once, and an identity
-    # morphism assembles CY(D,D) once for its D and E blocks: 4 blocks,
-    # against 6 for dim2's emb; a freshly parsed model shares no complex
-    # with other tests
+    # every step of one call reads the same complex, so each coboundary
+    # block of the two delta matrices it needs is written once, and an
+    # identity morphism writes CY(D,D) once for its D and E blocks: 4
+    # blocks, against 6 for dim2's emb; a freshly parsed model shares no
+    # complex with other tests
     model = load_bundled_model(name)
     built = []
-    assemble = morphism_complex.coboundary_matrix
-    monkeypatch.setattr(morphism_complex, "coboundary_matrix",
-                        lambda d, rep, n: built.append((d, rep, n))
-                        or assemble(d, rep, n))
+    write = morphism_complex.write_coboundary_matrix
+
+    def counted(rows, r0, c0, sign, d, rep, n):
+        built.append((d, rep, n))
+        write(rows, r0, c0, sign, d, rep, n)
+    monkeypatch.setattr(morphism_complex, "write_coboundary_matrix", counted)
     run(model)
     assert len(built) == (6 if name == "dim2" else 4)
     keys = [(id(d), id(rep), n) for d, rep, n in built]
@@ -522,7 +524,7 @@ def _inverse_coefficients(series):
         acc = Matrix.zero(f, n, n)
         for i in range(1, k + 1):
             acc = mat_add(acc, mat_mul(series[i], inv[k - i]))
-        inv.append(-acc)
+        inv.append(mat_neg(acc))
     return inv
 
 

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SeriesRing, mat_add, mat_mul
+from conftest import SeriesRing, mat_add, mat_block, mat_mul, mat_neg
 
 from diadeform.errors import MixedFields, ShapeMismatch
 from diadeform.fields import PrimeField, QQ
@@ -41,9 +41,9 @@ def _rank(m):
 @pytest.mark.parametrize("field", [QQ, F7, SeriesRing(QQ, 2)], ids=repr)
 def test_cancelled_and_explicit_zeros_are_not_stored(field):
     # entries that cancel before they reach the constructor, and zeros
-    # given to the constructor, to sparse, in a block or negated, leave no
-    # zero entry and no empty row, on scalars with and without a truth
-    # value
+    # given to the constructor (also through the dense block and negation
+    # references) or to sparse, leave no zero entry and no empty row, on
+    # scalars with and without a truth value
     x, z = field.from_int, field.zero
 
     def mat(rows):
@@ -53,17 +53,17 @@ def test_cancelled_and_explicit_zeros_are_not_stored(field):
     a_data = {0: {0: x(1), 2: x(2)}, 1: {1: x(-3), 2: x(1)}}
     cases = [
         (a, a_data),
-        (mat_add(a, -a), {}),
+        (mat_add(a, mat_neg(a)), {}),
         # one entry of rows 0 and 2 cancels, then all of row 0
         (mat_mul(mat([[1, 1], [1, 2], [2, 2]]), mat([[1, 1], [-1, 0]])),
          {0: {1: x(1)}, 1: {0: x(-1), 1: x(1)}, 2: {1: x(2)}}),
         (mat_mul(mat([[1, 1], [1, 2]]), mat([[1], [-1]])), {1: {0: x(-1)}}),
-        (-a, {0: {0: x(-1), 2: x(-2)}, 1: {1: x(3), 2: x(-1)}}),
-        (-Matrix.zero(field, 2, 3), {}),
+        (mat_neg(a), {0: {0: x(-1), 2: x(-2)}, 1: {1: x(3), 2: x(-1)}}),
+        (mat_neg(Matrix.zero(field, 2, 3)), {}),
         (Matrix.sparse(field, 2, 3, {0: {0: z, 2: x(5)}, 1: {1: x(0)},
                                      2: {}}), {0: {2: x(5)}}),
-        (Matrix.block(field, 4, 5, [(0, 0, a), (2, 3, mat([[0, 0]])),
-                                    (3, 3, Matrix.zero(field, 1, 2))]),
+        (mat_block(field, 4, 5, [(0, 0, a), (2, 3, mat([[0, 0]])),
+                                 (3, 3, Matrix.zero(field, 1, 2))]),
          a_data),
     ]
     for got, data in cases:
@@ -179,15 +179,24 @@ def test_rank_nullity_gf(m):
     assert m.rank() + len(m.kernel_basis()) == m.cols
 
 
+@pytest.mark.parametrize("data", [{5: {7: 1}}, {0: {2: 1}}, {0: {-1: 1}},
+                                  {-1: {0: 1}}], ids=repr)
+def test_sparse_rejects_entries_outside_the_matrix(data):
+    # a misplaced block must fail, not change a rank
+    with pytest.raises(ShapeMismatch, match="outside 2x2"):
+        Matrix.sparse(QQ, 2, 2, data)
+
+
 def test_transpose_rank_invariant():
     m = qmat([[1, 2, 3], [4, 5, 6]])
     assert m.rank() == m.transpose().rank()
 
 
 def test_block():
+    # the dense block and negation references of the block-matrix tests
     a = qmat([[1], [2]])
     b = qmat([[3], [4]])
-    c = Matrix.block(QQ, 3, 2, [(0, 0, a), (1, 1, -b)])
+    c = mat_block(QQ, 3, 2, [(0, 0, a), (1, 1, mat_neg(b))])
     assert c == qmat([[1, 0], [2, -3], [0, -4]])
     assert c.dense_rows()[2] == (QQ.zero, QQ.from_int(-4))
 

@@ -5,14 +5,15 @@ import weakref
 import pytest
 
 from conftest import (change_basis, mat_mul, mirror, mult_dialgebra,
-                      randint_sequence, random_frame, tagged)
+                      randint_sequence, random_frame, reference_delta,
+                      tagged, zero_dialgebra)
 
 from diadeform import dialgebra, morphism_complex
-from diadeform.cochain import (coboundary, coboundary_matrix, cy_dim,
-                               random_cochain)
+from diadeform.cochain import (COORDINATE_BUDGET, coboundary,
+                               coboundary_matrix, cy_dim, random_cochain)
 from diadeform.dialgebra import (Dialgebra, DialgebraMorphism, adjoint_rep,
                                  check_morphism, pullback_rep)
-from diadeform.errors import ShapeMismatch
+from diadeform.errors import CapExceeded, ShapeMismatch
 from diadeform.fields import QQ, PrimeField
 from diadeform.linalg import Matrix
 from diadeform.models import bundled_model_names, load_bundled_model
@@ -98,6 +99,40 @@ def test_coboundary_commutes_with_reduction_mod_p(p, bundled_models):
                     cx_p.unvec(n, tuple(map(gf.from_int, ints)))))
                 assert all(type(x) is int for x in over_qq)
                 assert over_gf == tuple(map(gf.from_int, over_qq)), (key, n)
+
+
+def test_delta_matches_its_dense_block_reference(complexes, gf7_complexes):
+    # the one-table assembly against the five blocks assembled on their
+    # own and placed densely, on every bundled morphism, identities among
+    # them, over QQ and GF(7); neither stores a zero entry
+    for tag, cx in complexes + gf7_complexes:
+        z = cx.field.zero
+        for n in range(4):
+            got = cx.matrix(n)
+            assert got == reference_delta(cx, n), (tag, n)
+            blocks = [got, coboundary_matrix(cx.D, cx.D, n)]
+            if n:
+                blocks.append(coboundary_matrix(cx.D, cx.rep_de, n - 1))
+            assert not any(x == z for m in blocks for _, _, x in m.entries())
+
+
+def test_delta_checks_every_block_before_it_allocates(monkeypatch):
+    # psi: Z1 -> Z8 between zero dialgebras: delta^3's D block is small and
+    # its E block is over the coordinate budget, so matrix(3) refuses
+    # before it sizes the table or writes a block
+    psi = DialgebraMorphism(zero_dialgebra(1), zero_dialgebra(8, "Z8"),
+                            [[0]] * 8)
+    cx = MorphismComplex(psi)
+    assert (cy_dim(cx.D, cx.D, 4) < COORDINATE_BUDGET
+            < cy_dim(cx.E, cx.E, 4))
+    calls = []
+    monkeypatch.setattr(MorphismComplex, "dim",
+                        lambda self, n: calls.append(("dim", n)))
+    monkeypatch.setattr(morphism_complex, "write_coboundary_matrix",
+                        lambda *args: calls.append("write"))
+    with pytest.raises(CapExceeded, match="CY\\^4 has 458752 coordinates"):
+        cx.matrix(3)
+    assert calls == []
 
 
 def test_push_pull_match_matrices(rng, complexes):
