@@ -10,6 +10,7 @@ strings.
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .deformation import (_require_dialgebra, _require_morphism,
@@ -25,11 +26,15 @@ from .selftest import run_selftest
 from .trees import enumerate_trees, face, prod_label
 
 
+# finds a character that str.isspace() accepts: \s matches the same ones
+_whitespace = re.compile(r"\s").search
+
+
 def _record_value(v):
     """A value with whitespace as a JSON string, so that every record
     splits into key=value tokens."""
     text = str(v)
-    return json.dumps(text) if any(c.isspace() for c in text) else text
+    return json.dumps(text) if _whitespace(text) else text
 
 
 class Emitter:
@@ -54,7 +59,7 @@ def _target(args):
     object of its kind that the kind's flag picks."""
     if args.kind is None:
         return None
-    override = parse_field(args.field) if args.field else None
+    override = None if args.field is None else parse_field(args.field)
     if args.model == "-":
         text = sys.stdin.read()
     else:
@@ -215,10 +220,10 @@ def _report_cocycle(emit, cx, mc, order, names=("xi", "pi", "phi")):
     shown = False
     for tag, tree, multi, v in mc.nonzero_values(names):
         shown = True
-        emit.line("  %s %s %r = %s"
-                  % (tag, tree.name, multi, format_scalars(cx.field, v)),
-                  block=tag, tree=tree.name,
-                  value=",".join(fmt(x) for x in v))
+        texts = [fmt(x) for x in v]
+        emit.line("  %s %s %r = (%s)" % (tag, tree.name, multi,
+                                         ", ".join(texts)),
+                  block=tag, tree=tree.name, value=",".join(texts))
     if not shown:
         emit.line("  (zero)", value="0")
     passed = cocycle_check(cx, mc, order).passed

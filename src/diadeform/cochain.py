@@ -27,24 +27,28 @@ at once, tested by == zero, so no table holds a zero for ``Matrix.sparse``
 to find.  ``coboundary_matrix`` is that writer on a fresh table
 (``fresh_matrix``).
 
-Their arithmetic differs on purpose.  The elementwise path lifts the
-values of f and the slot tensors to plain numbers once (``field.lift``),
-sums on those, and reduces each output coordinate once
-(``field.reduce``), so over GF(p) its loop makes no ``GFElement``; over
-QQ both are the identity and are skipped.  The matrix path stays on field
-scalars, so the cross-check also tests the lifted arithmetic.
+Their arithmetic differs on purpose.  The elementwise path reads f's
+values as plain numbers (``Cochain.residues``, lifted from ``coeffs``
+once per cochain) and the slot tensors lifted once per call
+(``field.lift``), and sums on those; over QQ both are the scalars
+themselves.  Over GF(p) the cochain it returns (``_of_numbers``) keeps one
+residue mod p per coordinate and no scalars: ``coeffs`` is made through
+``field.reduce`` on its first read, so delta(delta c) makes no
+``GFElement``.  The matrix path stays on field scalars, so the
+cross-check also tests the lifted arithmetic.
 
-Over GF(p) a zero residue reduces to the field's one ``zero``, so a zero
-coordinate makes no element.  The zero tests (``Cochain.is_zero``,
-``Cochain.nonzero_values``) count that object with ``list.count``, which
-tries identity before ``==``: a shared zero costs no Python call, and a
-zero made any other way is still found by ``==``.
+Over GF(p) a zero residue reduces to the field's one ``zero``.
+``Cochain.is_zero`` tests ``not any`` of the residues, which lift every
+zero, shared or not, to 0.  ``Cochain.nonzero_values`` counts the shared
+zero in each value with ``tuple.count``, which tries identity before
+``==``: a shared zero costs no Python call, and a zero made any other way
+is still found by ``==``.
 """
 
 import itertools
 from functools import lru_cache
 
-from .dialgebra import _lifted, _reduced, flat_products
+from .dialgebra import _lifted, flat_products
 from .errors import CapExceeded, IndexOutOfRange, ShapeMismatch
 from .fields import unchanged
 from .linalg import Matrix
@@ -79,9 +83,15 @@ def multi_indices(dim, n):
 
 
 class Cochain:
-    """An element of CY^n(D,M) in the canonical flat coordinate order."""
+    """An element of CY^n(D,M) in the canonical flat coordinate order.
 
-    __slots__ = ("degree", "dialgebra", "rep", "coeffs")
+    ``coeffs`` holds its field scalars and ``residues`` the same
+    coordinates as plain numbers (``field.lift``).  The public
+    constructor sets ``coeffs``; ``_of_numbers`` sets ``residues``, and
+    over QQ ``coeffs`` as the same tuple.  An unset slot is made from the
+    other on its first read and kept (``__getattr__``)."""
+
+    __slots__ = ("degree", "dialgebra", "rep", "coeffs", "residues")
 
     def __init__(self, degree, dialgebra, rep, coeffs):
         expected = cy_dim(dialgebra, rep, degree)
@@ -93,6 +103,17 @@ class Cochain:
         object.__setattr__(self, "dialgebra", dialgebra)
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __getattr__(self, name):
+        # runs only when a slot is unset
+        if name == "coeffs":
+            value = tuple(map(self.field.reduce, _residues(self)))
+        elif name == "residues":
+            value = tuple(_lifted(self.field, [_coeffs(self)])[0])
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain is immutable")
@@ -108,19 +129,26 @@ class Cochain:
         return self.dialgebra.field
 
     def value(self, tree_index, multi):
-        """f(y (x) (e_a1,..,e_an)) as an M coordinate tuple."""
-        m = self.rep.module_dim
-        off = flat_offset(tree_index, multi, self.dialgebra.dim, m)
+        """f(y (x) (e_a1,..,e_an)) as an M coordinate tuple, for the
+        tree_index-th n-tree y and a multi-index of n basis indices."""
+        n, ddim, m = self.degree, self.dialgebra.dim, self.rep.module_dim
+        if not (0 <= tree_index < catalan(n) and len(multi) == n
+                and all(0 <= a < ddim for a in multi)):
+            raise IndexOutOfRange("no value at (%r, %r) in degree %d"
+                                  % (tree_index, multi, n))
+        off = flat_offset(tree_index, multi, ddim, m)
         return self.coeffs[off:off + m]
 
     def nonzero_values(self):
         """Yield (tree, multi, value) for every nonzero value, in the flat
         coordinate order."""
-        z = self.field.zero
+        z, coeffs = self.field.zero, self.coeffs
+        ddim, m = self.dialgebra.dim, self.rep.module_dim
         for tree in enumerate_trees(self.degree):
-            for multi in multi_indices(self.dialgebra.dim, self.degree):
-                v = self.value(tree.index, multi)
-                if v.count(z) != len(v):
+            for multi in multi_indices(ddim, self.degree):
+                off = flat_offset(tree.index, multi, ddim, m)
+                v = coeffs[off:off + m]
+                if v.count(z) != m:
                     yield tree, multi, v
 
     def _compat(self, other):
@@ -143,8 +171,7 @@ class Cochain:
                        tuple(-a for a in self.coeffs))
 
     def is_zero(self):
-        z = self.field.zero
-        return self.coeffs.count(z) == len(self.coeffs)
+        return not any(self.residues)
 
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.degree == other.degree
@@ -156,6 +183,27 @@ class Cochain:
 
     def __repr__(self):
         return "Cochain(degree=%d, %r)" % (self.degree, self.dialgebra)
+
+
+# the slot reads that never run __getattr__
+_coeffs, _residues = Cochain.coeffs.__get__, Cochain.residues.__get__
+
+
+def _of_numbers(degree, d, rep, values):
+    """The cochain of CY^degree(D,M) with these plain-number coordinates:
+    over QQ they are its coefficients, and over GF(p) it keeps one residue
+    mod p per coordinate, so no scalar is made until ``coeffs`` is read."""
+    c, field = object.__new__(Cochain), d.field
+    if field.reduce is unchanged:
+        values = tuple(values)
+        object.__setattr__(c, "coeffs", values)
+    else:
+        p = field.p
+        values = tuple([v % p for v in values])
+    for name, x in zip(("degree", "dialgebra", "rep", "residues"),
+                       (degree, d, rep, values)):
+        object.__setattr__(c, name, x)
+    return c
 
 
 def flat_offset(tree_index, multi, ddim, mdim):
@@ -230,11 +278,9 @@ def _term_plan(d, rep, n, lift):
 
 def coboundary(f):
     """delta f, computed elementwise from the alternating-sum formula: the
-    coordinates of ``_coboundary_values``, each reduced back to a scalar
-    once (over QQ this step does not run)."""
-    d = f.dialgebra
-    return Cochain(f.degree + 1, d, f.rep,
-                   _reduced(d.field, [_coboundary_values(f)])[0])
+    cochain of the coordinates of ``_coboundary_values``."""
+    return _of_numbers(f.degree + 1, f.dialgebra, f.rep,
+                       _coboundary_values(f))
 
 
 def _coboundary_values(f):
@@ -243,13 +289,13 @@ def _coboundary_values(f):
     For each tree y and each face term i, every nonzero structure constant
     of the slot tensor at i adds its multiple of f's values on the tree
     d_i y into y's block, so each coordinate sums its terms in the order
-    of the formula.  The values of f and the slot tensors are lifted to
-    plain numbers once; over QQ they are used as they are."""
+    of the formula.  It reads f's ``residues`` and the slot tensors lifted
+    to plain numbers once; over QQ they are used as they are."""
     n = f.degree
     d, rep = f.dialgebra, f.rep
     _check_caps(d, rep, n, "coboundary")
     ddim, mdim = d.dim, rep.module_dim
-    vals = _lifted(d.field, [f.coeffs])[0]
+    vals = f.residues
     size, rests, runs, ends, trees, slots = _term_plan(d, rep, n,
                                                        d.field.lift)
     coeffs = []

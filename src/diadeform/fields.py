@@ -13,22 +13,26 @@ over the field.
 
 Each field descriptor also has ``lift(x)``, a scalar as a plain Python
 number, and ``reduce(n)``, such a number back as a field element, with
-``reduce(lift(x)) == x``.  The elementwise coboundary lifts its inputs
-once, sums and multiplies plain numbers, and reduces each result once, so
-over GF(p) it makes no ``GFElement`` per operation.  Over QQ both are
-``unchanged``, the identity, which the coboundary recognizes and skips, so
+``reduce(lift(x)) == x``.  GF(p)'s ``lift`` is ``attrgetter("v")``, so
+lifting makes no Python call per scalar.  The elementwise coboundary sums
+and multiplies plain numbers, and over GF(p) the cochain it returns keeps
+each coordinate as its residue mod p: ``reduce`` makes the scalars only
+when the cochain's ``coeffs`` are first read (``cochain.Cochain``), so
+delta(delta c) makes no ``GFElement``.  Over QQ both hooks are
+``unchanged``, the identity, which the library recognizes and skips, so
 its results hold the same objects as arithmetic on the scalars
 themselves.  GF(p)'s ``from_int``, and so ``reduce`` and ``parse``, gives
 the field's one ``zero`` for every residue 0 and makes a ``GFElement``
-only for a nonzero residue; arithmetic on the scalars still makes a new
-one per result.  Plain numbers are also what these compute on: the graded
-contractions of the axiom and morphism checks; transport's inverse
-series, built order by order, and its contractions, which carry the
-deformed products and the deformed morphism along the formal
-isomorphism and its inverse; the push-forward and pull-back of
+only for a nonzero residue, through ``_gf``; arithmetic on the scalars
+still makes a new one per result.  Plain numbers are also what these
+compute on: the graded contractions of the axiom and morphism checks;
+transport's inverse series, built order by order, and its contractions,
+which carry the deformed products and the deformed morphism along the
+formal isomorphism and its inverse; the push-forward and pull-back of
 CY*(psi,psi) and the actions pulled back along psi, which are the same
-contractions at order 0; and the matrices of that push-forward and
-pull-back, which reduce each entry they write.
+contractions at order 0 (their cochains keep residues too); and the
+matrices of that push-forward and pull-back, which reduce each entry
+they write.
 """
 
 import math
@@ -265,9 +269,8 @@ class PrimeField:
     def inv(self, x):
         return self.one / x
 
-    def lift(self, x):
-        return x.v
-
+    # a scalar's residue, read in C: no Python call per scalar
+    lift = staticmethod(operator.attrgetter("v"))
     reduce = from_int
 
     def format(self, x):

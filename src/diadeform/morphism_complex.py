@@ -17,10 +17,13 @@ complex, into one graded map of its nonzero coefficients as plain
 numbers (``dialgebra._graded_map``), which also gives E its pulled-back
 actions.  The elementwise path is the graded contraction along psi of
 the morphism equations and of transport, at order 0
-(``dialgebra._push_forward``, ``dialgebra._pull_back``): it lifts the
-values of xi or pi once, and the coboundary sums the two contractions
-and delta phi (``cochain._coboundary_values``) on plain numbers and
-reduces each coordinate of the third block once.  The matrix path keeps
+(``dialgebra._push_forward``, ``dialgebra._pull_back``): it reads the
+values of xi or pi as plain numbers (``Cochain.residues``), and the
+coboundary sums the two contractions and delta phi
+(``cochain._coboundary_values``) on plain numbers.  Over GF(p) the
+cochains of CY^n(D,E) it returns keep one residue mod p per coordinate
+(``cochain._of_numbers``) and make their scalars only when read, so
+delta(delta c) makes no ``GFElement``.  The matrix path keeps
 its own loops and writes the products of psi's coefficients as entries,
 each reduced once, as the cross-check.
 
@@ -45,10 +48,10 @@ import weakref
 # coboundary_matrix is not called here; perfbench's tracer test checks that
 # this module's name for it is wrapped too
 from .cochain import (Cochain, _check_caps, _coboundary_values,  # noqa
-                      coboundary, coboundary_matrix, cy_dim, fresh_matrix,
-                      multi_indices, random_cochain, write_coboundary_matrix)
-from .dialgebra import (_graded_map, _lifted, _pull_back, _pullback_rep,
-                        _push_forward, _reduced)
+                      _of_numbers, coboundary, coboundary_matrix, cy_dim,
+                      fresh_matrix, multi_indices, random_cochain,
+                      write_coboundary_matrix)
+from .dialgebra import _graded_map, _pull_back, _pullback_rep, _push_forward
 from .errors import ShapeMismatch
 from .linalg import Matrix
 from .trees import enumerate_trees
@@ -158,16 +161,16 @@ class MorphismComplex:
     # -- push-forwards --------------------------------------------------
 
     def _along_psi(self, c, contract, *arity):
-        """A contraction along psi of c's values at order 0, as the
-        coordinates of a cochain of CY^n(D,E) in plain numbers."""
+        """A contraction along psi of c's values (its ``residues``) at
+        order 0, as the coordinates of a cochain of CY^n(D,E) in plain
+        numbers."""
         enumerate_trees(c.degree)  # CapExceeded above the tree cap
-        return contract(_lifted(self.field, [c.coeffs]), self._graded, 0,
-                        *arity)[0]
+        return contract([c.residues], self._graded, 0, *arity)[0]
 
     def _de(self, n, values):
-        """The cochain of CY^n(D,E) with these plain-number coordinates."""
-        return Cochain(n, self.D, self.rep_de,
-                       _reduced(self.field, [values])[0])
+        """The cochain of CY^n(D,E) with these plain-number coordinates;
+        over GF(p) it keeps their residues (``cochain._of_numbers``)."""
+        return _of_numbers(n, self.D, self.rep_de, values)
 
     def push_forward(self, xi):
         """psi.xi in CY^n(D,E): psi applied to every value of xi."""
@@ -220,8 +223,7 @@ class MorphismComplex:
 
     def coboundary(self, mc):
         """Elementwise delta(xi; pi; phi); the matrix path is separate.
-        The third block is summed on plain numbers and each of its
-        coordinates reduced once."""
+        The third block is summed on plain numbers, like the other two."""
         n = mc.degree
         third = [a - b - c for a, b, c in zip(
             self._along_psi(mc.xi, _push_forward),

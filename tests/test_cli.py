@@ -1,6 +1,8 @@
 import io
+import itertools
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import sys
 import pytest
 
 import diadeform
-from diadeform.cli import build_parser, main
+from diadeform.cli import _record_value, _whitespace, build_parser, main
 from diadeform.cochain import cohomology_dim
 from diadeform.deformation import extend_to_order, rigidity_probe
 from diadeform.dialgebra import adjoint_rep
@@ -257,6 +259,31 @@ def test_field_override_flag(capsys, model_path):
 def test_composite_field_is_input_error(capsys, model_path):
     assert is_input_error(*run(capsys, "check", model_path("zero1"),
                                "--field", "gf:4"))
+
+
+def test_empty_field_override_is_input_error(capsys, model_path):
+    # an empty --field names no field: it is not the same as no override
+    code, out, err = run(capsys, "cohomology", model_path("zero1"),
+                         "--field", "", "--degree", "1")
+    assert is_input_error(code, out, err)
+    assert err == "error: unknown field ''\n"
+
+
+def test_record_whitespace_test_agrees_with_isspace():
+    # the records writer quotes a value exactly when str.isspace() holds
+    # for one of its characters: on every such code point, on Latin-1 and
+    # on seeded random strings
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    rng = random.Random(24)
+    sample = ["".join(chr(rng.randrange(sys.maxunicode + 1))
+                      for _ in range(rng.randint(1, 8)))
+              for _ in range(5000)]
+    assert len(spaces) > 20
+    for text in itertools.chain(spaces, map(chr, range(256)), sample,
+                                ("a%sb" % c for c in spaces)):
+        spaced = any(c.isspace() for c in text)
+        assert bool(_whitespace(text)) == spaced, ascii(text)
+        assert (_record_value(text) != text) == spaced, ascii(text)
 
 
 def test_non_ascii_integer_is_input_error(capsys, tmp_path):

@@ -82,6 +82,7 @@ rigidity-probe {mult1} --morphism id --order 3
 rigidity-probe {dim2} --morphism emb --order 2 --field gf:7
 rigidity-probe {mult1} --morphism id --order -1
 selftest
+cohomology {zero1} --field= --degree 1
 """.strip().splitlines()
 
 

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -7,15 +8,16 @@ import pytest
 from conftest import (change_basis, mirror, mult_dialgebra, random_frame,
                       tagged, zero_dialgebra)
 
-from diadeform import fields
-from diadeform.cochain import (COORDINATE_BUDGET, Cochain, coboundary,
-                               coboundary_matrix, cohomology_dim, cy_dim,
-                               flat_offset, product_cochain, random_cochain)
+from diadeform import cochain, fields
+from diadeform.cochain import (COORDINATE_BUDGET, Cochain, _coeffs,
+                               coboundary, coboundary_matrix, cohomology_dim,
+                               cy_dim, flat_offset, product_cochain,
+                               random_cochain)
 from diadeform.dialgebra import (Dialgebra, DialgebraMorphism,
                                  Representation, adjoint_rep,
                                  check_dialgebra, check_morphism,
                                  pullback_rep)
-from diadeform.errors import CapExceeded, ShapeMismatch
+from diadeform.errors import CapExceeded, IndexOutOfRange, ShapeMismatch
 from diadeform.fields import QQ, GFElement, PrimeField
 from diadeform.linalg import Matrix
 from diadeform.models import load_bundled_model
@@ -242,17 +244,16 @@ def test_gf_coboundary_does_no_element_arithmetic(monkeypatch):
 
 
 def test_second_coboundary_makes_no_element(monkeypatch):
-    # delta(delta c) = 0, and over GF(p) a zero coordinate reduces to the
-    # field's one zero: the second coboundary makes no GFElement, on
-    # CY*(D,D) and on CY*(psi,psi), whose third block is summed on plain
-    # numbers and reduced once
+    # over GF(p) a coboundary keeps the residues it computes and makes no
+    # scalar until its coefficients are read: neither coboundary of
+    # delta(delta c) makes a GFElement, on CY*(D,D) and on CY*(psi,psi)
     gf = PrimeField(32003)
     model = load_bundled_model("dim2", field_override=gf)
     d = model.dialgebras["P2"]
     cx = MorphismComplex(model.morphisms["id"])
     rng = random.Random(11)
-    cases = [(coboundary, coboundary(random_cochain(d, d, 2, rng))),
-             (cx.coboundary, cx.coboundary(cx.random_cochain(1, rng)))]
+    cases = [(coboundary, random_cochain(d, d, 2, rng)),
+             (cx.coboundary, cx.random_cochain(1, rng))]
     made, gf_element = [], fields._gf
 
     def counted(p, v):
@@ -260,20 +261,125 @@ def test_second_coboundary_makes_no_element(monkeypatch):
         return gf_element(p, v)
 
     monkeypatch.setattr(fields, "_gf", counted)
-    twice = [delta(once) for delta, once in cases]
+    onces = [delta(c) for delta, c in cases]
+    twice = [delta(once) for (delta, _), once in zip(cases, onces)]
+    assert all(t.is_zero() for t in twice)
+    assert not any(once.is_zero() for once in onces)
     monkeypatch.undo()
     assert made == []
-    assert all(t.is_zero() for t in twice)
-    assert not any(once.is_zero() for _, once in cases)
+
+
+def test_value_checks_its_indices():
+    # value reads one coordinate tuple; a tree or basis index out of range
+    # or a multi-index of the wrong length is an error, not another value
+    d = load_bundled_model("dim2").dialgebras["P2"]
+    c = random_cochain(d, d, 2, random.Random(24))
+    for t, multi in itertools.product(range(catalan(2)),
+                                      itertools.product(range(d.dim),
+                                                        repeat=2)):
+        off = flat_offset(t, multi, d.dim, d.dim)
+        assert c.value(t, multi) == c.coeffs[off:off + d.dim]
+    for t, multi in ((0, (0, 3)), (5, (0, 0)), (2, (0, 0)), (-1, (0, 0)),
+                     (0, (0, -1)), (0, (2, 0)), (0, (0,)), (0, (0, 0, 0)),
+                     (0, ())):
+        with pytest.raises(IndexOutOfRange):
+            c.value(t, multi)
+
+
+def _computed_cochains(field):
+    """(name, make): make() computes a cochain from plain numbers, on
+    CY*(D,D), on emb's pullback representation and in CY*(psi,psi); the
+    names ending in "zero" compute a delta(delta c)."""
+    model = load_bundled_model("dim2", field_override=field)
+    d, emb = model.dialgebras["P2"], model.morphisms["emb"]
+    cx = MorphismComplex(emb)
+    rng = random.Random(field.name)
+    c = random_cochain(d, d, 2, rng)
+    e = random_cochain(emb.source, pullback_rep(emb), 2, rng)
+    mc = cx.random_cochain(2, rng)
+    return [("CY(D,D)", lambda: coboundary(c)),
+            ("CY(D,D) zero", lambda: coboundary(coboundary(c))),
+            ("pullback rep", lambda: coboundary(e)),
+            ("push-forward", lambda: cx.push_forward(mc.xi)),
+            ("pull-back", lambda: cx.pull_back(mc.pi)),
+            ("third block", lambda: cx.coboundary(mc).phi),
+            ("third block zero",
+             lambda: cx.coboundary(cx.coboundary(mc)).phi)]
+
+
+@pytest.mark.parametrize("p", [2, 7, 32003])
+def test_residue_cochains_behave_as_their_coefficients(p):
+    # a cochain computed over GF(p) keeps residues only; every operation
+    # on it gives what it gives on the cochain built from its coefficients
+    field = PrimeField(p)
+    zero_tests = set()
+    for name, make in _computed_cochains(field):
+        def fresh():
+            r = make()
+            with pytest.raises(AttributeError):  # no coefficients yet
+                _coeffs(r)
+            return r
+
+        r = fresh()
+        full = Cochain(r.degree, r.dialgebra, r.rep, r.coeffs)
+        coeffs = full.coeffs
+        assert r.residues == tuple(x.v for x in coeffs), name
+        assert all(type(x) is GFElement and field.owns(x) for x in coeffs)
+        # the field's shared zero is the only residue made once for all
+        assert all(x is field.zero for x in coeffs if not x), name
+        assert fresh().coeffs == coeffs, name
+        assert fresh() == full and full == fresh() and fresh() == fresh()
+        assert hash(fresh()) == hash(full), name
+        assert fresh().is_zero() == full.is_zero() == name.endswith("zero")
+        zero_tests.add(full.is_zero())
+        assert list(fresh().nonzero_values()) == list(full.nonzero_values())
+        places = list(itertools.product(
+            range(catalan(r.degree)),
+            itertools.product(range(r.dialgebra.dim), repeat=r.degree)))
+        r = fresh()
+        assert ([r.value(*place) for place in places]
+                == [full.value(*place) for place in places]), name
+        for op in (operator.add, operator.sub):
+            want = op(full, full).coeffs
+            for a, b in ((fresh(), fresh()), (fresh(), full),
+                         (full, fresh())):
+                assert op(a, b).coeffs == want, (name, op)
+        assert (-fresh()).coeffs == (-full).coeffs, name
+    assert zero_tests == {False, True}
+
+
+def test_qq_coboundaries_keep_their_numbers(monkeypatch):
+    # over QQ the plain numbers are the coefficients: a computed cochain
+    # holds the very ints the coboundary summed, as one tuple that is both
+    # its coeffs and its residues
+    summed = []
+
+    def recorded(f):
+        summed.append(values_of(f))
+        return summed[-1]
+
+    values_of = cochain._coboundary_values
+    monkeypatch.setattr(cochain, "_coboundary_values", recorded)
+    for name, make in _computed_cochains(QQ):
+        r = make()
+        coeffs = _coeffs(r)
+        assert r.residues is coeffs, name
+        assert all(type(x) is int for x in coeffs), name
+        if name.startswith("CY(D,D)") or name == "pullback rep":
+            assert len(coeffs) == len(summed[-1]), name
+            assert all(a is b for a, b in zip(coeffs, summed[-1])), name
+        # so is a QQ cochain from the public constructor
+        built = Cochain(r.degree, r.dialgebra, r.rep, coeffs)
+        assert built.residues is built.coeffs is coeffs, name
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7),
                                    PrimeField(32003)])
 def test_zero_tests_agree_with_equality(field):
-    # is_zero and nonzero_values count the field's zero: that finds the
-    # shared zero by identity and any other zero by ==, such as a
-    # GFElement(p, 0) made directly, the zero of a second PrimeField(p) or
-    # a Fraction(0) among int zeros
+    # is_zero tests the residues and nonzero_values counts the field's
+    # zero; both find every zero, such as a GFElement(p, 0) made directly,
+    # the zero of a second PrimeField(p) or a Fraction(0) among int zeros,
+    # and a cochain kept as residues agrees
     if field == QQ:
         zeros, nonzero = [0, Fraction(0), Fraction(0, 5)], [1, Fraction(-1, 2)]
     else:
@@ -286,14 +392,18 @@ def test_zero_tests_agree_with_equality(field):
               for multi in itertools.product(range(d.dim), repeat=n)]
     cochains = ([[rng.choice(zeros) for _ in range(size)] for _ in range(8)]
                 + [[rng.choice(zeros * 3 + nonzero) for _ in range(size)]
-                   for _ in range(24)])
+                   for _ in range(24)]
+                + [[nonzero[-1] if j == i else field.zero
+                    for j in range(size)] for i in range(size)])
     for coeffs in cochains:
-        c = Cochain(n, d, d, coeffs)
         values = [tuple(coeffs[i:i + m]) for i in range(0, size, m)]
-        assert c.is_zero() == all(x == field.zero for x in coeffs)
-        assert ([(t.index, multi, v) for t, multi, v in c.nonzero_values()]
-                == [place + (v,) for place, v in zip(places, values)
-                    if not all(x == field.zero for x in v)])
+        for c in (Cochain(n, d, d, coeffs),
+                  cochain._of_numbers(n, d, d, map(field.lift, coeffs))):
+            assert c.is_zero() == all(x == field.zero for x in coeffs)
+            assert ([(t.index, multi, v)
+                     for t, multi, v in c.nonzero_values()]
+                    == [place + (v,) for place, v in zip(places, values)
+                        if not all(x == field.zero for x in v)])
     assert 8 <= sum(Cochain(n, d, d, c).is_zero() for c in cochains) < 32
 
 
