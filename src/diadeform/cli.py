@@ -73,6 +73,8 @@ def _target(args):
     if name is None:
         if len(table) == 1:
             return next(iter(table.values()))
+        if not table:
+            raise WorkbenchError("model declares no %ss" % kind)
         raise WorkbenchError(
             "model declares %d %ss; pick one with the flag"
             % (len(table), kind))

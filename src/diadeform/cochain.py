@@ -7,25 +7,28 @@ the dialgebra basis (a_1 most significant), then the M-basis index.
 
 The coboundary is implemented twice: once elementwise from the defining
 alternating-sum formula (``coboundary``) and once as a matrix in the
-canonical bases (``coboundary_matrix``).  Both read one term plan
-(``_term_plan``): per tree and face term of the formula, the nonzero
-structure constants of the term's slot tensor (the left action, the
-products, the right action), indexed by basis index, and the offset pairs
-of the coordinates that each constant reaches.  Both run term by term
-over it: the elementwise path sums values, each constant times f's values
-on the face tree, and the matrix path writes entries, each constant at
-the (row, column) pairs.  The test suite checks the two paths against
-each other, and the matrix against a reference that computes every
-offset from the multi-index.
+canonical bases (``coboundary_matrix``).  Both read one term plan,
+cached per shape (``_term_plan(ddim, mdim, n)``): for each face term of
+the formula, where a structure constant of the term's slot tensor (the
+left action, the products, the right action) reaches, as offsets built
+from its basis indices, the trees that read each slot tensor there, and
+the offset pairs of the coordinates that the constant reaches in each
+tree's blocks.  The slot tensors' nonzero entries come from ``_slots``,
+per call.  Both paths run the same loop over the plan, term by role by
+constant by tree by pair: the elementwise path adds each constant times
+f's value on the face tree into one flat list of plain numbers, and the
+matrix path writes each constant at the (row, column) pairs as a field
+scalar.  The test suite checks the two paths against each other, and
+both against a reference that computes every offset from the
+multi-index.
 
 The matrix path is a writer, ``write_coboundary_matrix``: it adds +-delta
 into a caller's table, a list of row dicts, at a row and column offset,
 so a block matrix such as CY*(psi,psi)'s delta is written into one table
-that one ``Matrix.sparse`` call adopts.  Where each entry goes is planned
-once per shape (``_matrix_plan``).  A sum that cancels deletes its entry
-at once, tested by == zero, so no table holds a zero for ``Matrix.sparse``
-to find.  ``coboundary_matrix`` is that writer on a fresh table
-(``fresh_matrix``).
+that one ``Matrix.sparse`` call adopts.  A sum that cancels deletes its
+entry at once, tested by == zero, so no table holds a zero for
+``Matrix.sparse`` to find.  ``coboundary_matrix`` is that writer on a
+fresh table (``fresh_matrix``).
 
 Their arithmetic differs on purpose.  The elementwise path reads f's
 values as plain numbers (``Cochain.residues``, lifted from ``coeffs``
@@ -34,8 +37,12 @@ once per cochain) and the slot tensors lifted once per call
 themselves.  Over GF(p) the cochain it returns (``_of_numbers``) keeps one
 residue mod p per coordinate and no scalars: ``coeffs`` is made through
 ``field.reduce`` on its first read, so delta(delta c) makes no
-``GFElement``.  The matrix path stays on field scalars, so the
-cross-check also tests the lifted arithmetic.
+``GFElement``.  ``Cochain`` sums, differences and negation also work on
+residues and return such a cochain, and ``==`` and ``hash`` read
+residues: over GF(p) they are canonical in [0, p) and a ``GFElement``
+hashes as its residue, so both agree with the scalars.  The matrix
+path stays on field scalars, so the cross-check also tests the lifted
+arithmetic.
 
 Over GF(p) a zero residue reduces to the field's one ``zero``.
 ``Cochain.is_zero`` tests ``not any`` of the residues, which lift every
@@ -46,6 +53,7 @@ is still found by ``==``.
 """
 
 import itertools
+import operator
 from functools import lru_cache
 
 from .dialgebra import _lifted, flat_products
@@ -158,17 +166,17 @@ class Cochain:
 
     def __add__(self, other):
         self._compat(other)
-        return Cochain(self.degree, self.dialgebra, self.rep,
-                       tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _of_numbers(self.degree, self.dialgebra, self.rep,
+                           map(operator.add, self.residues, other.residues))
 
     def __sub__(self, other):
         self._compat(other)
-        return Cochain(self.degree, self.dialgebra, self.rep,
-                       tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _of_numbers(self.degree, self.dialgebra, self.rep,
+                           map(operator.sub, self.residues, other.residues))
 
     def __neg__(self):
-        return Cochain(self.degree, self.dialgebra, self.rep,
-                       tuple(-a for a in self.coeffs))
+        return _of_numbers(self.degree, self.dialgebra, self.rep,
+                           map(operator.neg, self.residues))
 
     def is_zero(self):
         return not any(self.residues)
@@ -176,10 +184,10 @@ class Cochain:
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.degree == other.degree
                 and self.dialgebra == other.dialgebra
-                and self.rep == other.rep and self.coeffs == other.coeffs)
+                and self.rep == other.rep and self.residues == other.residues)
 
     def __hash__(self):
-        return hash((self.degree, self.coeffs))
+        return hash((self.degree, self.residues))
 
     def __repr__(self):
         return "Cochain(degree=%d, %r)" % (self.degree, self.dialgebra)
@@ -215,52 +223,55 @@ def flat_offset(tree_index, multi, ddim, mdim):
 
 
 @lru_cache(maxsize=None)
-def _role_plan(m):
-    """``trees.tree_plan(m)`` with each slot label replaced by its role:
-    the index, in ``_term_plan``'s six slot tensors, of the tensor that it
-    picks; and the sorted roles used."""
-    plan = tuple((faces, tuple(2 * (0 if k == 0 else 1 if k < m else 2)
-                               + (label is not LEFT)
-                               for k, label in enumerate(labels)))
-                 for faces, labels in tree_plan(m))
-    return plan, sorted({r for _, roles in plan for r in roles})
+def _term_plan(ddim, mdim, n):
+    """The set-up both coboundary paths read, per shape: (length, used,
+    terms), for delta: CY^n -> CY^{n+1} with dim D = ddim, dim M = mdim.
 
-
-@lru_cache(maxsize=None)
-def _shape_plan(ddim, mdim, n):
-    """The part of ``_term_plan`` that depends on the shape alone: (size,
-    rests, runs, ends, trees, used), with ``_role_plan(n + 1)`` as (trees,
-    used)."""
+    ``length`` is dim CY^{n+1}.  f's values on one n-tree are a block of
+    size = ddim^n * mdim coordinates, and delta f's on one (n + 1)-tree a
+    block of ddim * size.  A term's slot tensor has a role: its index in
+    ``_slots`` (the left action, the products, the right action, each
+    read on the left or right label), and ``used`` lists the roles read.
+    ``terms[i]`` places term i of the formula as (ox, oy, oz, sx, sy, sz,
+    negate, pairs, places): a structure constant (x, y, z, c) of the
+    term's slot tensor reaches output x * ox + y * oy + z * oz and input
+    x * sx + y * sy + z * sz of a tree's blocks, negated if ``negate``,
+    plus each offset pair of ``pairs``.  Term 0 reads at the offsets it
+    writes; term i reads, under each hi, a run of (lo; w); term n + 1
+    writes with stride ddim * mdim.  ``places`` pairs each role read at
+    term i with the trees that read it there, each as the offsets of its
+    block of delta f and of f's block on its i-th face."""
     size = ddim ** n * mdim
     out_size = ddim * size
     rests = range(0, size, mdim)
-    runs = []
+    terms = [(size, 0, 1, 0, 1, 0, False, tuple(zip(rests, rests)))]
     for i in range(1, n + 1):
         run = ddim ** (n - i) * mdim
         his = zip(range(0, out_size, ddim * ddim * run),
                   range(0, size, ddim * run))
-        runs.append((run, tuple((o + j, s + j) for o, s in his
-                                for j in range(run))))
-    ends = tuple(zip(range(0, out_size, ddim * mdim), rests))
-    return (size, rests, tuple(runs), ends) + _role_plan(n + 1)
+        terms.append((ddim * run, run, 0, 0, 0, run, i % 2 == 1,
+                       tuple((o + j, s + j) for o, s in his
+                             for j in range(run))))
+    terms.append((0, mdim, 1, 1, 0, 0, n % 2 == 0,
+                  tuple(zip(range(0, out_size, ddim * mdim), rests))))
+    places = [{} for _ in terms]
+    trees = tree_plan(n + 1)
+    for t, (faces, labels) in enumerate(trees):
+        for i, (face, label) in enumerate(zip(faces, labels)):
+            role = 2 * (0 if i == 0 else 1 if i <= n else 2) + (
+                label is not LEFT)
+            places[i].setdefault(role, []).append(
+                (t * out_size, face * size))
+    used = sorted({role for p in places for role in p})
+    return len(trees) * out_size, used, tuple(
+        term + (tuple(p.items()),) for term, p in zip(terms, places))
 
 
-def _term_plan(d, rep, n, lift):
-    """The set-up of both paths: (size, rests, runs, ends, trees, slots).
-
-    f's values on one n-tree are a block of ``size`` coordinates, and
-    delta f's on one (n + 1)-tree a block of ddim * size.  The coordinates
-    one structure constant reaches are offset pairs into the two blocks:
-    term 0 reads at the offsets ``rests`` it writes; term i reads, under
-    each hi, a run of (lo; w), ``runs[i - 1]`` = (run length, pairs); term
-    n + 1 writes with stride ddim * mdim, ``ends``.  ``trees`` is
-    ``_role_plan(n + 1)``; these come from ``_shape_plan``, once per shape.
-    ``slots[r]`` lists the nonzero entries (x, y, z, c) of the slot tensor
-    of role r, lifted, for the roles used; roles that read one tensor
-    share its list, so over CY*(D,D), where D is its own module, there is
-    one list per product."""
-    size, rests, runs, ends, trees, used = _shape_plan(
-        d.dim, rep.module_dim, n)
+def _slots(d, rep, used, lift):
+    """``slots[r]`` lists the nonzero entries (x, y, z, c) of the slot
+    tensor of role r, lifted, for the roles ``used``; roles that read one
+    tensor share its list, so over CY*(D,D), where D is its own module,
+    there is one list per product."""
     tensors = (rep.act_dl, rep.act_dr, d.left, d.right, rep.act_ld,
                rep.act_rd)
     slots, lists = [None] * 6, {}
@@ -273,7 +284,7 @@ def _term_plan(d, rep, n, lift):
                           for y, row in enumerate(plane)
                           for z, c in enumerate(row) if c]
         slots[r] = lists[key]
-    return size, rests, runs, ends, trees, slots
+    return slots
 
 
 def coboundary(f):
@@ -286,72 +297,29 @@ def coboundary(f):
 def _coboundary_values(f):
     """The coordinates of delta f as plain numbers (``field.lift``).
 
-    For each tree y and each face term i, every nonzero structure constant
-    of the slot tensor at i adds its multiple of f's values on the tree
-    d_i y into y's block, so each coordinate sums its terms in the order
-    of the formula.  It reads f's ``residues`` and the slot tensors lifted
-    to plain numbers once; over QQ they are used as they are."""
-    n = f.degree
-    d, rep = f.dialgebra, f.rep
+    Term by term (``_term_plan``), every nonzero structure constant of the
+    slot tensor adds its multiple of f's values on the face tree into each
+    tree's block, so each coordinate sums its terms in the order of the
+    formula.  It reads f's ``residues`` and the slot tensors lifted to
+    plain numbers once; over QQ they are used as they are."""
+    n, d, rep = f.degree, f.dialgebra, f.rep
     _check_caps(d, rep, n, "coboundary")
-    ddim, mdim = d.dim, rep.module_dim
     vals = f.residues
-    size, rests, runs, ends, trees, slots = _term_plan(d, rep, n,
-                                                       d.field.lift)
-    coeffs = []
-    for faces, roles in trees:
-        out = [0] * (ddim * size)
-        # i = 0: out(a, rest; w) += first[a][u][w] * f(d_0 y; rest; u)
-        src = faces[0] * size
-        for a, u, w, c in slots[roles[0]]:
-            o, s = a * size + w, src + u
-            for r in rests:
-                out[o + r] += c * vals[s + r]
-        # 1 <= i <= n: out(hi, a, b, lo; w) += +-prod[a][b][k] *
-        # f(d_i y; hi, k, lo; w)
-        for i, (run, pairs) in enumerate(runs, 1):
-            src = faces[i] * size
-            for a, b, k, c in slots[roles[i]]:
-                if i % 2:
+    length, used, terms = _term_plan(d.dim, rep.module_dim, n)
+    slots = _slots(d, rep, used, d.field.lift)
+    out = [0] * length
+    for ox, oy, oz, sx, sy, sz, negate, pairs, places in terms:
+        for role, blocks in places:
+            for x, y, w, c in slots[role]:
+                o = x * ox + y * oy + w * oz
+                s = x * sx + y * sy + w * sz
+                if negate:
                     c = -c
-                o, s = (a * ddim + b) * run, src + k * run
-                for oj, sj in pairs:
-                    out[o + oj] += c * vals[s + sj]
-        # i = n + 1: out(rest, b; w) += -+last[u][b][w] * f(d_n+1 y; rest; u)
-        src = faces[n + 1] * size
-        for u, b, w, c in slots[roles[n + 1]]:
-            if not n % 2:
-                c = -c
-            o, s = b * mdim + w, src + u
-            for oj, sj in ends:
-                out[o + oj] += c * vals[s + sj]
-        coeffs.extend(out)
-    return coeffs
-
-
-@lru_cache(maxsize=None)
-def _matrix_plan(ddim, mdim, n):
-    """The placement of the matrix path's entries, per shape: per term i
-    of the formula, (ox, oy, oz, sx, sy, sz, negate, pairs, places).
-
-    A structure constant (x, y, z, c) of the term's slot tensor is written
-    at row x * ox + y * oy + z * oz and column x * sx + y * sy + z * sz of
-    a tree's block, negated if ``negate``, plus each offset pair of
-    ``pairs`` (``_term_plan``; term 0 writes where it reads).  ``places``
-    pairs each role read at term i with the trees that read it there, each
-    as the offsets of its block of delta f (rows) and of f's block on its
-    i-th face (columns)."""
-    size, rests, runs, ends, trees, _ = _shape_plan(ddim, mdim, n)
-    terms = [(size, 0, 1, 0, 1, 0, False, tuple(zip(rests, rests)))]
-    terms += [(ddim * run, run, 0, 0, 0, run, i % 2 == 1, pairs)
-              for i, (run, pairs) in enumerate(runs, 1)]
-    terms.append((0, mdim, 1, 1, 0, 0, n % 2 == 0, ends))
-    places = [{} for _ in terms]
-    for t, (faces, roles) in enumerate(trees):
-        for i, (face, role) in enumerate(zip(faces, roles)):
-            places[i].setdefault(role, []).append(
-                (t * ddim * size, face * size))
-    return tuple(term + (tuple(p.items()),) for term, p in zip(terms, places))
+                for dst, src in blocks:
+                    dst, src = dst + o, src + s
+                    for oj, sj in pairs:
+                        out[dst + oj] += c * vals[src + sj]
+    return out
 
 
 def write_coboundary_matrix(rows, r0, c0, sign, d, rep, n):
@@ -360,15 +328,15 @@ def write_coboundary_matrix(rows, r0, c0, sign, d, rep, n):
     the caller checks the caps first (``_check_caps``).
 
     Rows are indexed by the CY^{n+1} basis and columns by the CY^n basis,
-    both in the canonical flat order.  Term by term (``_matrix_plan``),
+    both in the canonical flat order.  Term by term (``_term_plan``),
     each structure constant is added at the (row, column) pairs where
     ``coboundary`` multiplies it into a sum, so each entry sums its terms
     in the order of the formula.  A sum that cancels deletes its entry at
     once, tested by == zero, so no zero is ever stored."""
     z = d.field.zero
-    slots = _term_plan(d, rep, n, unchanged)[5]
-    for ox, oy, oz, sx, sy, sz, negate, pairs, places in _matrix_plan(
-            d.dim, rep.module_dim, n):
+    _, used, terms = _term_plan(d.dim, rep.module_dim, n)
+    slots = _slots(d, rep, used, unchanged)
+    for ox, oy, oz, sx, sy, sz, negate, pairs, places in terms:
         for role, blocks in places:
             for x, y, w, c in slots[role]:
                 o = r0 + x * ox + y * oy + w * oz

@@ -83,6 +83,17 @@ def test_ambiguous_object_is_input_error(capsys, model_path):
     assert code == 2
 
 
+def test_empty_object_table_is_input_error(capsys, model_path, monkeypatch):
+    # a model that declares none of the command's kind says so; there is
+    # no flag to pick one with
+    for source, text in ((model_path("zero2"), None), ("-", "field gf 7\n")):
+        if text is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "deform-verify", source)
+        assert is_input_error(code, out, err)
+        assert err == "error: model declares no deformations\n"
+
+
 def test_trees_output(capsys):
     code, out, _ = run(capsys, "trees", "--degree", "3")
     assert code == 0

@@ -83,6 +83,7 @@ rigidity-probe {dim2} --morphism emb --order 2 --field gf:7
 rigidity-probe {mult1} --morphism id --order -1
 selftest
 cohomology {zero1} --field= --degree 1
+deform-verify {zero2}
 """.strip().splitlines()
 
 

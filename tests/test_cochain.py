@@ -109,12 +109,17 @@ def coboundary_cases(bundled_models, gf7_models):
 
 def test_elementwise_matches_matrix(rng, bundled_models, gf7_models):
     # the elementwise formula and the assembled matrix sum and write the
-    # same terms in different arithmetic; they must agree on random input
+    # same terms in different arithmetic; they must agree on random input,
+    # and the formula also with the reference, which reads no term plan
+    # (every case is within the coordinate budget: the matrix checks it)
     for tag, d, rep in coboundary_cases(bundled_models, gf7_models):
         for n in range(0, 5):
             c = random_cochain(d, rep, n, rng)
             mat = coboundary_matrix(d, rep, n)
-            assert mat.apply(c.coeffs) == coboundary(c).coeffs, (tag, n)
+            delta_c = coboundary(c).coeffs
+            assert mat.apply(c.coeffs) == delta_c, (tag, n)
+            assert (reference_coboundary_matrix(d, rep, n).apply(c.coeffs)
+                    == delta_c), (tag, n)
 
 
 def reference_coboundary_matrix(d, rep, n):
@@ -265,6 +270,12 @@ def test_second_coboundary_makes_no_element(monkeypatch):
     twice = [delta(once) for (delta, _), once in zip(cases, onces)]
     assert all(t.is_zero() for t in twice)
     assert not any(once.is_zero() for once in onces)
+    # nor do sums, differences, negation, equality and hashing on them
+    for once in onces:
+        double = once + once
+        assert double - once == once and double != once
+        assert (-once + once).is_zero() and not (-once).is_zero()
+        assert hash(double - once) == hash(once)
     monkeypatch.undo()
     assert made == []
 
@@ -339,12 +350,16 @@ def test_residue_cochains_behave_as_their_coefficients(p):
         r = fresh()
         assert ([r.value(*place) for place in places]
                 == [full.value(*place) for place in places]), name
+        # arithmetic on residues gives what it gives on the scalars
         for op in (operator.add, operator.sub):
-            want = op(full, full).coeffs
+            want = tuple(map(op, coeffs, coeffs))
             for a, b in ((fresh(), fresh()), (fresh(), full),
-                         (full, fresh())):
-                assert op(a, b).coeffs == want, (name, op)
-        assert (-fresh()).coeffs == (-full).coeffs, name
+                         (full, fresh()), (full, full)):
+                got = op(a, b)
+                built = Cochain(r.degree, r.dialgebra, r.rep, want)
+                assert got == built and hash(got) == hash(built), (name, op)
+                assert got.coeffs == want, (name, op)
+        assert (-fresh()).coeffs == tuple(-x for x in coeffs), name
     assert zero_tests == {False, True}
 
 
