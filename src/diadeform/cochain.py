@@ -23,12 +23,14 @@ both against a reference that computes every offset from the
 multi-index.
 
 The matrix path is a writer, ``write_coboundary_matrix``: it adds +-delta
-into a caller's table, a list of row dicts, at a row and column offset,
-so a block matrix such as CY*(psi,psi)'s delta is written into one table
-that one ``Matrix.sparse`` call adopts.  A sum that cancels deletes its
-entry at once, tested by == zero, so no table holds a zero for
-``Matrix.sparse`` to find.  ``coboundary_matrix`` is that writer on a
-fresh table (``fresh_matrix``).
+into a caller's table, a list of column dicts, at a row and column
+offset, so a block matrix such as CY*(psi,psi)'s delta is written into
+one table that one ``Matrix.from_columns`` call adopts.  The table holds
+dim CY^n dicts, one per column, and delta's matrix is tall, so a table of
+columns is the short side.  A sum that cancels deletes its entry at once,
+tested by == zero, so no table holds a zero for ``Matrix.from_columns``
+to find.  ``coboundary_matrix`` is that writer on a fresh table
+(``fresh_matrix``).
 
 Their arithmetic differs on purpose.  The elementwise path reads f's
 values as plain numbers (``Cochain.residues``, lifted from ``coeffs``
@@ -322,10 +324,10 @@ def _coboundary_values(f):
     return out
 
 
-def write_coboundary_matrix(rows, r0, c0, sign, d, rep, n):
+def write_coboundary_matrix(cols, r0, c0, sign, d, rep, n):
     """Add sign (+1 or -1) times the matrix of delta: CY^n -> CY^{n+1}
-    into ``rows``, a list of row dicts, with its (0, 0) entry at (r0, c0);
-    the caller checks the caps first (``_check_caps``).
+    into ``cols``, a list of column dicts, with its (0, 0) entry at
+    (r0, c0); the caller checks the caps first (``_check_caps``).
 
     Rows are indexed by the CY^{n+1} basis and columns by the CY^n basis,
     both in the canonical flat order.  Term by term (``_term_plan``),
@@ -345,23 +347,23 @@ def write_coboundary_matrix(rows, r0, c0, sign, d, rep, n):
                 for out, src in blocks:
                     out, src = out + o, src + s
                     for oj, sj in pairs:
-                        row, j = rows[out + oj], src + sj
-                        if j not in row:
-                            row[j] = c
-                        elif (v := row[j] + c) == z:
-                            del row[j]
+                        col, i = cols[src + sj], out + oj
+                        if i not in col:
+                            col[i] = c
+                        elif (v := col[i] + c) == z:
+                            del col[i]
                         else:
-                            row[j] = v
+                            col[i] = v
 
 
 def fresh_matrix(field, rows, cols, write, *args):
     """The rows x cols matrix that ``write(table, 0, 0, *args)`` writes
-    into a fresh table of ``rows`` row dicts; ``Matrix.sparse`` adopts
-    the table's nonzero rows."""
-    table = [{} for _ in range(rows)]
+    into a fresh table of ``cols`` column dicts; ``Matrix.from_columns``
+    adopts the table's nonzero columns."""
+    table = [{} for _ in range(cols)]
     write(table, 0, 0, *args)
-    return Matrix.sparse(field, rows, cols,
-                         {i: row for i, row in enumerate(table) if row})
+    return Matrix.from_columns(field, rows, cols,
+                               {j: col for j, col in enumerate(table) if col})
 
 
 def coboundary_matrix(d, rep, n):

@@ -51,14 +51,16 @@ TREE_R = 1  # [12], carrying the right product
 
 
 def cochain1_to_matrix(c):
-    """A degree-1 cochain D -> M as a module_dim x dim matrix."""
+    """A degree-1 cochain D -> M as a module_dim x dim matrix: the values
+    on the basis of D, in order, are its columns."""
     m = c.rep.module_dim
-    return Matrix(c.field, c.dialgebra.dim, m, _rows(c.coeffs, m)).transpose()
+    return Matrix.from_columns(c.field, m, c.dialgebra.dim, {
+        a: dict(enumerate(col)) for a, col in enumerate(_rows(c.coeffs, m))})
 
 
 def matrix_to_cochain1(mat, d, rep):
     """Inverse of cochain1_to_matrix."""
-    return Cochain(1, d, rep, sum(mat.transpose().dense_rows(), ()))
+    return Cochain(1, d, rep, sum(mat.dense_columns(), ()))
 
 
 def _rows(flat, width):
@@ -478,25 +480,25 @@ def extend_to_order(th, target):
 
 def _inverse(field, graded, top):
     """Psi = Phi^-1 through t^top for a graded map Phi (``_graded_map``)
-    with identity constant term, as a graded map too: row u of Psi_0 is
-    e_u, and row u of Psi_k is -sum_{b=1..k} (row u of Psi_{k-b}) phi_b,
-    on plain numbers."""
-    phi_rows = graded[0]  # each row opens with the entry of I
-    n = len(phi_rows)
-    # psi[k][u] is row u of Psi_k, complete once every lower order has
+    with identity constant term, as a graded map too: column s of Psi_0
+    is e_s, and column s of Psi_k is -sum_{b=1..k} phi_b (column s of
+    Psi_{k-b}), on plain numbers."""
+    phi_cols = graded[1]  # each column opens with the entry of I
+    n = len(phi_cols)
+    # psi[k][s] is column s of Psi_k, complete once every lower order has
     # added its terms to it
-    psi = [[{u: field.lift(field.one)} for u in range(n)]]
+    psi = [[{s: field.lift(field.one)} for s in range(n)]]
     psi += [[{} for _ in range(n)] for _ in range(top)]
     for a, coeff in enumerate(psi):
-        for u, row in enumerate(coeff):
-            for s, c in row.items():
-                for i, x, b in phi_rows[s][1:]:
+        for s, col in enumerate(coeff):
+            for u, c in col.items():
+                for i, x, b in phi_cols[u][1:]:
                     if b > top - a:
                         break
-                    psi[a + b][u][i] = psi[a + b][u].get(i, 0) - c * x
-    return _graded_map(field, [Matrix.sparse(field, n, n, {
-        u: {s: field.reduce(x) for s, x in row.items()}
-        for u, row in enumerate(coeff)}) for coeff in psi])
+                    psi[a + b][s][i] = psi[a + b][s].get(i, 0) - c * x
+    return _graded_map(field, [Matrix.from_columns(field, n, n, {
+        s: {u: field.reduce(x) for u, x in col.items()}
+        for s, col in enumerate(coeff)}) for coeff in psi])
 
 
 def apply_formal_iso(th, iso):

@@ -1,22 +1,35 @@
 """Sparse exact matrices with rank / solve / kernel over a field.
 
-A matrix keeps only its nonzero entries, as a dict of rows {i: {j: x}};
-absent entries read as the field's zero.  ``Matrix.sparse`` takes
-ownership of the rows it is given and drops their zero entries in place
-instead of copying them, and it rejects an entry outside the matrix.
-Block matrices are not assembled here: the coboundary paths write their
-blocks into one table of rows (``cochain.write_coboundary_matrix``), so a
-matrix is built once, by one ``sparse`` call.  Matrices are immutable and
-have no arithmetic.  The first rank, kernel
-or solve query eliminates a matrix forward once, to a row echelon form,
-and records every row operation.  Rank reads the pivots
-of that form and does not back-reduce; the first kernel or solve query
-back-reduces the memoized form once, to the unique reduced row echelon
-form.  Later queries reuse what is memoized, so no matrix is eliminated
-twice, and ``solve(b)`` replays the recorded operations on b instead of
-eliminating [M | b].  Everything is exact, so the identities asserted
-elsewhere (delta^2 = 0 and friends) hold with zero tolerance, and no
-result depends on the order of elimination.
+A matrix keeps only its nonzero entries, as a dict of columns {j: {i: x}};
+absent entries read as the field's zero.  ``Matrix.from_columns`` takes
+ownership of the columns it is given and drops their zero entries in
+place instead of copying them, and it rejects an entry outside the
+matrix.  Block matrices are not assembled here: the coboundary paths
+write their blocks into one table of columns
+(``cochain.write_coboundary_matrix``), so a matrix is built once, by one
+``from_columns`` call.  Matrices are immutable and have no arithmetic.
+
+The first rank, kernel or solve query eliminates a matrix once, column by
+column in ascending column order, and records each column's operations:
+the column is reduced against the pivot vectors found so far, each keyed
+by its largest row index, until its largest row is no pivot's, and then
+it is scaled into a new pivot vector, or it reduced to 0 and depends on
+the columns before it.  A coboundary matrix is tall, so this works on its
+short side.  Pivots keyed by the largest row fill in far less than by the
+smallest.  Rank counts the pivots.  ``solve(b)`` reduces b against the
+pivot vectors and expands the result back through the recorded
+operations; ``kernel_basis`` expands each dependent column's record.  No
+matrix is eliminated twice and nothing is back-reduced.
+
+Both answers are the ones read off the unique reduced row echelon form.
+In ascending order column j becomes a pivot iff it is independent of the
+columns before it, so the pivot columns are the RREF's pivot columns.
+The solution that ``solve`` expands is supported on those columns, and
+so is unique: it is the RREF solution with free variables 0.  A
+dependent column's record gives the kernel vector with 1 there and 0 at
+every other free column, which is unique too.  Everything is exact, so
+the identities asserted elsewhere (delta^2 = 0 and friends) hold with
+zero tolerance.
 """
 
 from .errors import MixedFields, ShapeMismatch
@@ -33,99 +46,112 @@ def _coerce(field, x):
     raise MixedFields("entry %r does not belong to %r" % (x, field))
 
 
-def _axpy(row, f, pivot):
-    """row -= f * pivot on sparse rows, in place."""
-    for j, x in pivot.items():
-        y = row.get(j)
+def _axpy(vec, f, pivot):
+    """vec -= f * pivot on sparse vectors, in place."""
+    for i, x in pivot.items():
+        y = vec.get(i)
         if y is None:
-            row[j] = -f * x
+            vec[i] = -f * x
         elif (y := y - f * x):
-            row[j] = y
+            vec[i] = y
         else:
-            del row[j]
+            del vec[i]
 
 
 class Matrix:
-    """A rows x cols matrix of exact field elements, stored by nonzero rows."""
+    """A rows x cols matrix of exact field elements, stored by nonzero
+    columns."""
 
-    __slots__ = ("field", "rows", "cols", "_rows", "_zero", "_fact")
+    __slots__ = ("field", "rows", "cols", "_cols", "_zero", "_fact")
 
     def __init__(self, field, rows, cols, entries):
         """``entries``: a dense list of ``rows`` lists of ``cols`` scalars."""
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ShapeMismatch("expected %dx%d entries" % (rows, cols))
         self._set(field, rows, cols, {
-            i: {j: _coerce(field, x) for j, x in enumerate(row)}
-            for i, row in enumerate(entries)})
+            j: {i: _coerce(field, row[j]) for i, row in enumerate(entries)}
+            for j in range(cols)})
 
     def _set(self, field, rows, cols, data):
-        """Adopt the row dicts of ``data``, deleting zero entries and empty
-        rows in place.  An entry is tested by == zero, never by its truth
-        value, which a scalar type need not define."""
+        """Adopt the column dicts of ``data``, deleting zero entries and
+        empty columns in place.  An entry is tested by == zero, never by
+        its truth value, which a scalar type need not define."""
         z = field.zero
-        for i in [i for i, row in data.items()
-                  if not row or z in row.values()]:
-            row = data[i]
-            for j in [j for j, x in row.items() if x == z]:
-                del row[j]
-            if not row:
-                del data[i]
+        for j in [j for j, col in data.items()
+                  if not col or z in col.values()]:
+            col = data[j]
+            for i in [i for i, x in col.items() if x == z]:
+                del col[i]
+            if not col:
+                del data[j]
         for name, value in (("field", field), ("rows", rows), ("cols", cols),
-                            ("_rows", data), ("_zero", z), ("_fact", None)):
+                            ("_cols", data), ("_zero", z), ("_fact", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def sparse(cls, field, rows, cols, data):
-        """The matrix with entries data[i][j]; absent entries are zero.
+    def from_columns(cls, field, rows, cols, data):
+        """The matrix with entries data[j][i] at (i, j); absent entries are
+        zero.
 
-        The matrix takes ownership of ``data`` and its row dicts and edits
-        them in place, so every caller passes dicts built for the call.
-        A nonzero entry outside the matrix raises ShapeMismatch; the
-        bounds are read with min and max, per row and not per entry."""
+        The matrix takes ownership of ``data`` and its column dicts and
+        edits them in place, so every caller passes dicts built for the
+        call.  A nonzero entry outside the matrix raises ShapeMismatch;
+        the bounds are read with min and max, per column and not per
+        entry."""
         m = cls.__new__(cls)
         m._set(field, rows, cols, data)
-        if data and (min(data) < 0 or max(data) >= rows
+        if data and (min(data) < 0 or max(data) >= cols
                      or min(map(min, data.values())) < 0
-                     or max(map(max, data.values())) >= cols):
+                     or max(map(max, data.values())) >= rows):
             raise ShapeMismatch("an entry lies outside %dx%d" % (rows, cols))
         return m
 
     @classmethod
     def zero(cls, field, rows, cols):
-        return cls.sparse(field, rows, cols, {})
+        return cls.from_columns(field, rows, cols, {})
 
     @classmethod
     def identity(cls, field, n):
-        return cls.sparse(field, n, n, {i: {i: field.one} for i in range(n)})
+        return cls.from_columns(field, n, n,
+                                {j: {j: field.one} for j in range(n)})
 
     def __getitem__(self, ij):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("entry (%d, %d) out of range" % (i, j))
-        return self._rows.get(i, _EMPTY).get(j, self._zero)
+        return self._cols.get(j, _EMPTY).get(i, self._zero)
+
+    def dense_columns(self):
+        """All columns, each as a dense tuple."""
+        z, rows = self._zero, range(self.rows)
+        return tuple(tuple(self._cols.get(j, _EMPTY).get(i, z) for i in rows)
+                     for j in range(self.cols))
 
     def dense_rows(self):
         """All rows, each as a dense tuple."""
-        return tuple(tuple(self[i, j] for j in range(self.cols))
-                     for i in range(self.rows))
+        out = [[self._zero] * self.cols for _ in range(self.rows)]
+        for j, col in self._cols.items():
+            for i, x in col.items():
+                out[i][j] = x
+        return tuple(map(tuple, out))
 
     def entries(self):
-        """(i, j, x) for every nonzero entry, row by row."""
-        return [(i, j, x) for i, row in self._rows.items()
-                for j, x in row.items()]
+        """(i, j, x) for every nonzero entry, column by column."""
+        return [(i, j, x) for j, col in self._cols.items()
+                for i, x in col.items()]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols
-                and self._rows == other._rows)
+                and self._cols == other._cols)
 
     def __hash__(self):
         return hash((self.field, self.rows, self.cols,
-                     frozenset(((i, j), x) for i, row in self._rows.items()
-                               for j, x in row.items())))
+                     frozenset(((i, j), x) for j, col in self._cols.items()
+                               for i, x in col.items())))
 
     def __repr__(self):
         return "Matrix(%dx%d over %r)" % (self.rows, self.cols, self.field)
@@ -136,116 +162,113 @@ class Matrix:
             raise ShapeMismatch("vector length %d, expected %d"
                                 % (len(vec), self.cols))
         out = [self._zero] * self.rows
-        for i, row in self._rows.items():
-            s = self._zero
-            for k, a in row.items():
-                s = s + a * vec[k]
-            out[i] = s
+        for j, col in self._cols.items():
+            v = vec[j]
+            for i, a in col.items():
+                out[i] = out[i] + a * v
         return tuple(out)
 
-    def transpose(self):
-        data = {}
-        for i, row in self._rows.items():
-            for j, x in row.items():
-                data.setdefault(j, {})[i] = x
-        return Matrix.sparse(self.field, self.cols, self.rows, data)
-
     def is_zero(self):
-        return not self._rows
+        return not self._cols
 
     # -- elimination ----------------------------------------------------
 
-    def _forward(self):
-        """(pivots, forward, back), memoized, after forward elimination
-        only: ``pivots`` maps each pivot column c to its echelon row, 1 at
-        c; per nonzero row i, ``forward`` holds (i, ops, c, inv): row i
-        minus f * (pivot row j) for (j, f) in ops, times inv, is the echelon
-        row of pivot c, or 0 if c is None; ``back`` is None until
-        ``_factor`` has back-reduced the pivot rows."""
+    def _eliminate(self):
+        """(pivots, steps), memoized.  ``pivots`` maps each pivot row r to
+        its pivot vector, which is 1 at r and 0 above r, stored without
+        that 1.  Per nonzero column j, ascending, ``steps`` holds (j, ops,
+        r, inv): column j minus f * (pivot vector of q) for (q, f) in ops,
+        times inv, is the pivot vector of r, or 0 if r is None."""
         if self._fact is not None:
             return self._fact
-        pivots, forward, rows = {}, [], self._rows
-        # short rows first, ties in row order: short pivot rows cause less
-        # fill-in; zero rows make no pivot and are skipped
-        for i in sorted(sorted(rows), key=lambda i: len(rows[i])):
-            row, ops = dict(rows[i]), []
-            while row:
-                c = min(row)
-                if c not in pivots:
+        pivots, steps, inv, data = {}, [], self.field.inv, self._cols
+        for j in sorted(data):
+            vec, ops = dict(data[j]), []
+            while vec:
+                r = max(vec)
+                pivot = pivots.get(r)
+                if pivot is None:
                     break
-                ops.append((c, row[c]))
-                _axpy(row, row[c], pivots[c])
-            if not row:
-                forward.append((i, ops, None, None))
+                f = vec.pop(r)
+                ops.append((r, f))
+                _axpy(vec, f, pivot)
+            if not vec:
+                steps.append((j, ops, None, None))
                 continue
-            inv = self.field.inv(row[c])
-            pivots[c] = {j: canonical(x * inv) for j, x in row.items()}
-            forward.append((i, ops, c, inv))
-        object.__setattr__(self, "_fact", (pivots, forward, None))
+            x = inv(vec.pop(r))
+            pivots[r] = {i: canonical(y * x) for i, y in vec.items()}
+            steps.append((j, ops, r, x))
+        object.__setattr__(self, "_fact", (pivots, steps))
         return self._fact
 
-    def _factor(self):
-        """(pivots, forward, back), memoized, with ``pivots`` back-reduced
-        to the unique reduced row echelon form: ``back`` holds (c, ops),
-        the back-reduction of pivot row c, largest c first.  Reuses the
-        forward elimination of ``_forward``."""
-        pivots, forward, back = self._forward()
-        if back is not None:
-            return self._fact
-        back = []
-        # rows of larger pivots are reduced first, so one pass over a row
-        # clears its other pivot columns without creating new ones
-        for c in sorted(pivots, reverse=True):
-            row = pivots[c]
-            ops = [(j, row[j]) for j in row if j != c and j in pivots]
-            for j, f in ops:
-                _axpy(row, f, pivots[j])
-            if ops:
-                pivots[c] = {j: canonical(x) for j, x in row.items()}
-            back.append((c, ops))
-        object.__setattr__(self, "_fact", (pivots, forward, back))
-        return self._fact
+    def _expand(self, pending, steps):
+        """Sums of pivot vectors as sums of columns.  ``pending[r]`` maps
+        each key to its coefficient of the pivot vector of r; the result
+        maps each key to {j: x}, its coefficient x of column j.  Reads
+        ``steps`` backwards, once for all keys; ``pending`` is consumed."""
+        z, out = self._zero, {}
+        for j, ops, r, inv in reversed(steps):
+            for key, f in pending.pop(r, _EMPTY).items():
+                if f == z:
+                    continue
+                out.setdefault(key, {})[j] = x = f * inv
+                for q, g in ops:
+                    sums = pending.setdefault(q, {})
+                    sums[key] = sums.get(key, z) - x * g
+        return out
 
     def rank(self):
-        """The number of pivots; needs no back-reduction."""
-        return len(self._forward()[0])
+        """The number of pivots."""
+        return len(self._eliminate()[0])
 
     def kernel_basis(self):
         """A basis of ker(self), as a list of tuples; exact: per free column
-        fc, ascending, 1 at fc and minus RREF column fc at the pivots."""
-        pivots = self._factor()[0]
-        basis = {fc: [self._zero] * self.cols
-                 for fc in range(self.cols) if fc not in pivots}
-        for fc, v in basis.items():
+        fc, ascending, 1 at fc, 0 at the other free columns, and minus
+        the expansion of column fc at the pivot columns."""
+        steps = self._eliminate()[1]
+        pending, pivot_cols = {}, set()
+        for j, ops, r, _ in steps:
+            if r is not None:
+                pivot_cols.add(j)
+                continue
+            for q, f in ops:
+                pending.setdefault(q, {})[j] = f
+        expansions = self._expand(pending, steps)
+        basis = []
+        for fc in range(self.cols):
+            if fc in pivot_cols:
+                continue
+            v = [self._zero] * self.cols
             v[fc] = self.field.one
-        for c, row in pivots.items():
-            for j, x in row.items():
-                if j != c:
-                    basis[j][c] = -x
-        return [tuple(v) for v in basis.values()]
+            for j, x in expansions.get(fc, _EMPTY).items():
+                v[j] = canonical(-x)
+            basis.append(tuple(v))
+        return basis
 
     def solve(self, b):
         """The solution of self * x = b with free variables 0, or None."""
         if len(b) != self.rows:
             raise ShapeMismatch("rhs length %d, expected %d"
                                 % (len(b), self.rows))
-        b = [_coerce(self.field, x) for x in b]
-        # a zero row of self needs a zero entry of b
-        if any(x != self._zero for i, x in enumerate(b)
-               if i not in self._rows):
-            return None
-        pivots, forward, back = self._factor()
-        value = {}
-        for i, ops, c, inv in forward:
-            v = b[i]
-            for j, f in ops:
-                v = v - f * value[j]
-            if c is not None:
-                value[c] = v * inv
-            elif v != self._zero:
+        z, field, owns = self._zero, self.field, self.field.owns
+        b = [x if owns(x) else _coerce(field, x) for x in b]
+        vec = {i: x for i, x in enumerate(b) if x != z}
+        pivots, steps = self._eliminate()
+        coeffs = {}
+        # b's rows and the pivot rows, largest first: a pivot vector
+        # reaches only rows below its own, so an entry at a row with no
+        # pivot, met here or left over at the end, is there to stay
+        for r in sorted(vec.keys() | pivots.keys(), reverse=True):
+            f = vec.pop(r, None)
+            if f is None:
+                continue
+            pivot = pivots.get(r)
+            if pivot is None:
                 return None
-        for c, ops in back:
-            for j, f in ops:
-                value[c] = value[c] - f * value[j]
-        return tuple(canonical(value[c]) if c in value else self._zero
-                     for c in range(self.cols))
+            coeffs[r] = {None: f}
+            _axpy(vec, f, pivot)
+        if vec:
+            return None
+        x = self._expand(coeffs, steps).get(None, _EMPTY)
+        return tuple(canonical(x[j]) if j in x else z
+                     for j in range(self.cols))

@@ -179,9 +179,9 @@ def _matrix_entries(ms):
 
 def _matrices(field, rows, cols, flat):
     """The rows x cols matrices filled in turn from a flat array."""
-    return [Matrix.sparse(field, rows, cols,
-                          {i: dict(enumerate(row))
-                           for i, row in enumerate(_rows(chunk, cols))})
+    return [Matrix.from_columns(field, rows, cols,
+                                {j: dict(enumerate(chunk[j::cols]))
+                                 for j in range(cols)})
             for chunk in _rows(flat, rows * cols)]
 
 

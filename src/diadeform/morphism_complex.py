@@ -28,12 +28,13 @@ its own loops and writes the products of psi's coefficients as entries,
 each reduced once, as the cross-check.
 
 ``matrix(n)`` checks every block against the caps, then writes delta_D,
-delta_E, psi.xi, -pi.psi and -delta phi into one table of rows at their
-offsets (``cochain.write_coboundary_matrix`` and the two writers above),
-which one ``Matrix.sparse`` call adopts: no block is a matrix of its own.
-For an endomorphism, delta_D's rows are copied with a shift for delta_E,
-so CY(D,D) is assembled once.  ``push_matrix`` and ``pull_matrix`` are
-the writers on a fresh table (``cochain.fresh_matrix``).
+delta_E, psi.xi, -pi.psi and -delta phi into one table of columns at
+their offsets (``cochain.write_coboundary_matrix`` and the two writers
+above), which one ``Matrix.from_columns`` call adopts: no block is a
+matrix of its own.  For an endomorphism, delta_D's columns are copied
+with a shift for delta_E, so CY(D,D) is assembled once.  ``push_matrix``
+and ``pull_matrix`` are the writers on a fresh table
+(``cochain.fresh_matrix``).
 
 The complex is determined by psi, so the deformation calculus and the CLI
 take psi and get the complex from ``complex_of(psi)``.  psi keeps only a
@@ -181,33 +182,33 @@ class MorphismComplex:
         return self._de(pi.degree,
                         self._along_psi(pi, _pull_back, pi.degree))
 
-    def write_push(self, rows, r0, c0, n):
+    def write_push(self, cols, r0, c0, n):
         """Write the matrix of xi |-> psi.xi from CY^n(D,D) to CY^n(D,E)
-        into ``rows`` with its (0, 0) entry at (r0, c0): each slot's block
+        into ``cols`` with its (0, 0) entry at (r0, c0): each slot's block
         is psi's matrix, entries reduced once."""
         ddim, edim, reduce = self.D.dim, self.E.dim, self.field.reduce
         entries = [(w, u, reduce(x)) for u, image in enumerate(self._graded[1])
                    for w, x, _ in image]
         for s in range(len(enumerate_trees(n)) * ddim ** n):
             for w, u, x in entries:
-                rows[r0 + s * edim + w][c0 + s * ddim + u] = x
+                cols[c0 + s * ddim + u][r0 + s * edim + w] = x
 
-    def write_pull(self, rows, r0, c0, sign, n):
+    def write_pull(self, cols, r0, c0, sign, n):
         """Write sign (+1 or -1) times the matrix of pi |-> pi.psi from
-        CY^n(E,E) to CY^n(D,E) into ``rows`` with its (0, 0) entry at
+        CY^n(E,E) to CY^n(D,E) into ``cols`` with its (0, 0) entry at
         (r0, c0); each entry is a product of psi's coefficients, reduced
         once."""
-        f, cols, edim = self.field, self._graded[1], self.E.dim
+        f, images, edim = self.field, self._graded[1], self.E.dim
         slots = itertools.product(range(len(enumerate_trees(n))),
                                   multi_indices(self.D.dim, n))
         for base_row, (t, dmulti) in zip(itertools.count(r0, edim), slots):
-            for terms in itertools.product(*(cols[a] for a in dmulti)):
+            for terms in itertools.product(*(images[a] for a in dmulti)):
                 c, ei = sign, t
                 for s, x, _ in terms:
                     c, ei = c * x, ei * edim + s
                 c, col = f.reduce(c), c0 + ei * edim
                 for w in range(edim):
-                    rows[base_row + w][col + w] = c
+                    cols[col + w][base_row + w] = c
 
     def push_matrix(self, n):
         """Matrix of xi |-> psi.xi from CY^n(D,D) to CY^n(D,E)."""
@@ -245,18 +246,19 @@ class MorphismComplex:
                 _check_caps(d, rep, k, "coboundary matrix")
             r1, c1 = cy_dim(D, D, n + 1), cy_dim(D, D, n)
             r2, c2 = r1 + cy_dim(E, E, n + 1), c1 + cy_dim(E, E, n)
-            rows = [{} for _ in range(self.dim(n + 1))]
-            write_coboundary_matrix(rows, 0, 0, 1, D, D, n)
+            cols = [{} for _ in range(self.dim(n))]
+            write_coboundary_matrix(cols, 0, 0, 1, D, D, n)
             if E is D:
-                rows[r1:r2] = [{c1 + j: x for j, x in row.items()}
-                               for row in rows[:r1]]
+                cols[c1:c2] = [{r1 + i: x for i, x in col.items()}
+                               for col in cols[:c1]]
             else:
-                write_coboundary_matrix(rows, r1, c1, 1, E, E, n)
-            self.write_push(rows, r2, 0, n)
-            self.write_pull(rows, r2, c1, -1, n)
-            write_coboundary_matrix(rows, r2, c2, -1, D, de, n - 1)
-            out = Matrix.sparse(self.field, len(rows), self.dim(n),
-                                {i: row for i, row in enumerate(rows) if row})
+                write_coboundary_matrix(cols, r1, c1, 1, E, E, n)
+            self.write_push(cols, r2, 0, n)
+            self.write_pull(cols, r2, c1, -1, n)
+            write_coboundary_matrix(cols, r2, c2, -1, D, de, n - 1)
+            out = Matrix.from_columns(
+                self.field, self.dim(n + 1), len(cols),
+                {j: col for j, col in enumerate(cols) if col})
         self._matrices[n] = out
         return out
 

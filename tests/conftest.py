@@ -143,7 +143,7 @@ def image_products(e, matrix):
     linear map psi into E is given by its matrix: the pulled-back action
     psi(e_i) o m contracted with the column psi(e_j)."""
     z = e.field.zero
-    cols = matrix.transpose().dense_rows()
+    cols = matrix.dense_columns()
 
     def on_left(t):  # T'[i][u] = sum_s psi[s,i] * T[s][u]
         return [[_combine(z, c, [block[u] for block in t])
@@ -381,14 +381,15 @@ def random_frame(field, n, rng):
         if p.rank() == n:
             # column j of P^-1 solves P x = e_j
             inv_cols = [p.solve(e) for e in ident.dense_rows()]
-            return p, Matrix(field, n, n, inv_cols).transpose()
+            return p, Matrix.from_columns(field, n, n, {
+                j: dict(enumerate(col)) for j, col in enumerate(inv_cols)})
 
 
 def change_basis(d, p, p_inv):
     """D rewritten by P, straight from the definition: for both products,
     T'(x, y) = P T(P^-1 x, P^-1 y), with T(u, v) = sum u_a v_b T[a][b]."""
     n, z = d.dim, d.field.zero
-    cols = p_inv.transpose().dense_rows()  # P^-1 e_i
+    cols = p_inv.dense_columns()  # P^-1 e_i
 
     def rewrite(t):
         out = [[None] * n for _ in range(n)]

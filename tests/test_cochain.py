@@ -133,8 +133,8 @@ def reference_coboundary_matrix(d, rep, n):
     row = 0
 
     def add(i, j, val):
-        r = data.setdefault(i, {})
-        r[j] = r[j] + val if j in r else val
+        c = data.setdefault(j, {})
+        c[i] = c[i] + val if i in c else val
 
     for faces, labels in tree_plan(n + 1):
         first = rep.act_dl if labels[0] is LEFT else rep.act_dr
@@ -165,8 +165,8 @@ def reference_coboundary_matrix(d, rep, n):
                         add(row + w, col + u,
                             block[w] if n % 2 else -block[w])
             row += mdim
-    return Matrix.sparse(d.field, cy_dim(d, rep, n + 1), cy_dim(d, rep, n),
-                         data)
+    return Matrix.from_columns(d.field, cy_dim(d, rep, n + 1),
+                               cy_dim(d, rep, n), data)
 
 
 def test_matrix_matches_row_by_row_reference(bundled_models, gf7_models):

@@ -42,35 +42,39 @@ def _rank(m):
 def test_cancelled_and_explicit_zeros_are_not_stored(field):
     # entries that cancel before they reach the constructor, and zeros
     # given to the constructor (also through the dense block and negation
-    # references) or to sparse, leave no zero entry and no empty row, on
-    # scalars with and without a truth value
+    # references) or to from_columns, leave no zero entry and no empty
+    # column in the column store, on scalars with and without a truth
+    # value
     x, z = field.from_int, field.zero
 
     def mat(rows):
         return Matrix(field, len(rows), len(rows[0]), rows)
 
     a = mat([[1, 0, 2], [0, -3, 1]])
-    a_data = {0: {0: x(1), 2: x(2)}, 1: {1: x(-3), 2: x(1)}}
+    a_data = {0: {0: x(1)}, 1: {1: x(-3)}, 2: {0: x(2), 1: x(1)}}
     cases = [
         (a, a_data),
         (mat_add(a, mat_neg(a)), {}),
-        # one entry of rows 0 and 2 cancels, then all of row 0
+        # rows 0 and 2 of column 0 cancel, then all of column 0
         (mat_mul(mat([[1, 1], [1, 2], [2, 2]]), mat([[1, 1], [-1, 0]])),
-         {0: {1: x(1)}, 1: {0: x(-1), 1: x(1)}, 2: {1: x(2)}}),
-        (mat_mul(mat([[1, 1], [1, 2]]), mat([[1], [-1]])), {1: {0: x(-1)}}),
-        (mat_neg(a), {0: {0: x(-1), 2: x(-2)}, 1: {1: x(3), 2: x(-1)}}),
+         {0: {1: x(-1)}, 1: {0: x(1), 1: x(1), 2: x(2)}}),
+        (mat_mul(mat([[1, 1], [2, 2]]), mat([[1, 1], [-1, 0]])),
+         {1: {0: x(1), 1: x(2)}}),
+        (mat_mul(mat([[1, 1], [1, 2]]), mat([[1], [-1]])), {0: {1: x(-1)}}),
+        (mat_neg(a), {0: {0: x(-1)}, 1: {1: x(3)}, 2: {0: x(-2), 1: x(-1)}}),
         (mat_neg(Matrix.zero(field, 2, 3)), {}),
-        (Matrix.sparse(field, 2, 3, {0: {0: z, 2: x(5)}, 1: {1: x(0)},
-                                     2: {}}), {0: {2: x(5)}}),
+        (Matrix.from_columns(field, 2, 3, {0: {0: z, 1: x(0)}, 1: {},
+                                           2: {0: x(5), 1: z}}),
+         {2: {0: x(5)}}),
         (mat_block(field, 4, 5, [(0, 0, a), (2, 3, mat([[0, 0]])),
                                  (3, 3, Matrix.zero(field, 1, 2))]),
          a_data),
     ]
     for got, data in cases:
-        want = Matrix.sparse(field, got.rows, got.cols, data)
-        assert all(row and all(v != z for v in row.values())
-                   for row in got._rows.values())
-        assert got._rows.keys() == data.keys()
+        want = Matrix.from_columns(field, got.rows, got.cols, data)
+        assert all(col and all(v != z for v in col.values())
+                   for col in got._cols.values())
+        assert got._cols.keys() == data.keys()
         assert got == want and hash(got) == hash(want)
         assert got.is_zero() == want.is_zero() == (not data)
         assert _rank(got) == _rank(want)
@@ -80,7 +84,7 @@ def test_construction_and_indexing():
     m = qmat([[1, 2], [3, 4]])
     assert m[0, 1] == Fraction(2)
     assert m.rows == 2 and m.cols == 2
-    assert m.transpose()[1, 0] == Fraction(2)
+    assert m.dense_columns()[1] == (Fraction(2), Fraction(4))
 
 
 def test_shape_checks():
@@ -184,12 +188,12 @@ def test_rank_nullity_gf(m):
 def test_sparse_rejects_entries_outside_the_matrix(data):
     # a misplaced block must fail, not change a rank
     with pytest.raises(ShapeMismatch, match="outside 2x2"):
-        Matrix.sparse(QQ, 2, 2, data)
+        Matrix.from_columns(QQ, 2, 2, data)
 
 
 def test_transpose_rank_invariant():
     m = qmat([[1, 2, 3], [4, 5, 6]])
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == qmat([[1, 4], [2, 5], [3, 6]]).rank() == 2
 
 
 def test_block():
@@ -277,9 +281,10 @@ def test_elimination_matches_dense_reference(field, r, c, data):
 @given(st.sampled_from([QQ, F7]), st.integers(0, 6), st.integers(0, 6),
        st.data())
 def test_rank_and_solve_agree_in_either_order(field, r, c, data):
-    # rank does not back-reduce and solve does; in either order the
-    # answers are the reference's, and the forward elimination runs once:
-    # it inverts each pivot once, and nothing else inverts
+    # rank reads the pivots and solve also expands through the recorded
+    # operations; in either order the answers are the reference's, and
+    # the elimination runs once: it inverts each pivot once, and nothing
+    # else inverts
     ints = data.draw(st.lists(st.lists(sparse_small, min_size=c, max_size=c),
                               min_size=r, max_size=r))
     rows = [[field.from_int(x) for x in row] for row in ints]
@@ -301,3 +306,56 @@ def test_rank_and_solve_agree_in_either_order(field, r, c, data):
                 assert got == expected[query], (order, query)
         assert len(calls) == expected["rank"], order
 
+
+
+# -- tall and wide shapes, as the coboundary matrices are ----------------
+
+F2 = PrimeField(2)
+SCALARS = {
+    QQ: [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2),
+         Fraction(2, 3)],
+    F2: [F2.from_int(x) for x in (0, 0, 1)],
+    F7: [F7.from_int(x) for x in (0, 0, 0, 1, -1, 2, -3, 5)],
+}
+tall_or_wide = st.one_of(st.tuples(st.integers(0, 40), st.integers(0, 6)),
+                         st.tuples(st.integers(0, 6), st.integers(0, 40)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, F2, F7]), tall_or_wide, st.data())
+def test_tall_and_wide_shapes_match_dense_reference(field, shape, data):
+    # up to 40x6 and 6x40, with non-integral rationals: rank, solve on
+    # repeated consistent and inconsistent right-hand sides, and the kernel
+    # are the dense reference's, and in either query order each pivot is
+    # inverted once, by the one elimination
+    r, c = shape
+    scalar = st.sampled_from(SCALARS[field])
+    rows = data.draw(st.lists(st.lists(scalar, min_size=c, max_size=c),
+                              min_size=r, max_size=r))
+    rhs = []
+    for _ in range(2):
+        x = data.draw(st.lists(scalar, min_size=c, max_size=c))
+        rhs.append(Matrix(field, r, c, rows).apply(tuple(x)))
+        rhs.append(tuple(data.draw(st.lists(scalar, min_size=r,
+                                            max_size=r))))
+    rank = len(dense_rref(field, rows, c)[1])
+    kernel = dense_kernel(field, rows, c)
+    solutions = [dense_solve(field, rows, c, b) for b in rhs]
+    inv, calls = type(field).inv, []
+
+    def counted(self, x):
+        calls.append(x)
+        return inv(self, x)
+
+    for order in (("rank", "solve", "kernel"), ("solve", "kernel", "rank")):
+        m, calls[:] = Matrix(field, r, c, rows), []
+        with mock.patch.object(type(field), "inv", counted):
+            for query in order + order:
+                if query == "solve":
+                    for b, want in zip(rhs + rhs, solutions + solutions):
+                        assert m.solve(b) == want, (order, b)
+                elif query == "rank":
+                    assert m.rank() == rank, order
+                else:
+                    assert m.kernel_basis() == kernel, order
+        assert len(calls) == rank, order
