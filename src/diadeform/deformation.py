@@ -11,10 +11,14 @@ The coefficients are stored order by order, and every identity on the
 power series is read one t-coefficient at a time, over K.  The residuals
 of the five axioms of D_t and of E_t and of the morphism equations of
 psi_t are computed through t^{N+1} by the graded contractions of
-``dialgebra.axiom_violations`` and ``dialgebra.morphism_violations``.
-Their coefficients t^0..t^N decide validity, and t^{N+1} is the
-obstruction.  A deformation computes them once, and both validity and
-the obstruction read them.  Transport along a formal isomorphism
+``dialgebra.axiom_sides`` and ``dialgebra.morphism_sides``, as the two
+sides of each identity.  Their coefficients t^0..t^N decide validity:
+each order of each identity is compared whole, and only the first that
+differs is read as report records.  Their t^{N+1} coefficients are the
+obstruction, L- minus R-bracketing of each axiom and f_E(psi_t, psi_t)
+minus psi_t f_D, already laid out as the cochains of CY^3(D,D) and
+CY^2(D,E).  A deformation computes them once, and both validity and the
+obstruction read them.  Transport along a formal isomorphism
 Phi_t = I + sum_k phi_k t^k runs through t^N on the same graded
 contraction (``dialgebra._contract``): the inverse Psi_t = Phi_t^-1 is
 built order by order as a graded map, each deformed product is a
@@ -25,15 +29,15 @@ are multiplied.  Extension by one order, to a target order and of a
 random sample is one loop of one-order steps (``_extend_to``).
 """
 
+import itertools
 import random
 from collections import namedtuple
 
-from .cochain import (Cochain, flat_offset, product_cochain,
-                      random_scalar)
-from .dialgebra import (AXIOMS, LEFT, _contract, _graded_map,
-                        _lifted, _pull_back, _push_forward, _reduced,
-                        axiom_violations, check_dialgebra, check_morphism,
-                        flat_products, morphism_violations)
+from .cochain import Cochain, product_cochain, random_scalar
+from .dialgebra import (AXIOMS, _contract, _graded_map, _lifted,
+                        _pull_back, _push_forward, _reduced, _violations,
+                        axiom_sides, check_dialgebra, check_morphism,
+                        flat_products, morphism_sides)
 from .errors import (BaseMismatch, CapExceeded, FieldMismatch,
                      IndexOutOfRange, InvalidDeformation,
                      NonIdentityConstantTerm, NotACoboundary, OrderMismatch,
@@ -44,10 +48,6 @@ from .morphism_complex import MorphismCochain, complex_of
 
 ORDER_CAP = 6  # the largest deformation order extended to, sampled or parsed
 PROBE_SAMPLES = 5  # the deformations a rigidity probe samples
-
-# Y_2 indices under the documented enumeration
-TREE_L = 0  # [21], carrying the left product
-TREE_R = 1  # [12], carrying the right product
 
 
 def cochain1_to_matrix(c):
@@ -117,8 +117,8 @@ class TruncatedDeformation:
         raise AttributeError("TruncatedDeformation is immutable")
 
     def residuals(self):
-        """The violations of D_t, E_t and psi_t through t^{N+1}, computed
-        by the first call (``_residuals``) and kept."""
+        """The two sides of the identities of D_t, E_t and psi_t through
+        t^{N+1}, computed by the first call (``_residuals``) and kept."""
         if self._residuals is None:
             object.__setattr__(self, "_residuals", _residuals(self))
         return self._residuals
@@ -255,39 +255,47 @@ RigidityReport = namedtuple("RigidityReport",
 
 
 def _residuals(th):
-    """The violations of D_t, E_t and psi_t through t^{N+1}, each side one
-    tuple of coefficients t^0..t^{N+1} per coordinate, computed order by
-    order over K.  Their coefficients t^0..t^N decide validity; t^{N+1}
-    is the obstruction."""
+    """The two sides of the five axioms of D_t and of E_t and of the
+    morphism equations of psi_t through t^{N+1} (``axiom_sides``,
+    ``morphism_sides``), computed order by order over K.  Their
+    coefficients t^0..t^N decide validity; t^{N+1} is the obstruction."""
     top = th.order + 1
     fds, fes = [f.coeffs for f in th.fd], [f.coeffs for f in th.fe]
-    return (axiom_violations(th.field, th.psi.source.dim, fds, top),
-            axiom_violations(th.field, th.psi.target.dim, fes, top),
-            morphism_violations(th.field, th.psis, fds, fes, top))
+    return (axiom_sides(th.field, th.psi.source.dim, fds, top),
+            axiom_sides(th.field, th.psi.target.dim, fes, top),
+            morphism_sides(th.field, th.psis, fds, fes, top))
 
 
-def _first_failure(th, d_violations, e_violations, m_violations):
+def _first_failure(th, d_sides, e_sides, m_sides):
     """The failure of lowest t-degree up to N, ties going to the checkers'
     order: f_D, f_E, then the morphism equation (l before r), each by
-    axiom, then by triple or pair."""
-    failures = [("axiom %d for %s" % (num, tag), "triple", (i, j, k), lv, rv)
-                for tag, vs in (("f_D", d_violations), ("f_E", e_violations))
-                for num, i, j, k, lv, rv in vs]
-    failures += [("morphism equation (%s)" % ("l" if label is LEFT else "r"),
-                  "pair", (a, b), lv, rv)
-                 for label, a, b, lv, rv in m_violations]
-    orders = [min(n for a, b in zip(lv, rv)
-                  for n, (x, y) in enumerate(zip(a, b)) if x != y)
-              for _, _, _, lv, rv in failures]  # N + 1 if only Ob differs
-    nu = min(orders, default=th.order + 1)
-    if nu > th.order:
-        return DeformationReport(True)
-    what, kind, where, lv, rv = failures[orders.index(nu)]
-    return DeformationReport(
-        False, nu, "%s at order %d, %s %r: %s != %s"
-        % (what, nu, kind, where,
-           format_scalars(th.field, [x[nu] for x in lv]),
-           format_scalars(th.field, [y[nu] for y in rv])))
+    axiom, then by triple or pair.  Each order of an identity is compared
+    whole, and only the first that differs is read as records."""
+    d, e = th.psi.source.dim, th.psi.target.dim
+    # the sides' orders: N + 2 (N + 1 on the sides of an unpadded lift)
+    width = len(m_sides[0]) // (2 * d * d * e)
+    # (lhs, rhs, key prefix, key ranges, block, what, kind) per identity
+    identities = [(lhs, rhs, (num,), (n,) * 3, n, "axiom %d for " + tag,
+                   "triple")
+                  for tag, n, sides in (("f_D", d, d_sides),
+                                        ("f_E", e, e_sides))
+                  for num, (lhs, rhs) in enumerate(sides, start=1)
+                  if lhs != rhs]
+    if m_sides[0] != m_sides[1]:
+        identities.append((*m_sides, "lr", (d, d), e,
+                           "morphism equation (%s)", "pair"))
+    for nu in range(th.order + 1):
+        for lhs, rhs, first, dims, n, what, kind in identities:
+            lhs, rhs = lhs[nu::width], rhs[nu::width]
+            if lhs != rhs:
+                keys = itertools.product(first, *map(range, dims))
+                tag, *where, lv, rv = _violations(lhs, rhs, keys, n)[0]
+                return DeformationReport(
+                    False, nu, "%s at order %d, %s %r: %s != %s"
+                    % (what % tag, nu, kind, tuple(where),
+                       format_scalars(th.field, lv),
+                       format_scalars(th.field, rv)))
+    return DeformationReport(True)
 
 
 def verify_deformation(th):
@@ -306,11 +314,11 @@ _REVERIFY = "solved extension failed re-verification: %s"
 def _require_valid(th):
     """th's residuals, once they vanish through order N; else
     InvalidDeformation at the first failure."""
-    violations = th.residuals()
-    report = _first_failure(th, *violations)
+    residuals = th.residuals()
+    report = _first_failure(th, *residuals)
     if not report:
         raise InvalidDeformation(report.failing_identity)
-    return violations
+    return residuals
 
 
 # -- infinitesimal and leading cocycle ---------------------------------
@@ -353,34 +361,30 @@ def obstruction(th):
     Ob_D and Ob_E on the k-th 3-tree are the t^{N+1} coefficients of the
     L- minus the R-bracketing of axiom k + 1, which are the two
     composites along the faces of that tree, and Ob_psi is that of
-    f_E(psi_t, psi_t) - psi_t f_D, on [21] for -| and [12] for |-.  The
-    same residuals decide validity through order N.
+    f_E(psi_t, psi_t) - psi_t f_D.  The sides are laid out as the
+    cochains are: an axiom's over (i, j, k, w), and the morphism
+    equations' over (label, i, j, w), which is [21] for -| and [12] for
+    |-.  The same residuals decide validity through order N.
     """
     n = th.order
     if n < 1:
         raise OrderTooLow("obstruction needs order >= 1")
-    d_violations, e_violations, m_violations = _require_valid(th)
+    d_sides, e_sides, (pushed, pulled) = _require_valid(th)
 
-    def cochain(degree, d, rep, diffs):
-        coeffs, m = list(Cochain.zero(degree, d, rep).coeffs), rep.module_dim
-        for (tree, multi), sides in diffs:
-            off = flat_offset(tree, multi, d.dim, m)
-            coeffs[off:off + m] = [x[n + 1] - y[n + 1]
-                                   for x, y in zip(*sides)]
-        return Cochain(degree, d, rep, coeffs)
+    def minus(x, y):  # x - y at t^{N+1}
+        return [a - b for a, b in zip(x[n + 1::n + 2], y[n + 1::n + 2])]
 
-    def axiom_block(d, vs):
-        return cochain(3, d, d, [
-            ((num - 1, (i, j, k)),
-             (lv, rv) if AXIOMS[num - 1][0][0] == "L" else (rv, lv))
-            for num, i, j, k, lv, rv in vs])
+    def axiom_block(d, sides):
+        return Cochain(3, d, d, [
+            x for (lhs, rhs), axiom in zip(sides, AXIOMS)
+            for x in (minus(lhs, rhs) if axiom[0][0] == "L"
+                      else minus(rhs, lhs))])
 
     return ObstructionClass(MorphismCochain(
-        axiom_block(th.psi.source, d_violations),
-        axiom_block(th.psi.target, e_violations),
-        cochain(2, th.psi.source, complex_of(th.psi).rep_de, [
-            ((TREE_L if label is LEFT else TREE_R, (a, b)), (rv, lv))
-            for label, a, b, lv, rv in m_violations])), n)
+        axiom_block(th.psi.source, d_sides),
+        axiom_block(th.psi.target, e_sides),
+        Cochain(2, th.psi.source, complex_of(th.psi).rep_de,
+                minus(pulled, pushed))), n)
 
 
 # -- extension ---------------------------------------------------------

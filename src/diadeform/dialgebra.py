@@ -3,13 +3,15 @@
 All objects carry exact structure constants over a common field.  Axiom
 checking covers every basis triple; bilinearity makes this complete.  It
 runs term-major over the nonzero structure constants, graded by order in
-t (``axiom_violations``): each of the eight bracketed triple composites
-of the five axioms is built once, a constant of order a times one of
-order b adding into order a + b, up to a top order.  The morphism
-equations are graded the same way (``morphism_violations``): psi_t f_D
-is the push-forward of D's products along psi_t and f_E(psi_t, psi_t)
-the pull-back of E's, each one contraction of the nonzero coefficients
-of a graded linear map with a graded tensor (``_contract``).  A
+t (``axiom_sides``): each of the eight bracketed triple composites of the
+five axioms is built once, a constant of order a times one of order b
+adding into order a + b, up to a top order.  The morphism equations are
+graded the same way (``morphism_sides``): psi_t f_D is the push-forward
+of D's products along psi_t and f_E(psi_t, psi_t) the pull-back of E's,
+each one contraction of the nonzero coefficients of a graded linear map
+with a graded tensor (``_contract``).  Both return each identity's two
+sides as flat lists, each coordinate's t-coefficients in a row, and
+``_violations`` reads one order of one identity as report records.  A
 dialgebra or a morphism over K is the one-order case, and a
 deformation's residuals and its transport are the same contractions of
 its coefficients.  The actions of D on E pulled back along psi are the
@@ -44,12 +46,15 @@ AXIOMS = (
     (("L", RIGHT, LEFT), ("R", RIGHT, RIGHT)),
     (("R", RIGHT, RIGHT), ("L", RIGHT, RIGHT)),
 )
-# the eight distinct (side, outer, inner) composites the axioms compare
-_COMPOSITES = tuple(dict.fromkeys(side for axiom in AXIOMS
+# each side of each axiom as (L-bracketed, outer |-, inner |-), and the
+# eight distinct composites that the axioms compare
+_ROLES = tuple(tuple((side == "L", outer is RIGHT, inner is RIGHT)
+                     for side, outer, inner in axiom) for axiom in AXIOMS)
+_COMPOSITES = tuple(dict.fromkeys(side for axiom in _ROLES
                                   for side in axiom))
 # each axiom as the indices of its two sides in _COMPOSITES
 _AXIOM_SIDES = tuple(tuple(map(_COMPOSITES.index, axiom))
-                     for axiom in AXIOMS)
+                     for axiom in _ROLES)
 
 
 def _check_tensor(field, tensor, d1, d2, d3, what):
@@ -167,6 +172,9 @@ class DialgebraMorphism:
             raise FieldMismatch("morphism source and target fields differ")
         if not isinstance(matrix, Matrix):
             matrix = Matrix(source.field, target.dim, source.dim, matrix)
+        elif matrix.field != source.field:
+            raise FieldMismatch("morphism matrix must lie over %r"
+                                % source.field)
         if (matrix.rows, matrix.cols) != (target.dim, source.dim):
             raise ShapeMismatch("morphism matrix must be %dx%d"
                                 % (target.dim, source.dim))
@@ -202,18 +210,19 @@ def flat_products(d):
     return tuple(chain(chain(chain((d.left, d.right)))))
 
 
-def _vector(values, lo, hi, width):
-    """The coordinates values[lo:hi]: one scalar each when width is 1, else
-    the tuple of ``width`` consecutive coefficients t^0, t^1, ... each."""
-    if width == 1:
-        return tuple(values[lo:hi])
-    return tuple(tuple(values[x:x + width]) for x in range(lo, hi, width))
+def _violations(lhs, rhs, keys, block):
+    """One order of one identity as report records: for each key, in
+    order, the next ``block`` coordinates of both sides, as key + (lv, rv)
+    where they differ.  The callers read only sides that differ."""
+    return [key + (tuple(lhs[lo:lo + block]), tuple(rhs[lo:lo + block]))
+            for key, lo in zip(keys, range(0, len(lhs), block))
+            if lhs[lo:lo + block] != rhs[lo:lo + block]]
 
 
 @lru_cache(maxsize=None)
 def _places(n, width):
     """Where the constant at each flat index of a product 2-cochain goes in
-    ``axiom_violations``, before its order is added: (label, s * width,
+    ``axiom_sides``, before its order is added: (label, s * width,
     then the output offset as the inner product of an R and an L
     composite, then the list slot and the output offset as their outer
     product).  The output strides of (i, j, k, w) are n^3 * width,
@@ -230,9 +239,10 @@ def _places(n, width):
                                                          *[range(n)] * 3))
 
 
-def axiom_violations(field, dim, flats, top):
-    """The five axioms for the products sum_n flats[n] t^n through t^top,
-    as (axiom, i, j, k, lv, rv) by axiom, then by triple.
+def axiom_sides(field, dim, flats, top):
+    """The two sides of each of the five axioms for the products
+    sum_n flats[n] t^n through t^top, as a pair of flat lists per axiom
+    over (i, j, k, w), each coordinate's coefficients t^0..t^top in a row.
 
     flats[n], n <= top, holds the t^n structure constants over the field
     in the flat order of a product 2-cochain: the left tensor, then the
@@ -241,17 +251,16 @@ def axiom_violations(field, dim, flats, top):
     (e_i, e_j, e_k), x o (y . z) takes each constant of y . z =
     inner[j][k] into the rows outer[i][s], and (x . y) o z each constant
     of x . y = inner[i][j] into the rows outer[s][k], a constant of order
-    a times one of order b adding into order a + b <= top.  The sides are
-    kept on flat (triple, w, order) lists, reduced once (``field.reduce``).
-    A side is a tuple of scalars when top is 0, else one tuple of its
-    coefficients t^0..t^top per coordinate.
+    a times one of order b adding into order a + b <= top.  Each of the
+    eight composites is one such list, reduced once (``field.reduce``),
+    and the axioms share them.  At top 0 a side is the list of its
+    coordinates.
     """
     n, width = dim, top + 1
     if len(flats) > width:
         raise ShapeMismatch("%d orders of constants, more than t^%d"
                             % (len(flats), top))
-    lift, reduce = field.lift, field.reduce
-    lifting = lift is not unchanged
+    reduce = field.reduce
     s_k = n * width  # the output stride of k; w's is width
     # the constants as inner products, per side (R, L) and label:
     # (s * width, offset + order, c, order); as outer products, per side,
@@ -260,10 +269,9 @@ def axiom_violations(field, dim, flats, top):
     outer = (r_out, l_out) = tuple([[] for _ in range(2 * s_k)]
                                    for _ in range(2))
     places = _places(n, width)
-    for order, flat in enumerate(flats):
+    for order, flat in enumerate(_lifted(field, flats)):
         for idx, c in enumerate(flat):
             if c:
-                c = lift(c)
                 label, sw, r_at, l_at, r_slot, r_to, l_slot, l_to = \
                     places[idx]
                 r_in[label].append((sw, r_at + order, c, order))
@@ -272,37 +280,30 @@ def axiom_violations(field, dim, flats, top):
                 l_out[l_slot + order].append((l_to + order, c))
     size = n ** 3 * s_k
     sides = []
-    for side, out_label, in_label in _COMPOSITES:
-        ins = inner[side == "L"][in_label is not LEFT]
-        outs = outer[side == "L"]
-        first = (out_label is not LEFT) * s_k
+    for l_side, out_right, in_right in _COMPOSITES:
+        ins, outs = inner[l_side][in_right], outer[l_side]
+        first = out_right * s_k
         out = [0] * size
         for sw, base, a, p in ins:
             lo = first + sw
             for terms in outs[lo:lo + width - p]:
                 for off, b in terms:
                     out[base + off] += a * b
-        sides.append(list(map(reduce, out)) if lifting else out)
-    violations = []
-    for num, (lkey, rkey) in enumerate(_AXIOM_SIDES, start=1):
-        lhs, rhs = sides[lkey], sides[rkey]
-        if lhs == rhs:
-            continue
-        for (i, j, k), lo in zip(itertools.product(range(n), repeat=3),
-                                 range(0, size, s_k)):
-            hi = lo + s_k
-            if lhs[lo:hi] != rhs[lo:hi]:
-                violations.append((num, i, j, k,
-                                   _vector(lhs, lo, hi, width),
-                                   _vector(rhs, lo, hi, width)))
-    return tuple(violations)
+        sides.append(out if reduce is unchanged else list(map(reduce, out)))
+    return tuple([(sides[lkey], sides[rkey]) for lkey, rkey in _AXIOM_SIDES])
 
 
 def check_dialgebra(d):
-    """All five axioms on all basis triples; violations carry both sides:
-    the one-order case of ``axiom_violations``."""
-    violations = axiom_violations(d.field, d.dim, [flat_products(d)], 0)
-    return Report(not violations, violations)
+    """All five axioms on all basis triples, as (axiom, i, j, k, lv, rv)
+    by axiom, then by triple, where the sides differ: the one-order case
+    of ``axiom_sides``."""
+    n, violations = d.dim, []
+    for num, (lhs, rhs) in enumerate(
+            axiom_sides(d.field, n, [flat_products(d)], 0), start=1):
+        if lhs != rhs:
+            violations += _violations(
+                lhs, rhs, itertools.product((num,), *[range(n)] * 3), n)
+    return Report(not violations, tuple(violations))
 
 
 def check_representation(d, rep):
@@ -423,48 +424,44 @@ def _reduced(field, terms):
             else [list(map(reduce, t)) for t in terms])
 
 
-def morphism_violations(field, psis, fds, fes, top):
-    """The morphism equations psi_t(e_i o e_j) = psi_t(e_i) o psi_t(e_j)
-    through t^top, as (label, i, j, lv, rv) for each pair where they fail,
-    by label, then by pair.
+def morphism_sides(field, psis, fds, fes, top):
+    """The two sides of the morphism equations psi_t(e_i o e_j) =
+    psi_t(e_i) o psi_t(e_j) through t^top, as flat lists over
+    (label, i, j, w), each coordinate's coefficients t^0..t^top in a row,
+    as in ``axiom_sides``.
 
     psis[b] is the t^b coefficient of psi_t as a target x source matrix,
     and fds[b] and fes[b] are the t^b structure constants of the source
     and the target in the flat order of a product 2-cochain.  The left side
     is the push-forward of f_D along psi_t, the right side the pull-back
-    of f_E, both over the nonzero coefficients as plain numbers, and the
-    sides are shaped as in ``axiom_violations``.
+    of f_E, both over the nonzero coefficients as plain numbers, one list
+    per order, laid out once.
     """
     graded = _graded_map(field, psis)
-    m, n, width = psis[0].rows, psis[0].cols, top + 1
     lhs = _reduced(field, _push_forward(_lifted(field, fds), graded, top))
     rhs = _reduced(field, _pull_back(_lifted(field, fes), graded, top, 2))
-    if lhs == rhs:
-        return ()
+    if top == 0:
+        return lhs[0], rhs[0]
     chain = itertools.chain.from_iterable
-    # coordinates by (label, i, j, w), each with its orders in a row
-    lhs, rhs = list(chain(zip(*lhs))), list(chain(zip(*rhs)))
-    block = m * width
-    return tuple(
-        (label, i, j, _vector(lhs, lo, lo + block, width),
-         _vector(rhs, lo, lo + block, width))
-        for (label, i, j), lo in zip(
-            itertools.product((LEFT, RIGHT), range(n), range(n)),
-            range(0, len(lhs), block))
-        if lhs[lo:lo + block] != rhs[lo:lo + block])
+    return list(chain(zip(*lhs))), list(chain(zip(*rhs)))
 
 
 def check_morphism(psi):
     """Both product-preservation identities on all basis pairs,
-    psi(e_i o e_j) == psi(e_i) o psi(e_j): the one-order case of
-    ``morphism_violations``."""
+    psi(e_i o e_j) == psi(e_i) o psi(e_j), as (label, i, j, lv, rv) by
+    label, then by pair, where the sides differ: the one-order case of
+    ``morphism_sides``."""
     d, e = psi.source, psi.target
     if d.field != e.field:
         raise FieldMismatch("source and target fields differ")
-    violations = morphism_violations(d.field, [psi.matrix],
-                                     [flat_products(d)], [flat_products(e)],
-                                     0)
-    return Report(not violations, violations)
+    lhs, rhs = morphism_sides(d.field, [psi.matrix], [flat_products(d)],
+                              [flat_products(e)], 0)
+    if lhs == rhs:
+        return Report(True, ())
+    n = d.dim
+    return Report(False, tuple(_violations(
+        lhs, rhs, itertools.product((LEFT, RIGHT), range(n), range(n)),
+        e.dim)))
 
 
 def adjoint_rep(d):

@@ -12,14 +12,16 @@ write their blocks into one table of columns
 The first rank, kernel or solve query eliminates a matrix once, column by
 column in ascending column order, and records each column's operations:
 the column is reduced against the pivot vectors found so far, each keyed
-by its largest row index, until its largest row is no pivot's, and then
-it is scaled into a new pivot vector, or it reduced to 0 and depends on
-the columns before it.  A coboundary matrix is tall, so this works on its
-short side.  Pivots keyed by the largest row fill in far less than by the
-smallest.  Rank counts the pivots.  ``solve(b)`` reduces b against the
-pivot vectors and expands the result back through the recorded
-operations; ``kernel_basis`` expands each dependent column's record.  No
-matrix is eliminated twice and nothing is back-reduced.
+by its largest row index, until its largest row is no pivot's
+(``_reduce``), and then it is scaled into a new pivot vector, or it
+reduced to 0 and depends on the columns before it.  A coboundary matrix
+is tall, so this works on its short side.  Pivots keyed by the largest
+row fill in far less than by the smallest.  Rank counts the pivots.
+``solve(b)`` reduces b by the same loop, so a b whose largest nonzero
+row is no pivot's is refused at the first step, and it expands a b that
+reduced to 0 back through the recorded operations; ``kernel_basis``
+expands each dependent column's record.  No matrix is eliminated twice
+and nothing is back-reduced.
 
 Both answers are the ones read off the unique reduced row echelon form.
 In ascending order column j becomes a pivot iff it is independent of the
@@ -56,6 +58,23 @@ def _axpy(vec, f, pivot):
             vec[i] = y
         else:
             del vec[i]
+
+
+def _reduce(vec, pivots, ops):
+    """Reduce vec in place against the pivot vectors, until it is 0 or
+    its largest row is no pivot's, and return that row, or None when vec
+    is 0.  Appends to ``ops`` the operations (q, f), for f times the
+    pivot vector of q subtracted, by falling q.  A pivot vector reaches
+    only rows below its own, so the row returned can never be cleared."""
+    while vec:
+        r = max(vec)
+        pivot = pivots.get(r)
+        if pivot is None:
+            return r
+        f = vec.pop(r)
+        ops.append((r, f))
+        _axpy(vec, f, pivot)
+    return None
 
 
 class Matrix:
@@ -184,15 +203,8 @@ class Matrix:
         pivots, steps, inv, data = {}, [], self.field.inv, self._cols
         for j in sorted(data):
             vec, ops = dict(data[j]), []
-            while vec:
-                r = max(vec)
-                pivot = pivots.get(r)
-                if pivot is None:
-                    break
-                f = vec.pop(r)
-                ops.append((r, f))
-                _axpy(vec, f, pivot)
-            if not vec:
+            r = _reduce(vec, pivots, ops)
+            if r is None:
                 steps.append((j, ops, None, None))
                 continue
             x = inv(vec.pop(r))
@@ -251,24 +263,15 @@ class Matrix:
             raise ShapeMismatch("rhs length %d, expected %d"
                                 % (len(b), self.rows))
         z, field, owns = self._zero, self.field, self.field.owns
-        b = [x if owns(x) else _coerce(field, x) for x in b]
-        vec = {i: x for i, x in enumerate(b) if x != z}
+        # coerced before the zero test, so an int that is 0 in the field
+        # is no entry
+        vec = {i: x for i, x in enumerate(
+            x if owns(x) else _coerce(field, x) for x in b) if x != z}
         pivots, steps = self._eliminate()
-        coeffs = {}
-        # b's rows and the pivot rows, largest first: a pivot vector
-        # reaches only rows below its own, so an entry at a row with no
-        # pivot, met here or left over at the end, is there to stay
-        for r in sorted(vec.keys() | pivots.keys(), reverse=True):
-            f = vec.pop(r, None)
-            if f is None:
-                continue
-            pivot = pivots.get(r)
-            if pivot is None:
-                return None
-            coeffs[r] = {None: f}
-            _axpy(vec, f, pivot)
-        if vec:
+        ops = []
+        if _reduce(vec, pivots, ops) is not None:
             return None
-        x = self._expand(coeffs, steps).get(None, _EMPTY)
+        x = self._expand({r: {None: f} for r, f in ops},
+                         steps).get(None, _EMPTY)
         return tuple(canonical(x[j]) if j in x else z
                      for j in range(self.cols))

@@ -102,40 +102,67 @@ def _combine(zero, coeffs, rows):
     return (zero,) * len(rows[0]) if out is None else tuple(out)
 
 
-def dense_axiom_violations(d):
+def records(keys, lhs, rhs, block):
+    """For each key, in order, the next block coordinates of two flat
+    sides, as key + (lv, rv) where they differ: report records."""
+    return tuple(key + (tuple(lhs[lo:lo + block]), tuple(rhs[lo:lo + block]))
+                 for key, lo in zip(keys, range(0, len(lhs), block))
+                 if lhs[lo:lo + block] != rhs[lo:lo + block])
+
+
+def dense_axiom_sides(d):
     """The axiom checker as it was before it went term-major, kept as a
-    reference: for each axiom and basis triple, both sides by dense
+    reference: for each axiom, both sides on every basis triple by dense
     contractions of D's tensors, x o (y . z) from inner[j][k] and the rows
-    outer[i][s], (x . y) o z from inner[i][j] and the rows outer[s][k]."""
+    outer[i][s], (x . y) o z from inner[i][j] and the rows outer[s][k];
+    each side a flat list over (i, j, k, w)."""
     z = d.field.zero
-    violations = []
-    for num, axiom in enumerate(AXIOMS, start=1):
+    out = []
+    for axiom in AXIOMS:
+        sides = [], []
         for i, j, k in itertools.product(range(d.dim), repeat=3):
-            lv, rv = (
-                _combine(z, d.tensor(inner)[j][k], d.tensor(outer)[i])
-                if side == "R" else
-                _combine(z, d.tensor(inner)[i][j],
-                         [row[k] for row in d.tensor(outer)])
-                for side, outer, inner in axiom)
-            if lv != rv:
-                violations.append((num, i, j, k, lv, rv))
-    return tuple(violations)
+            for values, (side, outer, inner) in zip(sides, axiom):
+                values.extend(
+                    _combine(z, d.tensor(inner)[j][k], d.tensor(outer)[i])
+                    if side == "R" else
+                    _combine(z, d.tensor(inner)[i][j],
+                             [row[k] for row in d.tensor(outer)]))
+        out.append(sides)
+    return tuple(out)
 
 
-def dense_morphism_violations(psi):
+def dense_axiom_violations(d):
+    """(axiom, i, j, k, lv, rv) for each axiom and basis triple where the
+    dense sides differ."""
+    n = d.dim
+    return tuple(
+        v for num, (lhs, rhs) in enumerate(dense_axiom_sides(d), start=1)
+        for v in records(itertools.product((num,), *[range(n)] * 3),
+                         lhs, rhs, n))
+
+
+def dense_morphism_sides(psi):
     """The morphism checker as it was before it went graded, kept as a
     reference: for each label and basis pair, psi(e_i o e_j) by applying
     psi's matrix and psi(e_i) o psi(e_j) by dense contractions of E's
-    tensors with psi's columns."""
+    tensors with psi's columns; each side a flat list over
+    (label, i, j, w)."""
     d, e = psi.source, psi.target
-    violations = []
+    lhs, rhs = [], []
     for label, table in zip((LEFT, RIGHT), image_products(e, psi.matrix)):
         for i in range(d.dim):
             for j in range(d.dim):
-                lhs = psi(d.tensor(label)[i][j])
-                if lhs != table[i][j]:
-                    violations.append((label, i, j, lhs, table[i][j]))
-    return tuple(violations)
+                lhs.extend(psi(d.tensor(label)[i][j]))
+                rhs.extend(table[i][j])
+    return lhs, rhs
+
+
+def dense_morphism_violations(psi):
+    """(label, i, j, lv, rv) for each label and basis pair where the dense
+    sides differ."""
+    n = psi.source.dim
+    return records(itertools.product((LEFT, RIGHT), range(n), range(n)),
+                   *dense_morphism_sides(psi), psi.target.dim)
 
 
 def image_products(e, matrix):
@@ -229,11 +256,11 @@ class SeriesRing:
         return isinstance(x, Series) and x.ring == self
 
 
-def coefficient_sides(violations):
-    """Violations whose two sides are tuples of series, with each series
-    read as the tuple of its coefficients, as the library reports them."""
-    return tuple(v[:-2] + tuple(tuple(x.c for x in side) for side in v[-2:])
-                 for v in violations)
+def coefficient_sides(sides):
+    """Two sides whose coordinates are series, each as the flat list of
+    its coordinates' coefficients, t^0..t^N in a row: the layout in which
+    the library returns them."""
+    return tuple([c for x in side for c in x.c] for side in sides)
 
 
 def _rows(flat, width):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import (coefficient_sides, dense_axiom_violations,
-                      dense_morphism_violations, from_lift, int_deformation,
+from conftest import (coefficient_sides, dense_axiom_sides,
+                      dense_morphism_sides, from_lift, int_deformation,
                       lift, lift_apply_formal_iso, mat_add, mat_mul, mat_neg,
                       randint_sequence, succeeded)
 
@@ -354,13 +354,13 @@ def test_extension_guaranteed_flag(ksetup):
 
 def lift_residuals(th, pad):
     """The residuals as they were computed before they went order by order
-    over K, kept as a reference: the dense axiom and morphism checkers
-    over K[t]/(t^{N+1+pad}), on the lift, each side read as coefficient
-    tuples."""
+    over K, kept as a reference: both sides of every identity by the
+    dense axiom and morphism checkers over K[t]/(t^{N+1+pad}), on the
+    lift, each side read as its coordinates' coefficients."""
     d_t, e_t, psi_t = lift(th, pad)
-    return tuple(map(coefficient_sides, (
-        dense_axiom_violations(d_t), dense_axiom_violations(e_t),
-        dense_morphism_violations(psi_t))))
+    return (tuple(map(coefficient_sides, dense_axiom_sides(d_t))),
+            tuple(map(coefficient_sides, dense_axiom_sides(e_t))),
+            coefficient_sides(dense_morphism_sides(psi_t)))
 
 
 def _unpadded_report(th):
@@ -412,17 +412,20 @@ def _residual_cases():
 
 
 def test_residuals_match_the_lift():
-    # every violation, order by order over K, equals the one the dense
-    # checkers find on the lift padded by one order: which triples and
-    # pairs, in which order, and both sides through t^{N+1}
+    # both sides of every identity, order by order over K, equal the ones
+    # the dense checkers find on the lift padded by one order: every
+    # coordinate of every triple and pair, at every order through t^{N+1}
     cases = _residual_cases()
     want = [lift_residuals(th, 1) for th in cases]
     got = [deformation._residuals(th) for th in cases]
     for th, g, w in zip(cases, got, want):
         assert g == w, th
-    # the cases reach every part: axiom violations of D and E (at the
-    # obstruction order at least), morphism violations, invalid ones
-    assert all(any(w[part] for w in want) for part in range(3))
+    # the cases reach every part: axioms of D and of E whose sides differ
+    # (at the obstruction order at least), morphism equations whose sides
+    # differ, invalid ones
+    assert any(lhs != rhs for w in want for lhs, rhs in w[0])
+    assert any(lhs != rhs for w in want for lhs, rhs in w[1])
+    assert any(w[2][0] != w[2][1] for w in want)
     assert sum(not verify_deformation(th) for th in cases) == 2
 
 

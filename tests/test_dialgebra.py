@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (Series, SeriesRing, change_basis, coefficient_sides,
-                      dense_axiom_violations, dense_morphism_violations,
-                      mirror, mult_dialgebra, random_frame, zero_dialgebra)
+                      dense_axiom_sides, dense_axiom_violations,
+                      dense_morphism_violations, mirror, mult_dialgebra,
+                      random_frame, records, zero_dialgebra)
 
 from diadeform.dialgebra import (AXIOMS, Dialgebra, DialgebraMorphism,
                                  Representation, _contract, adjoint_rep,
-                                 axiom_violations, check_dialgebra,
+                                 axiom_sides, check_dialgebra,
                                  check_morphism, check_representation,
-                                 flat_products, morphism_violations,
+                                 flat_products, morphism_sides,
                                  pullback_rep)
-from diadeform.errors import ShapeMismatch
+from diadeform.errors import FieldMismatch, ShapeMismatch
 from diadeform.fields import QQ, PrimeField
 from diadeform.linalg import Matrix
 from diadeform.models import bundled_model_names, load_bundled_model
@@ -171,19 +172,30 @@ def _ref_side(d, rep, side, outer, inner, x, y, z):
     return _ref_product(d, rep, outer, _ref_product(d, rep, inner, x, y), z)
 
 
-def _ref_axioms(d, rep, kinds):
-    """Violations of the five axioms on the basis triples of given kinds."""
+def _ref_axiom_sides(d, rep, kinds):
+    """Both sides of the five axioms on the basis triples of given kinds,
+    per axiom as flat lists over the triples and the output coordinate."""
     dims = [d.dim if k == "D" else rep.module_dim for k in kinds]
     out = []
-    for num, (lhs, rhs) in enumerate(AXIOMS, start=1):
+    for axiom in AXIOMS:
+        sides = [], []
         for ijk in itertools.product(*map(range, dims)):
             args = [_basis(d.field, k, n, i)
                     for k, n, i in zip(kinds, dims, ijk)]
-            lv = _ref_side(d, rep, *lhs, *args)[1]
-            rv = _ref_side(d, rep, *rhs, *args)[1]
-            if lv != rv:
-                out.append((num,) + ijk + (lv, rv))
+            for values, side in zip(sides, axiom):
+                values.extend(_ref_side(d, rep, *side, *args)[1])
+        out.append(sides)
     return tuple(out)
+
+
+def _ref_axioms(d, rep, kinds):
+    """Violations of the five axioms on the basis triples of given kinds."""
+    dims = [d.dim if k == "D" else rep.module_dim for k in kinds]
+    block = d.dim if kinds == "DDD" else rep.module_dim
+    return tuple(v for num, (lhs, rhs) in enumerate(
+                     _ref_axiom_sides(d, rep, kinds), start=1)
+                 for v in records(itertools.product((num,), *map(range, dims)),
+                                  lhs, rhs, block))
 
 
 def ref_check_representation(d, rep):
@@ -192,18 +204,23 @@ def ref_check_representation(d, rep):
                  for v in _ref_axioms(d, rep, kinds))
 
 
-def ref_check_morphism(psi):
+def _ref_morphism_sides(psi):
+    """Both sides of the morphism equations, flat over (label, i, j, w)."""
     d, e, f = psi.source, psi.target, psi.field
-    out = []
+    lhs, rhs = [], []
     for label in (L, R):
         for i, j in itertools.product(range(d.dim), repeat=2):
             x, y = _basis(f, "D", d.dim, i), _basis(f, "D", d.dim, j)
-            lhs = psi(_ref_product(d, None, label, x, y)[1])
-            rhs = _ref_product(e, None, label, ("D", psi(x[1])),
-                               ("D", psi(y[1])))[1]
-            if lhs != rhs:
-                out.append((label, i, j, lhs, rhs))
-    return tuple(out)
+            lhs.extend(psi(_ref_product(d, None, label, x, y)[1]))
+            rhs.extend(_ref_product(e, None, label, ("D", psi(x[1])),
+                                    ("D", psi(y[1])))[1])
+    return lhs, rhs
+
+
+def ref_check_morphism(psi):
+    n = psi.source.dim
+    return records(itertools.product((L, R), range(n), range(n)),
+                   *_ref_morphism_sides(psi), psi.target.dim)
 
 
 def ref_pullback_tensors(psi):
@@ -313,34 +330,35 @@ def _by_order(ring, scalars):
 
 
 def graded_axioms(d):
-    """``axiom_violations`` on a dialgebra over the series ring, its
-    constants read order by order over K."""
+    """``axiom_sides`` on a dialgebra over the series ring, its constants
+    read order by order over K."""
     ring = d.field
-    return axiom_violations(ring.field, d.dim,
-                            _by_order(ring, flat_products(d)), ring.order)
+    return axiom_sides(ring.field, d.dim, _by_order(ring, flat_products(d)),
+                       ring.order)
 
 
 def graded_morphism(psi):
-    """``morphism_violations`` on a map of dialgebras over the series ring,
-    its matrix and both ends' constants read order by order over K."""
+    """``morphism_sides`` on a map of dialgebras over the series ring, its
+    matrix and both ends' constants read order by order over K."""
     ring, mat = psi.field, psi.matrix
     psis = [Matrix(ring.field, mat.rows, mat.cols,
                    [_by_order(ring, row)[n] for row in mat.dense_rows()])
             for n in range(ring.order + 1)]
-    return morphism_violations(ring.field, psis,
-                               _by_order(ring, flat_products(psi.source)),
-                               _by_order(ring, flat_products(psi.target)),
-                               ring.order)
+    return morphism_sides(ring.field, psis,
+                          _by_order(ring, flat_products(psi.source)),
+                          _by_order(ring, flat_products(psi.target)),
+                          ring.order)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(FIELDS).flatmap(dialgebras))
 def test_check_dialgebra_matches_reference(d):
-    want = _ref_axioms(d, None, "DDD")
+    # over the series ring, both sides of every axiom on every triple
     if isinstance(d.field, SeriesRing):
-        assert graded_axioms(d) == coefficient_sides(want)
+        assert graded_axioms(d) == tuple(
+            map(coefficient_sides, _ref_axiom_sides(d, None, "DDD")))
     else:
-        assert _matches(check_dialgebra(d), want)
+        assert _matches(check_dialgebra(d), _ref_axioms(d, None, "DDD"))
 
 
 # check_representation is check_dialgebra on the square-zero extension
@@ -358,12 +376,12 @@ def test_check_representation_matches_reference(d_rep):
 def test_check_morphism_and_pullback_match_reference(psi):
     # the library's pullback_rep takes a field, as check_representation
     # does; over K[t]/(t^{N+1}) the graded morphism check covers the
-    # graded pull-back
-    want = ref_check_morphism(psi)
+    # graded pull-back, on both sides of every pair
     if isinstance(psi.field, SeriesRing):
-        assert graded_morphism(psi) == coefficient_sides(want)
+        assert graded_morphism(psi) == coefficient_sides(
+            _ref_morphism_sides(psi))
         return
-    assert _matches(check_morphism(psi), want)
+    assert _matches(check_morphism(psi), ref_check_morphism(psi))
     rep = pullback_rep(psi)
     assert ((rep.act_dl, rep.act_dr, rep.act_ld, rep.act_rd)
             == ref_pullback_tensors(psi))
@@ -419,14 +437,17 @@ def test_check_dialgebra_matches_the_dense_checker(field):
         cases.append(Dialgebra(n, field, left, right))
     valid = 0
     for d in cases:
-        want = dense_axiom_violations(d)
         if isinstance(field, SeriesRing):
-            assert graded_axioms(d) == coefficient_sides(want), d
+            # both sides of every axiom on every triple, at every order
+            sides = dense_axiom_sides(d)
+            assert graded_axioms(d) == tuple(map(coefficient_sides, sides)), d
+            valid += all(lhs == rhs for lhs, rhs in sides)
         else:
+            want = dense_axiom_violations(d)
             report = check_dialgebra(d)
             assert report.violations == want, d
             assert report.valid == (not want)
-        valid += not want
+            valid += not want
     assert len(cases) - 150 <= valid < len(cases)
 
 
@@ -465,11 +486,30 @@ def test_check_morphism_matches_the_dense_checker(field):
     assert 7 + 10 <= valid < len(cases)
 
 
-def test_axiom_violations_refuses_orders_above_the_top():
+def test_axiom_sides_refuses_orders_above_the_top():
     zero = [QQ.zero, QQ.zero]
-    assert axiom_violations(QQ, 1, [zero, zero], 1) == ()
+    assert axiom_sides(QQ, 1, [zero, zero], 1) == (([0, 0], [0, 0]),) * 5
     with pytest.raises(ShapeMismatch):
-        axiom_violations(QQ, 1, [zero, zero], 0)
+        axiom_sides(QQ, 1, [zero, zero], 0)
+
+
+def test_sides_are_laid_out_with_orders_in_a_row():
+    # on the 1-dim products x -| y = xy and x |- y = t xy, axiom 2 reads
+    # (x -| y) -| z = xyz and x -|(y |- z) = t xyz, and the morphism
+    # equations of the identity scaled by 1 + t read psi(x o y) against
+    # psi(x) o psi(y) = (1 + 2t + t^2) (x o y)
+    sides = axiom_sides(QQ, 1, [[1, 0], [0, 1]], 2)
+    assert sides[1] == ([1, 0, 0], [0, 1, 0])
+    one = Matrix.identity(QQ, 1)
+    assert morphism_sides(QQ, [one, one, Matrix.zero(QQ, 1, 1)],
+                          [[1, 0], [0, 1]], [[1, 0], [0, 1]], 2) == (
+        [1, 1, 0, 0, 1, 1], [1, 2, 1, 0, 1, 2])
+
+
+def test_a_morphism_matrix_over_another_field_is_refused():
+    d = mult_dialgebra()
+    with pytest.raises(FieldMismatch):
+        DialgebraMorphism(d, d, Matrix(PrimeField(7), 1, 1, [[1]]))
 
 
 def _contract_by_divmod(terms, maps, size, inner, top):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SeriesRing, mat_add, mat_block, mat_mul, mat_neg
 
+from diadeform import linalg
 from diadeform.errors import MixedFields, ShapeMismatch
 from diadeform.fields import PrimeField, QQ
 from diadeform.linalg import Matrix
@@ -143,6 +144,25 @@ def test_solve_inconsistent():
             assert m.rank() == 2
         assert m.solve((1, 1, 1)) is None
         assert m.solve((1, 0, 3)) == (1, 2)
+
+
+def test_solve_refuses_a_row_out_of_reach_before_any_reduction():
+    # the pivot vectors of columns (1, 1, 0) and (0, 1, 0) reach rows 0
+    # and 1 only: a b that is nonzero at row 2 is refused at the first
+    # step, before any pivot vector is subtracted, also where it is
+    # nonzero at the pivot rows too
+    m = Matrix(F7, 3, 2, [[1, 0], [1, 1], [0, 0]])
+    assert m.rank() == 2
+    calls = []
+    axpy = linalg._axpy
+    with mock.patch.object(linalg, "_axpy",
+                           lambda *args: calls.append(args) or axpy(*args)):
+        assert m.solve((0, 0, 1)) is None
+        assert m.solve((1, 3, 5)) is None
+        assert calls == []
+        # an int that is 0 mod 7 is no entry: b is consistent
+        assert m.solve((1, 3, 7)) == (1, 2)
+    assert calls
 
 
 def test_solve_underdetermined():
